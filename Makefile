@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check check-short build test race bench bench-all bench-gate telemetry-smoke placed-smoke portfolio-smoke fleet-smoke eco-smoke lefdef-smoke fmt vet
+.PHONY: check check-short build test race race-multicore bench bench-all bench-gate telemetry-smoke placed-smoke portfolio-smoke fleet-smoke eco-smoke lefdef-smoke fmt vet
 
 check: ## gofmt + vet + build + race-detector test suite
 	scripts/check.sh
@@ -19,6 +19,9 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+race-multicore: ## concurrency tests under -race at GOMAXPROCS=2 (same script CI runs)
+	scripts/race_multicore.sh
 
 bench: ## search hot-path + serving + portfolio + fleet + eco + lefdef benchmarks, recorded as BENCH_pr{3,5,6,7,8,9,10}.json
 	$(GO) test -run '^$$' -bench BenchmarkMCTSWorkers -benchmem . \

@@ -65,7 +65,6 @@ func main() {
 		drainTO    = flag.Duration("drain-timeout", time.Minute, "graceful-drain bound on shutdown; past it in-flight work is abandoned to its checkpoints")
 		runSummary = flag.String("run-summary", "", "write a JSON metric snapshot to this file at exit (crash-safe)")
 		quiet      = flag.Bool("q", false, "suppress per-job log lines")
-		sharedInf  = flag.Bool("shared-inference", false, "coalesce leaf evaluations of concurrent jobs with identical models into shared GEMM batches (results stay bit-identical to solo runs)")
 		fleetURL   = flag.String("fleet", "", "fleet coordinator base URL to register with (e.g. http://coordinator:9090; empty = standalone)")
 		advertise  = flag.String("advertise", "", "base URL the coordinator should reach this worker at (default: http://<bound addr>)")
 		heartbeat  = flag.Duration("heartbeat", time.Second, "heartbeat interval when registered with a fleet")
@@ -83,11 +82,10 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		Workers:         *workers,
-		QueueCap:        *queueCap,
-		Dir:             *dir,
-		RetryAfter:      *retryAfter,
-		SharedInference: *sharedInf,
+		Workers:    *workers,
+		QueueCap:   *queueCap,
+		Dir:        *dir,
+		RetryAfter: *retryAfter,
 	}
 	if !*quiet {
 		cfg.Logf = func(format string, args ...any) {

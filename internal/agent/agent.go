@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"macroplace/internal/nn"
-	"macroplace/internal/obs"
 	"macroplace/internal/rng"
 )
 
@@ -103,14 +102,6 @@ type Agent struct {
 	// path (see batch.go); the zero value is ready to use.
 	infPool sync.Pool
 
-	// backend is the GEMM implementation the batched inference path
-	// routes through (see SetBackend); nil is the default blocked
-	// kernel. latHist is the per-backend inference latency histogram
-	// matching the current backend, cached so the hot path observes
-	// without a map lookup.
-	backend nn.Backend
-	latHist *obs.Histogram
-
 	// forward caches for Backward
 	lastSA     []float32
 	lastProbs  []float32
@@ -149,36 +140,7 @@ func New(cfg Config) *Agent {
 		a.params = append(a.params, l.Params()...)
 	}
 	a.params = append(a.params, a.posEmb.Params()...)
-	a.latHist = obsInferLatency[nn.DefaultBackendName]
 	return a
-}
-
-// SetBackend selects the GEMM backend for this agent's batched
-// inference path (EvaluateBatch and everything above it); nil restores
-// the default blocked kernel, which is bit-identical to never calling
-// SetBackend. The training path (Forward/Backward) always uses the
-// default kernels — backends only accelerate the frozen-weight search.
-// Not synchronized: call before inference begins, not concurrently
-// with it.
-func (a *Agent) SetBackend(b nn.Backend) {
-	a.backend = b
-	name := nn.DefaultBackendName
-	if b != nil {
-		name = b.Name()
-	}
-	if h, ok := obsInferLatency[name]; ok {
-		a.latHist = h
-	} else {
-		a.latHist = obsInferLatency[nn.DefaultBackendName]
-	}
-}
-
-// BackendName reports the active inference backend's registry name.
-func (a *Agent) BackendName() string {
-	if a.backend == nil {
-		return nn.DefaultBackendName
-	}
-	return a.backend.Name()
 }
 
 func (a *Agent) layers() []nn.Layer {

@@ -29,9 +29,6 @@ func (a *Agent) getScratch() *inferScratch {
 	if !ok {
 		sc = &inferScratch{}
 	}
-	// Stamp the agent's backend on every checkout: the pool may hold
-	// scratches from before a SetBackend call.
-	sc.ws.Backend = a.backend
 	return sc
 }
 
@@ -141,7 +138,7 @@ func (a *Agent) EvaluateBatchInto(in []BatchInput, out []Output) {
 		}
 		out[b].Value = val
 	}
-	a.latHist.Observe(time.Since(t0).Seconds())
+	obsInferLatency.Observe(time.Since(t0).Seconds())
 }
 
 // EvalState runs both heads on a single state through the pure batched

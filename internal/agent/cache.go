@@ -7,8 +7,8 @@ import (
 )
 
 // Inferencer is the pure batched-inference surface CachedEvaluator
-// memoizes: *Agent implements it directly, and *InferClient implements
-// it by routing batches through the process-wide inference server.
+// memoizes: *Agent implements it directly, and wrappers (timing,
+// fault injection) implement it by delegating to an Agent.
 // Implementations must be safe for concurrent use and bit-identical
 // per sample to Agent.EvaluateBatchInto (the cache stores outputs and
 // replays them as hits).
@@ -111,11 +111,9 @@ func NewCachedEvaluator(ag *Agent, capacity int) *CachedEvaluator {
 	return NewCachedEvaluatorFor(ag, capacity)
 }
 
-// NewCachedEvaluatorFor is NewCachedEvaluator over any Inferencer —
-// the inference-server client path uses it to put the per-job cache in
-// front of the shared batch server. When inf exposes a weight
-// fingerprint (Agent and InferClient both do), it is captured now and
-// salted into every key.
+// NewCachedEvaluatorFor is NewCachedEvaluator over any Inferencer.
+// When inf exposes a weight fingerprint (Agent does), it is captured
+// now and salted into every key.
 func NewCachedEvaluatorFor(inf Inferencer, capacity int) *CachedEvaluator {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
@@ -137,12 +135,47 @@ func NewCachedEvaluatorFor(inf Inferencer, capacity int) *CachedEvaluator {
 }
 
 // fingerprinter is the optional weight-identity surface of an
-// Inferencer. Agent and InferClient implement it; wrappers that
-// intercept evaluations (fault injectors) typically don't, which
-// leaves their caches unsalted — matching the pre-fingerprint
-// behaviour.
+// Inferencer. Agent implements it; wrappers that intercept evaluations
+// (fault injectors) typically don't, which leaves their caches
+// unsalted — matching the pre-fingerprint behaviour.
 type fingerprinter interface {
 	Fingerprint() uint64
+}
+
+// Fingerprint hashes the agent's served identity — shape, every
+// parameter's float32 bits, and the BatchNorm running statistics —
+// with FNV-1a: two agents share a fingerprint exactly when their
+// evaluations are interchangeable. CachedEvaluator salts its keys with
+// it; the ECO warm store also uses it to detect that a stored agent
+// was retrained.
+func (a *Agent) Fingerprint() uint64 {
+	const (
+		fnvOffset = 14695981039346656037
+		fnvPrime  = 1099511628211
+	)
+	h := uint64(fnvOffset)
+	word := func(w uint64) {
+		h = (h ^ w) * fnvPrime
+	}
+	word(uint64(a.Cfg.Zeta))
+	word(uint64(a.Cfg.Channels))
+	word(uint64(a.Cfg.ResBlocks))
+	word(uint64(a.Cfg.MaxSteps))
+	for _, p := range a.params {
+		word(uint64(len(p.W)))
+		for _, v := range p.W {
+			word(uint64(math.Float32bits(v)))
+		}
+	}
+	for _, bn := range a.batchNorms() {
+		for _, v := range bn.RunMean {
+			word(uint64(math.Float32bits(v)))
+		}
+		for _, v := range bn.RunVar {
+			word(uint64(math.Float32bits(v)))
+		}
+	}
+	return h
 }
 
 func fingerprintOf(inf Inferencer) uint64 {

@@ -22,7 +22,6 @@ import (
 	"macroplace/internal/mcts"
 	"macroplace/internal/metrics"
 	"macroplace/internal/netlist"
-	"macroplace/internal/nn"
 	"macroplace/internal/rl"
 	"macroplace/internal/rng"
 	"macroplace/internal/rowlegal"
@@ -112,21 +111,6 @@ type Options struct {
 	// conformance suite drives with internal/faults; the flow must
 	// contain whatever the wrapper throws.
 	WrapEvaluator func(mcts.Evaluator) mcts.Evaluator
-	// NNBackend selects the GEMM backend for the inference path by
-	// registry name (see nn.Backends): "" or "blocked" is the default
-	// serial cache-blocked kernel (bit-identical to the seed flow),
-	// "parallel" shards row panels across a persistent worker pool,
-	// "int8" is the quantized tower (opt-in, accuracy-gated, not
-	// bit-identical). Unknown names fail Preprocess.
-	NNBackend string
-	// Infer, when set, routes this placer's post-training leaf
-	// evaluations through the process-wide inference server, so
-	// concurrent jobs serving bit-identical weights coalesce their
-	// batches into shared GEMM calls. The per-job evaluation cache
-	// stays in front of the server (a hit never crosses it). The flow
-	// registers lazily after training and releases the registration on
-	// retrain or Close.
-	Infer *agent.InferServer
 }
 
 // StageEvent reports a flow stage transition (Options.OnStage).
@@ -225,10 +209,10 @@ type Placer struct {
 	// evalCache is the shared post-training evaluation cache (see
 	// Options.EvalCacheSize); nil until searchEvaluator builds it.
 	evalCache *agent.CachedEvaluator
-	// inferClient is this placer's registration on Options.Infer,
-	// created lazily with the cache and released on retrain/Close.
-	inferClient *agent.InferClient
-	times       StageTimes
+	// calibrated is the reward scaler RewardScaler calibrated for a
+	// placer that never pre-trained (nil until first needed).
+	calibrated *rl.Scaler
+	times      StageTimes
 }
 
 // stageStart emits the start event for a stage and returns the
@@ -338,13 +322,6 @@ func (p *Placer) Preprocess() error {
 		acfg.MaxSteps = len(p.Shapes) + 1
 	}
 	p.Agent = agent.New(acfg)
-	if p.Opts.NNBackend != "" {
-		be, err := nn.NewBackend(p.Opts.NNBackend)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		p.Agent.SetBackend(be)
-	}
 	p.times.Preprocess = time.Since(start)
 	obsPreprocess.Observe(p.times.Preprocess)
 	return nil
@@ -391,21 +368,7 @@ func (p *Placer) EvalAnchors(anchors []int) float64 {
 // baseEvaluator returns the clean evaluator (shared LRU cache over the
 // agent, built lazily so it only ever caches post-training weights;
 // the raw agent with EvalCacheSize < 0) without the Options wrapper.
-// With Options.Infer set, the cache fronts a shared-inference client
-// instead of the agent itself: misses coalesce with other jobs'
-// batches, hits never leave this process's cache. (The cache is always
-// on in that mode — a serverful flow with no cache would round-trip
-// every probe.)
 func (p *Placer) baseEvaluator() mcts.Evaluator {
-	if p.Opts.Infer != nil {
-		if p.evalCache == nil {
-			if p.inferClient == nil {
-				p.inferClient = p.Opts.Infer.Register(p.Agent)
-			}
-			p.evalCache = agent.NewCachedEvaluatorFor(p.inferClient, p.Opts.EvalCacheSize)
-		}
-		return p.evalCache
-	}
 	if p.Opts.EvalCacheSize < 0 {
 		return p.Agent
 	}
@@ -415,16 +378,10 @@ func (p *Placer) baseEvaluator() mcts.Evaluator {
 	return p.evalCache
 }
 
-// Close releases process-wide resources the placer holds (currently
-// the shared-inference registration). Safe to call multiple times and
-// on a placer that never registered; the placer remains usable — the
-// next search re-registers lazily.
+// Close drops the evaluation cache. Safe to call multiple times; the
+// placer remains usable — the next search rebuilds the cache lazily.
 func (p *Placer) Close() {
 	p.evalCache = nil
-	if p.inferClient != nil {
-		p.inferClient.Close()
-		p.inferClient = nil
-	}
 }
 
 // searchEvaluator returns the evaluator the search stages should
@@ -511,9 +468,7 @@ func (p *Placer) PretrainContext(ctx context.Context) *rl.Trainer {
 	start := time.Now()
 	defer p.stageStart("pretrain")()
 	// Training mutates the weights, so any cached evaluations are
-	// stale; searchEvaluator rebuilds the cache on next use. The
-	// shared-inference registration is fingerprinted to the old
-	// weights, so it is released too (re-registered lazily).
+	// stale; searchEvaluator rebuilds the cache on next use.
 	p.Close()
 	p.Trainer = rl.NewTrainer(p.Opts.RL, p.Agent, p.Env.Clone(), p.EvalAnchors)
 	p.Trainer.Logf = p.Opts.Logf
@@ -523,8 +478,26 @@ func (p *Placer) PretrainContext(ctx context.Context) *rl.Trainer {
 	return p.Trainer
 }
 
+// RewardScaler returns the reward scaler the search stages use: the
+// trainer's after pre-training. A placer whose agent was loaded rather
+// than trained calibrates once, on the same random episodes
+// PretrainContext plays first (they depend only on the RL seed and the
+// oracle), so search rewards are scaled to this design's wirelengths
+// either way.
+func (p *Placer) RewardScaler() rl.Scaler {
+	if p.Trainer != nil {
+		return p.Trainer.Scaler
+	}
+	if p.calibrated == nil {
+		tr := rl.NewTrainer(p.Opts.RL, p.Agent, p.Env.Clone(), p.EvalAnchors)
+		tr.Calibrate()
+		p.calibrated = &tr.Scaler
+	}
+	return *p.calibrated
+}
+
 // RunMCTS runs the optimization stage (Alg. 1 lines 11–15) using the
-// current agent weights and the trainer's calibrated reward scaler.
+// current agent weights and the calibrated reward scaler.
 // With Options.MCTSRestarts > 1 it runs independent searches and
 // returns the one whose committed allocation scores best under the
 // fast oracle (restart statistics are summed).
@@ -539,10 +512,7 @@ func (p *Placer) RunMCTS() mcts.Result {
 func (p *Placer) RunMCTSContext(ctx context.Context) mcts.Result {
 	start := time.Now()
 	defer p.stageStart("search")()
-	scaler := rl.Scaler{Max: 1, Min: 0, Avg: 0.5, Alpha: 0.75}
-	if p.Trainer != nil {
-		scaler = p.Trainer.Scaler
-	}
+	scaler := p.RewardScaler()
 	restarts := p.Opts.MCTSRestarts
 	if restarts < 1 {
 		restarts = 1

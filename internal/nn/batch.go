@@ -52,7 +52,7 @@ func (c *Conv2D) ForwardBatchWS(ws *Workspace, x []float32, batch, h, w int, rel
 	im2colBatch(cols, x, c.Cin, batch, h, w, c.K, c.Pad)
 
 	out := ws.Take(c.Cout * batch * hw)
-	ws.MatMulBias(out, c.Weight.W, cols, c.Bias.W, c.Cout, ck, batch*hw, relu)
+	MatMulBias(out, c.Weight.W, cols, c.Bias.W, c.Cout, ck, batch*hw, relu)
 	return out
 }
 

@@ -19,6 +19,9 @@ var exactShapes = [][3]int{
 	{1, 1, 1}, {1, 7, 1}, {3, 5, 7}, {7, 3, 5}, {13, 11, 17},
 	{2, 129, 3}, {3, 131, 259}, {5, 257, 31}, {1, 128, 256},
 	{4, 130, 258}, {29, 37, 41},
+	// Above matmulParallelThreshold: MatMul's row fan-out engages
+	// (when GOMAXPROCS > 1) with an uneven last chunk.
+	{33, 200, 161},
 }
 
 func fillNorm(r *rng.RNG, s []float32) {

@@ -19,12 +19,6 @@ type Workspace struct {
 	arena []float32
 	off   int // bump pointer into arena
 	need  int // high-water mark of the current pass
-
-	// Backend selects the GEMM implementation used by the batched
-	// kernels that draw from this workspace. Nil (and a nil workspace)
-	// routes to the default blocked kernel — the exact pre-backend code
-	// path, with zero dispatch overhead beyond one nil check.
-	Backend Backend
 }
 
 // Reset recycles the arena for a new pass, growing it to the previous
@@ -55,15 +49,4 @@ func (w *Workspace) Take(n int) []float32 {
 	s := w.arena[w.off : w.off+n : w.off+n]
 	w.off += n
 	return s
-}
-
-// MatMulBias routes the fused GEMM epilogue through the workspace's
-// Backend; a nil workspace or nil Backend runs the default blocked
-// kernel, bit-identical to calling MatMulBias directly.
-func (w *Workspace) MatMulBias(c, a, b, bias []float32, m, k, n int, relu bool) {
-	if w == nil || w.Backend == nil {
-		MatMulBias(c, a, b, bias, m, k, n, relu)
-		return
-	}
-	w.Backend.MatMulBias(c, a, b, bias, m, k, n, relu)
 }

@@ -88,9 +88,6 @@ type Options struct {
 	// backend (0: the backend's Effort-scaled defaults).
 	Episodes int
 	Gamma    int
-	// NNBackend selects the inference GEMM backend of the learned
-	// backends (internal/nn registry; empty: the blocked default).
-	NNBackend string
 	// OnIncumbent receives the backend's anytime incumbent stream.
 	// Estimate incumbents carry internal objective values (comparable
 	// only within one backend); exact incumbents are full-netlist HPWL

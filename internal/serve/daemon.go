@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"macroplace/internal/agent"
 	"macroplace/internal/atomicio"
 	"macroplace/internal/core"
 	"macroplace/internal/eco"
@@ -54,21 +53,9 @@ type Config struct {
 	RetryAfter time.Duration
 	// Logf receives daemon diagnostics (nil discards).
 	Logf func(format string, args ...any)
-	// SharedInference routes every single-flow job's leaf evaluations
-	// through one process-wide agent.InferServer, so concurrent jobs
-	// with bit-identical models coalesce their batches into shared GEMM
-	// calls (results stay bit-identical to solo runs — see
-	// agent.InferServer). Off by default: the library caller opts in;
-	// cmd/placed exposes it as -shared-inference.
-	SharedInference bool
-	// Infer overrides the shared inference server used when
-	// SharedInference is set (nil: a fresh one). Tests inject a server
-	// with a positive Linger here to force cross-job coalescing.
-	Infer *agent.InferServer
 	// Runner overrides how a job's flow executes — tests inject faults
 	// here, and the fleet coordinator routes jobs to remote workers.
-	// nil selects RunSpec, the production runner (routed through the
-	// shared inference server when SharedInference is set).
+	// nil selects RunSpec, the production runner.
 	Runner func(ctx context.Context, j *Job) (*Result, error)
 	// Pool overrides the queue/placement policy. nil selects
 	// NewScheduler(Workers, QueueCap), the local bounded-FIFO pool; the
@@ -95,18 +82,8 @@ func (c Config) normalize() (Config, error) {
 	} else if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return c, fmt.Errorf("serve: job dir: %w", err)
 	}
-	if c.SharedInference && c.Infer == nil {
-		c.Infer = agent.NewInferServer()
-	}
 	if c.Runner == nil {
-		if c.SharedInference {
-			infer := c.Infer
-			c.Runner = func(ctx context.Context, j *Job) (*Result, error) {
-				return RunSpecShared(ctx, j, j.Spec, infer)
-			}
-		} else {
-			c.Runner = RunSpec
-		}
+		c.Runner = RunSpec
 	}
 	return c, nil
 }
@@ -163,8 +140,16 @@ func (d *Server) logf(format string, args ...any) {
 // Submit validates and admits a job. ErrQueueFull and ErrDraining
 // report admission refusals; anything else is a spec error.
 func (d *Server) Submit(spec Spec) (*Job, error) {
+	j, _, err := d.admit(spec)
+	return j, err
+}
+
+// admit is Submit that also returns the job's status as admitted
+// (state queued), taken before a worker can pick the job up — the
+// submit reply describes the admission, not a race with the pool.
+func (d *Server) admit(spec Spec) (*Job, Status, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, Status{}, err
 	}
 	// Resolve an ECO prior-job reference against the job table now:
 	// a dangling reference is a spec error the client should see at
@@ -173,7 +158,7 @@ func (d *Server) Submit(spec Spec) (*Job, error) {
 	if spec.Eco != nil && spec.Eco.PriorJob != "" {
 		pj, ok := d.Job(spec.Eco.PriorJob)
 		if !ok {
-			return nil, fmt.Errorf("serve: eco prior job %q unknown", spec.Eco.PriorJob)
+			return nil, Status{}, fmt.Errorf("serve: eco prior job %q unknown", spec.Eco.PriorJob)
 		}
 		priorDir = pj.Dir
 	}
@@ -181,7 +166,7 @@ func (d *Server) Submit(spec Spec) (*Job, error) {
 	if d.draining {
 		d.mu.Unlock()
 		obsRejected.Inc()
-		return nil, ErrDraining
+		return nil, Status{}, ErrDraining
 	}
 	d.nextID++
 	id := fmt.Sprintf("job-%06d", d.nextID)
@@ -203,6 +188,7 @@ func (d *Server) Submit(spec Spec) (*Job, error) {
 	// The "queued" event lands before the task is handed to the pool,
 	// so a worker's "running" transition can never precede it.
 	j.AppendEvent("state", string(StateQueued))
+	st := j.Status()
 	err := d.sched.Submit(Task{
 		Run: func() { d.runJob(ctx, j) },
 		// The scheduler-level recover is a backstop; runJob recovers
@@ -222,11 +208,11 @@ func (d *Server) Submit(spec Spec) (*Job, error) {
 			}
 		}
 		d.mu.Unlock()
-		return nil, err
+		return nil, Status{}, err
 	}
 	obsSubmitted.Inc()
 	d.logf("job %s admitted (%s)", id, describeSpec(spec))
-	return j, nil
+	return j, st, nil
 }
 
 // Job looks up a job by id.
@@ -410,14 +396,6 @@ func RunSpec(ctx context.Context, j *Job) (*Result, error) {
 // resume snapshot attached, without mutating the admitted (client-
 // visible) spec under concurrent Status readers.
 func RunSpecAs(ctx context.Context, j *Job, spec Spec) (*Result, error) {
-	return RunSpecShared(ctx, j, spec, nil)
-}
-
-// RunSpecShared is RunSpecAs with the job's leaf evaluations routed
-// through a shared inference server (nil: job-private inference, the
-// RunSpecAs behaviour). Race jobs ignore infer: portfolio backends own
-// their placers end to end.
-func RunSpecShared(ctx context.Context, j *Job, spec Spec, infer *agent.InferServer) (*Result, error) {
 	if len(spec.Race) > 0 {
 		return runRaceSpec(ctx, j)
 	}
@@ -434,12 +412,6 @@ func RunSpecShared(ctx context.Context, j *Job, spec Spec, infer *agent.InferSer
 	p, err := core.New(design, spec.Options())
 	if err != nil {
 		return nil, err
-	}
-	if infer != nil {
-		p.Opts.Infer = infer
-		// Release this job's client registration when the flow ends so
-		// idle model groups (and their serving goroutines) retire.
-		defer p.Close()
 	}
 	if sn := spec.Resume; sn != nil {
 		// Check needs the materialised search environment; PlaceContext

@@ -295,15 +295,26 @@ func TestDaemonQueueFull(t *testing.T) {
 		t.Errorf("Retry-After %q, want 3", ra)
 	}
 
-	// Malformed and invalid specs are 400, not enqueued.
-	bad, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(`{"bench":"nope"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, bad.Body)
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Errorf("invalid spec status %d, want 400", bad.StatusCode)
+	// Malformed and invalid specs are 400, not enqueued; the error
+	// names the offending value. A field the daemon no longer knows
+	// (a removed inference-backend selector) is refused loudly rather
+	// than silently run on the default path.
+	for _, tc := range []struct{ body, want string }{
+		{`{"bench":"nope"}`, "nope"},
+		{`{"bench":"ibm01","nn_backend":"parallel"}`, `unknown field \"nn_backend\"`},
+	} {
+		bad, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(bad.Body)
+		bad.Body.Close()
+		if bad.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %s: status %d, want 400", tc.body, bad.StatusCode)
+		}
+		if !strings.Contains(string(msg), tc.want) {
+			t.Errorf("spec %s: error %s does not mention %s", tc.body, msg, tc.want)
+		}
 	}
 
 	close(gate)

@@ -69,7 +69,7 @@ func (d *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode spec: "+err.Error())
 		return
 	}
-	j, err := d.Submit(spec)
+	_, st, err := d.admit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		secs := int(d.cfg.RetryAfter / time.Second)
@@ -83,7 +83,7 @@ func (d *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err.Error())
 	default:
-		writeJSON(w, http.StatusAccepted, j.Status())
+		writeJSON(w, http.StatusAccepted, st)
 	}
 }
 
@@ -245,11 +245,6 @@ func (d *Server) Addr() string {
 // back to an immediate close when ctx expires first.
 func (d *Server) Shutdown(ctx context.Context) error {
 	err := d.Drain(ctx)
-	if d.cfg.Infer != nil {
-		// Jobs are drained (or abandoned to their checkpoints), so no
-		// client submits after this; stop the shared serving goroutines.
-		d.cfg.Infer.Close()
-	}
 	if d.httpSrv != nil {
 		herr := d.httpSrv.Shutdown(ctx)
 		if herr != nil {

@@ -107,7 +107,7 @@ func GreedyRL(p *Placer, ag *Agent) ([]int, float64) {
 
 // SearchWithAgent runs an MCTS search on p's environment guided by an
 // arbitrary agent snapshot (e.g. a partially-trained one), using the
-// trainer's calibrated reward scaler when available.
+// placer's calibrated reward scaler (Placer.RewardScaler).
 func SearchWithAgent(p *Placer, ag *Agent, cfg MCTSConfig) SearchResult {
 	return SearchWithAgentContext(context.Background(), p, ag, cfg)
 }
@@ -117,11 +117,7 @@ func SearchWithAgent(p *Placer, ag *Agent, cfg MCTSConfig) SearchResult {
 // moves from the statistics gathered so far and returns a complete
 // legal allocation with Interrupted set — the anytime property.
 func SearchWithAgentContext(ctx context.Context, p *Placer, ag *Agent, cfg MCTSConfig) SearchResult {
-	scaler := rl.Scaler{Max: 1, Min: 0, Avg: 0.5, Alpha: 0.75}
-	if p.Trainer != nil {
-		scaler = p.Trainer.Scaler
-	}
-	return mcts.New(cfg, ag, p.EvalAnchors, scaler).RunContext(ctx, p.Env)
+	return mcts.New(cfg, ag, p.EvalAnchors, p.RewardScaler()).RunContext(ctx, p.Env)
 }
 
 // DefaultOptions returns a CPU-friendly configuration: ζ=16, a reduced

@@ -3,6 +3,7 @@ package macroplace
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -238,6 +239,7 @@ func TestAgentCheckpointFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := quickOpts()
+	opts.MCTS.Workers = 1
 	p, err := NewPlacer(d, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -246,6 +248,7 @@ func TestAgentCheckpointFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Pretrain()
+	want := p.RunMCTS()
 	path := t.TempDir() + "/agent.ckpt"
 	if err := p.Agent.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -267,6 +270,16 @@ func TestAgentCheckpointFacade(t *testing.T) {
 	res := p2.RunMCTS()
 	if len(res.Anchors) != len(p2.Shapes) {
 		t.Fatalf("anchors = %d, want %d", len(res.Anchors), len(p2.Shapes))
+	}
+	// Without a trainer the search must still scale rewards to this
+	// design's wirelengths: the calibration episodes depend only on the
+	// RL seed and the oracle, so the loaded agent searches exactly like
+	// the trained one.
+	if p2.RewardScaler() != p.RewardScaler() {
+		t.Fatalf("loaded placer scaler %+v, trained %+v", p2.RewardScaler(), p.RewardScaler())
+	}
+	if !reflect.DeepEqual(res.Anchors, want.Anchors) {
+		t.Fatalf("loaded-agent search anchors %v, trained placer %v", res.Anchors, want.Anchors)
 	}
 }
 

@@ -53,6 +53,11 @@ BASELINE_FILES="BENCH_pr3.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENC
 SPEEDUP_FILE="BENCH_pr8.json"
 TOLERANCE_PCT=50
 SLACK_ALLOCS=64
+# GATED selects, by full benchmark name, the rows this gate compares:
+# every baseline row it matches must show up in the run below, so the
+# expected row set comes from the BENCH files rather than a count kept
+# here.
+GATED='^Benchmark(MCTSWorkers/workers=(1|8)|ServeThroughput|PortfolioRace|FleetThroughput|ECOJob|LEFDEFPlace)$'
 
 for f in $BASELINE_FILES; do
     if [ ! -f "$f" ]; then
@@ -79,7 +84,7 @@ fi
 out=$(go test -run '^$' -bench 'BenchmarkMCTSWorkers/workers=(1|8)$|BenchmarkServeThroughput$|BenchmarkPortfolioRace$|BenchmarkFleetThroughput$|BenchmarkECOJob$|BenchmarkLEFDEFPlace$' -benchmem -benchtime=1x . ./internal/serve ./internal/portfolio ./internal/fleet ./internal/eco ./internal/lefdef)
 echo "$out"
 
-echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v baselines="$baselines" '
+echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v baselines="$baselines" -v gated="$GATED" '
   BEGIN {
     n = split(baselines, parts, /[ \n]+/)
     for (i = 1; i + 2 <= n; i += 3) {
@@ -87,14 +92,7 @@ echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v baselines=
       known[parts[i]] = known[parts[i]] " " parts[i + 1]
     }
   }
-  /^Benchmark(MCTSWorkers\/workers=|ServeThroughput|PortfolioRace|FleetThroughput|ECOJob|LEFDEFPlace)/ {
-    allocs = -1
-    for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i - 1)
-    if (allocs < 0) {
-      print "benchgate: no allocs/op on line: " $0 > "/dev/stderr"
-      bad = 1
-      next
-    }
+  /^Benchmark/ {
     # The -N suffix (absent at GOMAXPROCS=1) is this row
     # scheduling; only a baseline recorded the same way is comparable.
     name = $1
@@ -103,6 +101,14 @@ echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v baselines=
       procs = substr(name, RSTART + 1) + 0
       sub(/-[0-9]+$/, "", name)
     }
+    if (name !~ gated) next
+    allocs = -1
+    for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i - 1)
+    if (allocs < 0) {
+      print "benchgate: no allocs/op on line: " $0 > "/dev/stderr"
+      bad = 1
+      next
+    }
     if (!(name in known)) {
       # Newer benchmarks (recorded in later BENCH_pr*.json files) are
       # informational here, not gated — skip instead of failing, so
@@ -110,7 +116,7 @@ echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v baselines=
       print "benchgate: skip " name " (no baseline in '"$BASELINE_FILES"')"
       next
     }
-    rows++
+    seen[name] = 1
     if (!((name, procs) in base)) {
       printf "benchgate: skip %s (baselines recorded at GOMAXPROCS%s, this run is GOMAXPROCS=%d — allocation counts are not comparable across schedulings)\n", \
         name, known[name], procs
@@ -127,10 +133,19 @@ echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v baselines=
     }
   }
   END {
-    if (rows != 6) {
-      print "benchgate: expected 6 known rows (2 MCTS + portfolio + fleet + eco + lefdef), saw " rows + 0 > "/dev/stderr"
+    for (name in known) {
+      if (name !~ gated) continue
+      expected++
+      if (!(name in seen)) {
+        print "benchgate: FAIL " name " has a baseline but did not run" > "/dev/stderr"
+        bad = 1
+      }
+    }
+    if (expected == 0) {
+      print "benchgate: no baseline row matches " gated > "/dev/stderr"
       exit 1
     }
+    printf "benchgate: %d gated rows expected from the baselines\n", expected
     exit bad
   }'
 

@@ -1,0 +1,36 @@
+#!/usr/bin/env bash
+# Runs the concurrency tests under the race detector at GOMAXPROCS=2,
+# so goroutines actually interleave: the sharded evaluation cache, the
+# parallel tree search, and the daemon's worker pool.
+#
+#   scripts/race_multicore.sh
+#
+# Every test named below must exist: a filter that matches nothing
+# would otherwise pass without running anything, so a renamed or
+# deleted test fails the script instead.
+set -euo pipefail
+
+run() {
+	local pkg=$1
+	shift
+	local filter
+	filter="^($(
+		IFS='|'
+		echo "$*"
+	))\$"
+	local listed
+	listed=$(go test -list "$filter" "$pkg")
+	for name in "$@"; do
+		if ! grep -qx "$name" <<<"$listed"; then
+			echo "race_multicore: $pkg has no test $name" >&2
+			exit 1
+		fi
+	done
+	echo "race_multicore: $pkg: $# tests at GOMAXPROCS=2"
+	GOMAXPROCS=2 go test -race -count=1 -run "$filter" "$pkg"
+}
+
+run ./internal/agent/ TestCacheConcurrentAccess TestEvaluateBatchConcurrent
+run ./internal/mcts/ TestCacheCountersExactUnderConcurrency TestParallelStress \
+	TestParallelSearchSharedCacheRace TestDeterminism
+run ./internal/serve/ TestDaemonE2E TestDaemonBitIdenticalToDirectRun
