@@ -18,12 +18,8 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
-	"macroplace/internal/geom"
 	"macroplace/internal/lefdef"
-	"macroplace/internal/netlist"
 )
 
 func main() {
@@ -47,20 +43,12 @@ func main() {
 		fail(fmt.Errorf("-lef and -def are both required"))
 	}
 
-	lef, err := lefdef.ParseLEFFile(*lefF)
-	if err != nil {
-		fail(err)
-	}
-	doc, err := lefdef.ParseDEFFile(*defF)
-	if err != nil {
-		fail(err)
-	}
-	d, err := lefdef.ToDesign(doc, lef)
+	d, doc, lef, err := lefdef.ReadDesign(*lefF, *defF)
 	if err != nil {
 		fail(err)
 	}
 
-	phys, err := physFromFlags(*haloF, *haloYF, *channelF, *channelYF, *fenceF)
+	phys, err := lefdef.PhysFromKnobs(*haloF, *haloYF, *channelF, *channelYF, *fenceF)
 	if err != nil {
 		fail(err)
 	}
@@ -83,39 +71,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "defcheck: constraint violations present")
 		os.Exit(2)
 	}
-}
-
-// physFromFlags mirrors mctsplace's flag-to-constraints mapping: nil
-// when every knob is zero, -halo-y/-channel-y defaulting to X.
-func physFromFlags(halo, haloY, channel, channelY float64, fence string) (*netlist.Constraints, error) {
-	if haloY == 0 {
-		haloY = halo
-	}
-	if channelY == 0 {
-		channelY = channel
-	}
-	var fr *geom.Rect
-	if fence != "" {
-		parts := strings.Split(fence, ",")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("-fence wants \"lx,ly,ux,uy\", got %q", fence)
-		}
-		var v [4]float64
-		for i, p := range parts {
-			f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return nil, fmt.Errorf("-fence coordinate %q: %w", p, err)
-			}
-			v[i] = f
-		}
-		fr = &geom.Rect{Lx: v[0], Ly: v[1], Ux: v[2], Uy: v[3]}
-	}
-	if halo == 0 && haloY == 0 && channel == 0 && channelY == 0 && fr == nil {
-		return nil, nil
-	}
-	return &netlist.Constraints{
-		HaloX: halo, HaloY: haloY,
-		ChannelX: channel, ChannelY: channelY,
-		Fence: fr,
-	}, nil
 }

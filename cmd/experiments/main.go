@@ -30,6 +30,7 @@ import (
 
 	"macroplace"
 	"macroplace/internal/experiments"
+	"macroplace/internal/obs"
 	"macroplace/internal/serve"
 )
 
@@ -87,7 +88,7 @@ func main() {
 	}
 
 	if *cpuprofile != "" {
-		stop, err := startCPUProfile(*cpuprofile)
+		stop, err := obs.StartCPUProfile(*cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
@@ -96,7 +97,7 @@ func main() {
 	}
 	if *memprofile != "" {
 		defer func() {
-			if err := writeMemProfile(*memprofile); err != nil {
+			if err := obs.WriteMemProfile(*memprofile); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 			}
 		}()

@@ -49,6 +49,16 @@ func WritePlacementWire(path, design string, macros map[string][2]float64) error
 
 // ReadPlacement loads a placement.json into the prior map Run takes.
 func ReadPlacement(path string) (map[string]geom.Point, error) {
+	macros, err := ReadPlacementWire(path)
+	if err != nil {
+		return nil, err
+	}
+	return PriorFromWire(macros)
+}
+
+// ReadPlacementWire loads a placement.json's macro centers in wire
+// form (the inline prior an ECO job spec carries).
+func ReadPlacementWire(path string) (map[string][2]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("eco: read placement: %w", err)
@@ -57,7 +67,7 @@ func ReadPlacement(path string) (map[string]geom.Point, error) {
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("eco: parse placement %s: %w", path, err)
 	}
-	return PriorFromWire(p.Macros)
+	return p.Macros, nil
 }
 
 // PriorFromWire converts the wire form (name → [x, y]) into the prior

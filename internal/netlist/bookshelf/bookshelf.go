@@ -30,20 +30,26 @@ import (
 // mixed-size convention is that standard cells have unit row height.
 const MacroHeightFactor = 2.0
 
+// AuxFiles lists the file names an .aux index references, relative to
+// the .aux file's directory.
+func AuxFiles(aux []byte) []string {
+	var files []string
+	for _, f := range strings.Fields(string(aux)) {
+		if strings.Contains(f, ":") || strings.EqualFold(f, "RowBasedPlacement") {
+			continue
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
 // ReadAux loads a complete design given the path of its .aux file.
 func ReadAux(path string) (*netlist.Design, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("bookshelf: %w", err)
 	}
-	fields := strings.Fields(string(data))
-	var files []string
-	for _, f := range fields {
-		if strings.Contains(f, ":") || strings.EqualFold(f, "RowBasedPlacement") {
-			continue
-		}
-		files = append(files, f)
-	}
+	files := AuxFiles(data)
 	dir := filepath.Dir(path)
 	find := func(ext string) string {
 		for _, f := range files {

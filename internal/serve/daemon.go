@@ -13,11 +13,10 @@ import (
 	"time"
 
 	"macroplace/internal/atomicio"
-	"macroplace/internal/core"
 	"macroplace/internal/eco"
 	"macroplace/internal/lefdef"
 	"macroplace/internal/mcts"
-	"macroplace/internal/netlist"
+	"macroplace/internal/portfolio"
 )
 
 // ErrCancelled is the cancellation cause installed by a client DELETE;
@@ -378,14 +377,8 @@ func WriteResult(path string, res *Result) error {
 	return atomicio.WriteFileBytes(path, append(data, '\n'))
 }
 
-// RunSpec is the production job runner: it materialises the spec's
-// design, runs the complete core flow under the job's context with
-// stage events and per-commit crash-safe search checkpoints streamed
-// into the job, and returns the consolidated result. Cancellation
-// (client DELETE, daemon drain, SIGTERM) degrades the flow instead of
-// aborting it — the result is always a complete legal placement.
-// Specs with a Race list dispatch to the portfolio-race job class
-// (runRaceSpec) instead of the single flow.
+// RunSpec is the production job runner: it runs the job's own spec
+// through RunSpecAs.
 func RunSpec(ctx context.Context, j *Job) (*Result, error) {
 	return RunSpecAs(ctx, j, j.Spec)
 }
@@ -395,100 +388,81 @@ func RunSpec(ctx context.Context, j *Job) (*Result, error) {
 // it to run the job in-process with FreshRoot forced and the migrated
 // resume snapshot attached, without mutating the admitted (client-
 // visible) spec under concurrent Status readers.
+//
+// It materialises the design, resolves an ECO prior_job reference to
+// the referenced job's persisted placement, and hands both to
+// RunDesign with the job's event log as the event sink and
+// search.ckpt as the per-commit crash-safe checkpoint. From the
+// returned value it persists the job's artifacts: placement.json (so
+// a later ECO job can chain from this one), race.json for race jobs,
+// and placed.def for inline LEF/DEF designs. Apart from race.json the
+// artifacts are best-effort: a write failure must not fail a finished
+// placement.
 func RunSpecAs(ctx context.Context, j *Job, spec Spec) (*Result, error) {
-	if len(spec.Race) > 0 {
-		return runRaceSpec(ctx, j)
-	}
-	if spec.Eco != nil {
-		return runEcoSpec(ctx, j, spec)
-	}
 	if err := os.MkdirAll(j.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: job dir: %w", err)
+	}
+	if es := spec.Eco; es != nil && es.PriorJob != "" && j.priorDir != "" {
+		macros, err := eco.ReadPlacementWire(filepath.Join(j.priorDir, "placement.json"))
+		if err != nil {
+			return nil, fmt.Errorf("serve: eco prior job %q has no usable placement: %w", es.PriorJob, err)
+		}
+		inline := *es
+		inline.PriorJob, inline.Prior = "", macros
+		spec.Eco = &inline
 	}
 	design, doc, _, err := spec.LoadDesignDoc(j.Dir)
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.New(design, spec.Options())
+	var incumbents []json.RawMessage
+	ckpt := filepath.Join(j.Dir, "search.ckpt")
+	res, placed, err := RunDesign(ctx, spec, design, Sinks{
+		Event: func(typ, data string) {
+			if typ == "incumbent" {
+				incumbents = append(incumbents, json.RawMessage(data))
+			}
+			j.AppendEvent(typ, data)
+		},
+		Snapshot: func(sn mcts.Snapshot) error { return mcts.SaveSnapshot(ckpt, sn) },
+	})
 	if err != nil {
 		return nil, err
 	}
-	if sn := spec.Resume; sn != nil {
-		// Check needs the materialised search environment; PlaceContext
-		// skips preprocessing when it already ran, so nothing doubles.
-		if err := p.Preprocess(); err != nil {
+	if len(spec.Race) > 0 {
+		if err := writeRaceBoard(filepath.Join(j.Dir, "race.json"), res, incumbents); err != nil {
 			return nil, err
 		}
-		// Full legality replay against the materialised design; a
-		// snapshot that passes Check here is safe to hand to the search.
-		// Rejecting (rather than silently restarting) is deliberate: the
-		// fleet coordinator owns the restart-from-scratch fallback and
-		// needs to see the refusal to count it.
-		if err := sn.Check(p.Env); err != nil {
-			return nil, fmt.Errorf("serve: resume rejected: %w", err)
-		}
-		p.Opts.SearchResume = sn
-		j.AppendEvent("stage", fmt.Sprintf("resuming search from checkpoint: %d/%d groups committed", len(sn.Committed), p.Env.NumSteps()))
 	}
-	p.Opts.OnStage = func(ev core.StageEvent) {
-		if ev.Done {
-			j.AppendEvent("stage", fmt.Sprintf("%s done in %s", ev.Stage, ev.Elapsed.Round(time.Millisecond)))
-		} else {
-			j.AppendEvent("stage", ev.Stage+" start")
-		}
-	}
-	ckpt := filepath.Join(j.Dir, "search.ckpt")
-	p.Opts.SearchSnapshot = func(sn mcts.Snapshot) {
-		if err := mcts.SaveSnapshot(ckpt, sn); err == nil {
-			j.AppendEvent("progress", fmt.Sprintf("%d/%d groups committed", len(sn.Committed), p.Env.NumSteps()))
-		}
-	}
-	start := time.Now()
-	res, err := p.PlaceContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	// Persist the final macro placement so a later ECO job can chain
-	// from this one via Spec.Eco.PriorJob. Best-effort, like the search
-	// checkpoints: a write failure must not fail a finished placement.
-	if err := eco.WritePlacement(filepath.Join(j.Dir, "placement.json"), p.Work); err == nil {
+	if err := eco.WritePlacement(filepath.Join(j.Dir, "placement.json"), placed); err == nil {
 		j.AppendEvent("stage", "placement persisted")
 	}
-	writePlacedDEF(j, doc, p.Work)
-	return &Result{
-		Design:       design.Name,
-		HPWL:         res.Final.HPWL,
-		RLHPWL:       res.RLFinal.HPWL,
-		MacroOverlap: res.Final.MacroOverlap,
-		Explorations: res.Search.Explorations,
-		Interrupted:  res.Search.Interrupted || ctx.Err() != nil,
-		Anchors:      res.Final.Anchors,
-		WallSeconds:  time.Since(start).Seconds(),
-	}, nil
-}
-
-// writePlacedDEF emits the placed design back as DEF — placed.def in
-// the job directory, served on GET /v1/jobs/{id}/def — when the job's
-// design came in as an inline LEF/DEF pair (doc is nil otherwise).
-// Best-effort, like placement.json: a write failure must not fail a
-// finished placement. The placed design is snapped onto the DEF's DBU
-// lattice on a clone first, so the emitted coordinates re-parse to
-// the same positions bit-identically and the caller's design (and the
-// already-reported metrics) stay untouched.
-func writePlacedDEF(j *Job, doc *lefdef.Document, placed *netlist.Design) {
-	if doc == nil || placed == nil {
-		return
-	}
-	work := placed.Clone()
-	if err := lefdef.SnapToDBU(work, doc.DBU); err != nil {
-		return
-	}
-	if err := lefdef.UpdateFromDesign(doc, work); err != nil {
-		return
-	}
-	if err := lefdef.WriteDEFFile(filepath.Join(j.Dir, "placed.def"), doc); err == nil {
+	if doc != nil && lefdef.WritePlacedDEF(filepath.Join(j.Dir, "placed.def"), doc, placed) == nil {
 		j.AppendEvent("stage", "placed.def persisted")
 	}
+	return res, nil
+}
+
+// raceBoard is the disk form of a race leaderboard (race.json): the
+// winner, every backend's outcome in spec order, and the cross-backend
+// incumbent stream (portfolio.Incumbent JSON, as the events carry it).
+type raceBoard struct {
+	Winner     string              `json:"winner"`
+	Outcomes   []portfolio.Outcome `json:"outcomes"`
+	Incumbents []json.RawMessage   `json:"incumbents"`
+}
+
+// writeRaceBoard atomically persists the race leaderboard.
+func writeRaceBoard(path string, res *Result, incumbents []json.RawMessage) error {
+	data, err := json.MarshalIndent(raceBoard{
+		Winner:     res.Winner,
+		Outcomes:   res.Backends,
+		Incumbents: incumbents,
+	}, "", "  ")
+	if err != nil {
+		return fmt.Errorf("serve: marshal race board: %w", err)
+	}
+	return atomicio.WriteFileBytes(path, append(data, '\n'))
 }
 
 func describeSpec(sp Spec) string {

@@ -390,10 +390,10 @@ func TestDaemonDrainCheckpoints(t *testing.T) {
 }
 
 // TestDaemonBitIdenticalToDirectRun is the golden seam between the
-// daemon and the CLI: a Workers=1 job through the daemon must produce
-// exactly the numbers the same spec produces through the core flow the
-// CLI drives — the daemon's progress observers must not perturb the
-// search.
+// daemon and a bare core run: a Workers=1 job through the daemon must
+// produce exactly the numbers the same spec produces through core.New
+// with Spec.Options — the daemon's progress observers must not perturb
+// the search.
 func TestDaemonBitIdenticalToDirectRun(t *testing.T) {
 	d, err := NewServer(Config{Workers: 1, QueueCap: 2, Dir: t.TempDir()})
 	if err != nil {

@@ -22,12 +22,14 @@ import (
 	"macroplace/internal/portfolio"
 )
 
-// Spec is the client-supplied description of one placement job: the
-// design (a generated benchmark by name, or an uploaded Bookshelf
-// netlist inline) plus the core/MCTS options the CLIs expose. Zero
-// fields select the same defaults as cmd/mctsplace, except Workers,
-// which defaults to 1 (deterministic) rather than all CPUs — a shared
-// daemon must not let one job grab the machine by default.
+// Spec is the description of one placement job: the design (a
+// generated benchmark by name, or an uploaded Bookshelf netlist or
+// LEF/DEF pair inline) plus the core/MCTS options. It is the one job
+// model: daemon clients submit it as JSON and cmd/mctsplace fills it
+// from its flags, and both run it through RunDesign. Zero fields
+// select the defaults normalize documents; Workers defaults to 1
+// (sequential and deterministic), so a shared daemon never lets one
+// job grab the machine by default.
 type Spec struct {
 	// Bench names a synthetic benchmark (ibm01..ibm18, cir1..cir6).
 	// Mutually exclusive with Bookshelf.
@@ -149,7 +151,8 @@ func (e *EcoSpec) MovesBudget() int {
 	return moves
 }
 
-// normalize fills the cmd/mctsplace-compatible defaults.
+// normalize fills the defaults for zero fields (cmd/mctsplace's flag
+// defaults are the same values).
 func (sp Spec) normalize() Spec {
 	if sp.Scale <= 0 {
 		sp.Scale = 0.05
@@ -342,9 +345,8 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// Options derives the flow options exactly as cmd/mctsplace builds
-// them from its flags, so a Workers=1 job through the daemon is
-// bit-identical to the same spec run through the CLI.
+// Options derives the core flow options — the one derivation every
+// entry point that runs a Spec shares.
 func (sp Spec) Options() core.Options {
 	sp = sp.normalize()
 	opts := core.Options{Zeta: sp.Zeta, Seed: sp.Seed}
@@ -415,27 +417,20 @@ func (sp Spec) LoadDesignDoc(dir string) (*netlist.Design, *lefdef.Document, *le
 	return d, doc, lef, nil
 }
 
-// loadLEFDEF stages the inline LEF/DEF pair under dir and converts it
-// to the placement model.
+// loadLEFDEF stages the inline LEF/DEF pair under dir and reads the
+// design from there.
 func (sp Spec) loadLEFDEF(dir string) (*netlist.Design, *lefdef.Document, *lefdef.LEF, error) {
 	stage := filepath.Join(dir, "lefdef")
 	if err := os.MkdirAll(stage, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("serve: stage lefdef: %w", err)
 	}
-	for name, content := range map[string]string{"design.lef": sp.LEF, "design.def": sp.DEF} {
-		if err := os.WriteFile(filepath.Join(stage, name), []byte(content), 0o644); err != nil {
+	lefPath, defPath := filepath.Join(stage, "design.lef"), filepath.Join(stage, "design.def")
+	for path, content := range map[string]string{lefPath: sp.LEF, defPath: sp.DEF} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			return nil, nil, nil, fmt.Errorf("serve: stage lefdef: %w", err)
 		}
 	}
-	lef, err := lefdef.ParseLEF([]byte(sp.LEF), "design.lef")
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("serve: %w", err)
-	}
-	doc, err := lefdef.ParseDEF([]byte(sp.DEF), "design.def")
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("serve: %w", err)
-	}
-	d, err := lefdef.ToDesign(doc, lef)
+	d, doc, lef, err := lefdef.ReadDesign(lefPath, defPath)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("serve: %w", err)
 	}
@@ -519,8 +514,9 @@ type Result struct {
 	Migrations int    `json:"migrations,omitempty"`
 
 	// ECO-job fields: whether warm per-design state was reused (no
-	// training this run), the run's evaluation-cache hit/miss deltas,
-	// and the local-move search's probe/commit ledger.
+	// training this run), the evaluation-cache hit/miss deltas (also
+	// reported by single-flow jobs, as the search's counts), and the
+	// local-move search's probe/commit ledger.
 	EcoWarm        bool   `json:"eco_warm,omitempty"`
 	CacheHits      uint64 `json:"cache_hits,omitempty"`
 	CacheMisses    uint64 `json:"cache_misses,omitempty"`
@@ -537,7 +533,7 @@ type Job struct {
 	Dir string
 	// priorDir is the referenced prior job's working directory for ECO
 	// jobs submitted with Spec.Eco.PriorJob — resolved (and checked
-	// against dangling references) at Submit time, read by runEcoSpec.
+	// against dangling references) at Submit time, read by RunSpecAs.
 	priorDir string
 
 	// ctx is the job's lifecycle context (a cancel-cause child of the

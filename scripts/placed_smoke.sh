@@ -2,9 +2,11 @@
 # placed_smoke.sh — end-to-end smoke test of the placement daemon:
 # launch cmd/placed on an ephemeral port, drive the HTTP API with two
 # concurrent jobs (cancel one mid-flight), check the surviving job's
-# result is bit-identical to the same spec run through cmd/mctsplace,
-# then SIGTERM-drain with a job in flight and verify the daemon exits 0
-# with the run summary and the drained job's result JSON on disk.
+# result lands on disk, then SIGTERM-drain with a job in flight and
+# verify the daemon exits 0 with the run summary and the drained job's
+# result JSON on disk. (cmd/mctsplace runs the same serve.RunDesign
+# runner, so CLI/daemon equality holds by construction and is not
+# re-checked here.)
 #
 # Usage: scripts/placed_smoke.sh
 set -eu
@@ -17,7 +19,6 @@ trap 'kill "$pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 echo "== build"
 go build -o "$workdir/placed" ./cmd/placed
-go build -o "$workdir/mctsplace" ./cmd/mctsplace
 
 echo "== launch daemon"
 "$workdir/placed" -addr 127.0.0.1:0 -workers 1 -queue 8 -dir "$workdir/jobs" \
@@ -62,7 +63,7 @@ wait_state() { # id want-state
     return 1
 }
 
-# Job A: tiny deterministic spec, later replayed through the CLI.
+# Job A: tiny deterministic spec, run to completion.
 # Job B: queued behind A on the single worker, then cancelled.
 # Job C: long enough (hundreds of episodes) to be caught mid-run by the
 # SIGTERM drain — the anytime flow must still land a complete result.
@@ -85,20 +86,12 @@ events=$(curl -sfN "http://$addr/v1/jobs/$idA/events")
 echo "$events" | grep -q '"type":"state","data":"done"' \
     || { echo "placed_smoke: event stream missing terminal state:" >&2; echo "$events" >&2; exit 1; }
 
-echo "== daemon result is bit-identical to the CLI"
+echo "== result persisted"
 resultA="$workdir/jobs/$idA/result.json"
 [ -f "$resultA" ] || { echo "placed_smoke: $resultA not written" >&2; exit 1; }
-"$workdir/mctsplace" -bench ibm01 -scale 0.01 -zeta 8 -episodes 4 -gamma 2 \
-    -channels 4 -resblocks 1 -seed 42 -workers 1 \
-    -run-summary "$workdir/cli-summary.json" >/dev/null
 daemon_hpwl=$(job_field "$resultA" hpwl)
-cli_hpwl=$(job_field "$workdir/cli-summary.json" hpwl)
 [ -n "$daemon_hpwl" ] || { echo "placed_smoke: no hpwl in $resultA" >&2; exit 1; }
-if [ "$daemon_hpwl" != "$cli_hpwl" ]; then
-    echo "placed_smoke: daemon hpwl $daemon_hpwl != cli hpwl $cli_hpwl (determinism seam broken)" >&2
-    exit 1
-fi
-echo "   hpwl $daemon_hpwl matches"
+echo "   hpwl $daemon_hpwl"
 
 echo "== metrics cover the job lifecycle"
 metrics=$(curl -sf "http://$addr/metrics")
