@@ -44,8 +44,8 @@ func (a *Agent) putScratch(sc *inferScratch) { a.infPool.Put(sc) }
 // serialized against it only insofar as they mutate weights — searches
 // never do). Per sample the arithmetic matches Forward operation for
 // operation, so the outputs are bit-identical to evaluating each state
-// alone; the whole batch flows through single MatMul calls big enough
-// to engage the nn package's parallel matmul kernel.
+// alone; the whole batch flows through single MatMul calls. The
+// parallel search calls it concurrently, one state per worker.
 func (a *Agent) EvaluateBatch(in []BatchInput) []Output {
 	if len(in) == 0 {
 		return nil
@@ -56,9 +56,10 @@ func (a *Agent) EvaluateBatch(in []BatchInput) []Output {
 }
 
 // EvaluateBatchInto is EvaluateBatch writing into a caller-supplied
-// output slice (len(out) must equal len(in)): the batcher's reusable-
-// buffer entry point. Only the per-sample Probs slices are freshly
-// allocated — they outlive the call by contract.
+// output slice (len(out) must equal len(in)): the reusable-buffer
+// entry point the parallel search workers evaluate their leaves
+// through. Only the per-sample Probs slices are freshly allocated —
+// they outlive the call by contract.
 func (a *Agent) EvaluateBatchInto(in []BatchInput, out []Output) {
 	batch := len(in)
 	if batch == 0 {

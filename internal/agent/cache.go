@@ -90,6 +90,10 @@ type cacheShard struct {
 	cap  int
 	head int32 // most recently used, -1 when empty
 	tail int32 // least recently used, -1 when empty
+	// pending holds the keys evalOne is running the network for; done
+	// (on mu) is broadcast whenever one leaves.
+	pending map[cacheKey]struct{}
+	done    sync.Cond
 }
 
 type cacheKey struct{ a, b uint64 }
@@ -127,6 +131,8 @@ func NewCachedEvaluatorFor(inf Inferencer, capacity int) *CachedEvaluator {
 	for i := 0; i < nshards; i++ {
 		s := &c.shards[i]
 		s.m = make(map[cacheKey]int32, perShard)
+		s.pending = make(map[cacheKey]struct{})
+		s.done.L = &s.mu
 		s.ents = make([]cacheEntry, 0, perShard)
 		s.cap = perShard
 		s.head, s.tail = -1, -1
@@ -198,7 +204,7 @@ func (c *CachedEvaluator) Fingerprint() uint64 { return c.fp }
 // construction rather than by remembering to flush.
 //
 // Not safe to call concurrently with lookups: quiesce the cache (no
-// in-flight Forward/Probe/EvaluateBatchInto) first. The warm store
+// in-flight Forward/EvaluateBatchInto) first. The warm store
 // serializes jobs per design, which provides exactly that.
 func (c *CachedEvaluator) Retarget(inf Inferencer) {
 	c.inf = inf
@@ -274,38 +280,66 @@ func (c *CachedEvaluator) evalState(sp, sa []float64, t int) Output {
 	return out[0]
 }
 
+// count records one lookup as a hit or a miss.
+func (c *CachedEvaluator) count(hit bool) {
+	if hit {
+		c.hits.Add(1)
+		obsCacheHits.Inc()
+	} else {
+		c.misses.Add(1)
+		obsCacheMisses.Inc()
+	}
+}
+
 // Forward implements the sequential half of mcts.Evaluator: a cache
 // lookup, falling through to the pure batched-inference path on a
 // miss. Unlike Agent.Forward it records no backward caches (searches
 // never call Backward).
 func (c *CachedEvaluator) Forward(sp, sa []float64, t int) Output {
 	key := stateKey(c.fp, t, sp, sa)
-	if out, ok := c.lookup(key); ok {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
-		return out
+	out, ok := c.lookup(key)
+	c.count(ok)
+	if !ok {
+		out = c.evalState(sp, sa, t)
+		c.store(key, out)
 	}
-	c.misses.Add(1)
-	obsCacheMisses.Inc()
-
-	out := c.evalState(sp, sa, t)
-	c.store(key, out)
 	return out
 }
 
-// Probe is a hit-only lookup: it returns the cached Output without
-// evaluating on a miss, and counts the lookup only when it hits (a
-// missing state is expected to be re-looked-up through the batch path,
-// which counts it exactly once — preserving hits+misses == lookups).
-// The parallel search uses it to serve cache-resident leaves directly
-// on the worker, bypassing the evaluation batcher's rendezvous.
-func (c *CachedEvaluator) Probe(sp, sa []float64, t int) (Output, bool) {
-	out, ok := c.lookup(stateKey(c.fp, t, sp, sa))
-	if ok {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
+// evalOne is EvaluateBatchInto for one state, a parallel search
+// worker's leaf, through the caller's buffers. A state another call is
+// already running the network for is waited for and counts as a hit:
+// two workers that reach one placement by different moves at the same
+// time run the network once, as a serial evaluator would. If that
+// evaluation panics, a waiter runs it instead.
+func (c *CachedEvaluator) evalOne(in []BatchInput, out []Output) {
+	key := stateKey(c.fp, in[0].T, in[0].SP, in[0].SA)
+	s := c.shard(key)
+	s.mu.Lock()
+	for {
+		if idx, ok := s.m[key]; ok {
+			s.touch(idx)
+			out[0] = s.ents[idx].out
+			s.mu.Unlock()
+			c.count(true)
+			return
+		}
+		if _, busy := s.pending[key]; !busy {
+			break
+		}
+		s.done.Wait()
 	}
-	return out, ok
+	s.pending[key] = struct{}{}
+	s.mu.Unlock()
+	c.count(false)
+	defer func() {
+		s.mu.Lock()
+		delete(s.pending, key)
+		s.done.Broadcast()
+		s.mu.Unlock()
+	}()
+	c.inf.EvaluateBatchInto(in, out)
+	c.store(key, out[0])
 }
 
 // EvaluateBatch implements the batched half of mcts.Evaluator.
@@ -320,12 +354,16 @@ func (c *CachedEvaluator) EvaluateBatch(in []BatchInput) []Output {
 
 // EvaluateBatchInto resolves each input against the cache and runs the
 // network once over the misses only. Duplicate states inside one batch
-// (parallel workers racing to the same leaf) are evaluated once. Keys
-// are hashed and shard locks taken per element, so concurrent batches
-// on different shards proceed in parallel.
+// are evaluated once. Keys are hashed and shard locks taken per
+// element, so concurrent batches on different shards proceed in
+// parallel.
 func (c *CachedEvaluator) EvaluateBatchInto(in []BatchInput, out []Output) {
 	if len(out) != len(in) {
 		panic("agent: CachedEvaluator.EvaluateBatchInto length mismatch")
+	}
+	if len(in) == 1 {
+		c.evalOne(in, out)
+		return
 	}
 	sc := c.getBatchScratch(len(in))
 	defer c.putBatchScratch(sc)

@@ -3,7 +3,9 @@ package agent
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"macroplace/internal/rng"
 )
@@ -213,4 +215,79 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// heldInferencer counts calls into the network and holds each call up
+// to hold for a second one to arrive; with failFirst the first call
+// panics after its hold.
+type heldInferencer struct {
+	ag        *Agent
+	hold      time.Duration
+	failFirst bool
+	calls     atomic.Int64
+	second    chan struct{} // closed by the second call
+}
+
+func (h *heldInferencer) EvaluateBatchInto(in []BatchInput, out []Output) {
+	n := h.calls.Add(1)
+	if n == 2 {
+		close(h.second)
+	}
+	select {
+	case <-h.second:
+	case <-time.After(h.hold):
+	}
+	if h.failFirst && n == 1 {
+		panic("held inferencer: injected failure")
+	}
+	h.ag.EvaluateBatchInto(in, out)
+}
+
+// TestCacheEvaluatesConcurrentDuplicatesOnce: one-state evaluations of
+// one state from concurrent goroutines (two search workers reaching a
+// placement by different moves) run the network once; the others wait
+// for it and count as hits. When that evaluation panics, a waiter runs
+// it instead and every other caller still gets the right output.
+func TestCacheEvaluatesConcurrentDuplicatesOnce(t *testing.T) {
+	ag := New(Config{Zeta: 4, Channels: 4, ResBlocks: 1, MaxSteps: 9, Seed: 7})
+	st := testStates(16, 1, 21)[0]
+	want := ag.EvalState(st.SP, st.SA, st.T)
+	for _, failFirst := range []bool{false, true} {
+		inf := &heldInferencer{ag: ag, hold: 50 * time.Millisecond, failFirst: failFirst, second: make(chan struct{})}
+		ce := NewCachedEvaluatorFor(inf, 64)
+		const callers = 4
+		outs := make([]Output, callers)
+		var panics atomic.Int64
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				defer func() {
+					if recover() != nil {
+						panics.Add(1)
+						outs[i] = want // nothing to compare for the failed call
+					}
+				}()
+				ce.EvaluateBatchInto([]BatchInput{st}, outs[i:i+1])
+			}(i)
+		}
+		wg.Wait()
+		wantCalls, wantPanics := int64(1), int64(0)
+		if failFirst {
+			wantCalls, wantPanics = 2, 1
+		}
+		if got := inf.calls.Load(); got != wantCalls {
+			t.Fatalf("failFirst=%v: %d network calls for one state, want %d", failFirst, got, wantCalls)
+		}
+		if got := panics.Load(); got != wantPanics {
+			t.Fatalf("failFirst=%v: %d callers panicked, want %d", failFirst, got, wantPanics)
+		}
+		if hits, misses := ce.Stats(); misses != uint64(wantCalls) || hits+misses != callers {
+			t.Fatalf("failFirst=%v: hits/misses = %d/%d, want %d misses of %d lookups", failFirst, hits, misses, wantCalls, callers)
+		}
+		for i := range outs {
+			requireSameOutput(t, "duplicate caller", outs[i], want)
+		}
+	}
 }

@@ -105,22 +105,28 @@ func TestDeadlineMidSearchReturnsLegalBestSoFar(t *testing.T) {
 // TestPanickingWorkersKeepTreeConsistent pins documented recovery #2:
 // injected evaluator panics are recovered, counted, and never corrupt
 // the shared tree — the search still commits a legal allocation.
-// go test -race makes the "never corrupt" part load-bearing.
+// Every leaf is one evaluator call, so each injected panic is exactly
+// one abandoned pass, and the top-up restores the full budget. Which
+// pass draws a faulting call depends on scheduling, so the accounting
+// is checked over ten runs. go test -race makes the "never corrupt"
+// part load-bearing.
 func TestPanickingWorkersKeepTreeConsistent(t *testing.T) {
-	inj := &faults.Injector{PanicEvery: 3}
-	env, wl := cornerEnv()
-	s := mcts.New(mcts.Config{Gamma: 24, Seed: 3, Workers: 4},
-		inj.Evaluator(testAgent(11)), wl, testScaler())
-	res := s.Run(env)
-	requireLegalComplete(t, env, wl, res)
-	if inj.Panics() == 0 {
-		t.Fatal("injector never fired — the test exercised nothing")
-	}
-	if res.WorkerPanics == 0 {
-		t.Error("recovered panics must be reported in Result.WorkerPanics")
-	}
-	if res.Explorations <= 0 {
-		t.Error("a 2/3-healthy evaluator must still complete explorations")
+	for seed := int64(1); seed <= 10; seed++ {
+		inj := &faults.Injector{PanicEvery: 3}
+		env, wl := cornerEnv()
+		s := mcts.New(mcts.Config{Gamma: 24, Seed: seed, Workers: 4},
+			inj.Evaluator(testAgent(11)), wl, testScaler())
+		res := s.Run(env)
+		requireLegalComplete(t, env, wl, res)
+		if inj.Panics() == 0 {
+			t.Fatalf("seed %d: injector never fired — the test exercised nothing", seed)
+		}
+		if res.WorkerPanics != inj.Panics() {
+			t.Errorf("seed %d: Result.WorkerPanics = %d, want the %d injected panics", seed, res.WorkerPanics, inj.Panics())
+		}
+		if res.Explorations != 3*24 {
+			t.Errorf("seed %d: explorations = %d, want %d (γ per step, topped up after each panic)", seed, res.Explorations, 3*24)
+		}
 	}
 }
 

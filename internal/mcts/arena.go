@@ -1,6 +1,7 @@
 package mcts
 
 import (
+	"macroplace/internal/agent"
 	"macroplace/internal/grid"
 )
 
@@ -138,10 +139,13 @@ func (a *nodeArena) kidSlice(n int) []*node {
 
 // passScratch is the reusable per-goroutine buffer set of exploration
 // passes: the selected path, the s_p/s_a state buffers handed to the
-// evaluator, the legal-move list of rollouts, and the node arena.
+// evaluator, the one-state batch a parallel worker evaluates its leaf
+// through, the legal-move list of rollouts, and the node arena.
 type passScratch struct {
 	path   []edgeRef
 	sp, sa []float64
+	in     [1]agent.BatchInput
+	out    [1]agent.Output
 	legal  []int
 	arena  nodeArena
 }

@@ -133,9 +133,9 @@ func TestSequentialSearchUnchangedByEvalCache(t *testing.T) {
 }
 
 // TestParallelSearchSharedCacheRace: concurrent searches over one
-// shared CachedEvaluator — pooled envs, pooled batch requests, LRU
-// eviction — exercised under -race. Results must be complete legal
-// allocations with a working hit counter.
+// shared CachedEvaluator — pooled envs, concurrent one-state
+// evaluations, LRU eviction — exercised under -race. Results must be
+// complete legal allocations with a working hit counter.
 func TestParallelSearchSharedCacheRace(t *testing.T) {
 	ag := untrained()
 	ce := agent.NewCachedEvaluator(ag, 128)

@@ -11,7 +11,7 @@ import (
 
 // countingCache wraps a CachedEvaluator and counts every lookup
 // submitted to it. It implements EvaluateBatchInto so the parallel
-// batcher takes the exact production path through the cache.
+// workers take the exact production path through the cache.
 type countingCache struct {
 	inner   *agent.CachedEvaluator
 	lookups atomic.Uint64

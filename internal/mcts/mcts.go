@@ -9,9 +9,9 @@
 // The search runs either sequentially (Workers=1, bit-reproducible for
 // a fixed seed) or tree-parallel (Workers>1): concurrent workers
 // descend one shared tree under per-node mutexes, in-flight paths are
-// discouraged by virtual loss, and concurrent leaf evaluations are
-// coalesced by a batcher into single EvaluateBatch passes through the
-// agent. See parallel.go and DESIGN.md §"Parallel search".
+// discouraged by virtual loss, and each worker evaluates the leaf it
+// claimed itself, so network passes of different workers overlap. See
+// parallel.go and DESIGN.md §"Parallel search".
 package mcts
 
 import (
@@ -28,8 +28,10 @@ import (
 
 // Evaluator abstracts the pre-trained network the search queries:
 // Forward serves the sequential path, EvaluateBatch the parallel
-// batcher. *agent.Agent implements it; internal/faults wraps one to
-// inject evaluator failures for the recovery tests.
+// workers' one-state leaf evaluations (which prefer EvaluateBatchInto,
+// agent.Inferencer, when the evaluator has it). *agent.Agent
+// implements both; internal/faults wraps one to inject evaluator
+// failures for the recovery tests.
 type Evaluator interface {
 	Forward(sp, sa []float64, t int) agent.Output
 	EvaluateBatch(in []agent.BatchInput) []agent.Output
@@ -142,17 +144,6 @@ type cacheStatser interface {
 	Stats() (hits, misses uint64)
 }
 
-// prober is the optional hit-only cache-probe interface of the
-// parallel search's fast path (agent.CachedEvaluator implements it).
-// Probe must return the same Output a full evaluation would, count a
-// hit as exactly one lookup, and count nothing on a miss — the miss is
-// re-looked-up through the batch path, which counts it once. Wrappers
-// that intercept evaluations (fault injectors, counting shims) simply
-// don't implement it and keep every evaluation on the batcher.
-type prober interface {
-	Probe(sp, sa []float64, t int) (agent.Output, bool)
-}
-
 // Node expansion states. A node is created nodeNew; in the parallel
 // search exactly one worker claims it (nodeExpanding) while its leaf
 // evaluation is in flight, and every node ends nodeExpanded. The
@@ -232,8 +223,6 @@ type Search struct {
 	wlMu     sync.Mutex
 	resMu    sync.Mutex
 	vlossVal float64
-	batch    *evalBatcher
-	probe    prober // non-nil when Agent supports hit-only cache probes
 
 	// scratch is the sequential driver's reusable pass memory (the
 	// parallel workers each carry their own in workerState). See

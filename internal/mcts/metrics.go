@@ -33,11 +33,4 @@ var (
 		"Env clones requested from the process-wide pool.")
 	obsEnvPoolRecycles = obs.NewCounter("macroplace_mcts_envpool_recycles_total",
 		"Env clones returned to the pool for reuse.")
-	obsBatchSize = obs.NewHistogram("macroplace_mcts_batch_size",
-		"Leaf evaluations coalesced per batched inference pass.",
-		[]float64{1, 2, 4, 8, 16, 32})
-	obsBatchFallbacks = obs.NewCounter("macroplace_mcts_batch_fallbacks_total",
-		"Batched passes retried request-by-request after an evaluator panic.")
-	obsProbeHits = obs.NewCounter("macroplace_mcts_probe_hits_total",
-		"Leaf evaluations served by the cache-probe fast path, bypassing the batcher.")
 )

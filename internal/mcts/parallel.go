@@ -30,11 +30,11 @@ import (
 //     publishes the expansion (nodeExpanded) and broadcasts. A waiter
 //     that wakes to find the node back at nodeNew (the claimer
 //     panicked and unclaimed it) claims the expansion itself.
-//   - All agent evaluations go through an evalBatcher: a dedicated
-//     goroutine that drains whatever requests are pending — never
-//     waiting to fill a batch, so it cannot deadlock — and evaluates
-//     them in one pure EvaluateBatch pass. Agent.Forward itself is
-//     stateful and is never called while workers run.
+//   - Each worker evaluates the leaf it claimed itself, through the
+//     evaluator's pure batched entry point with a one-state batch, so
+//     two workers run two network passes on two cores at once.
+//     Agent.Forward itself is stateful and is never called while
+//     workers run.
 //   - The wirelength oracle is serialized behind wlMu
 //     (WirelengthFunc is documented single-goroutine), and the shared
 //     Result fields behind resMu. Lock order: node.mu → wlMu → resMu.
@@ -49,8 +49,8 @@ import (
 // A worker that fails workerMaxFails consecutive passes retires; if
 // every worker retires, the driver tops the step up on the calling
 // goroutine so the search degrades to sequential instead of dying.
-// A batched evaluation that panics is retried request-by-request, so
-// one poisoned input fails only its own pass, not the whole batch.
+// Each leaf is evaluated by exactly one evaluator call, so every
+// evaluator fault is exactly one abandoned pass.
 //
 // Between commit steps the tree is quiescent (WaitGroup barrier), so
 // commit and finishRun reuse the sequential code unchanged.
@@ -101,13 +101,6 @@ func (s *Search) runParallel(ctx context.Context, env *grid.Env) Result {
 	if workers > s.Cfg.Gamma {
 		workers = s.Cfg.Gamma
 	}
-	s.batch = newEvalBatcher(s.Agent, workers)
-	s.probe, _ = s.Agent.(prober)
-	defer func() {
-		s.batch.stop()
-		s.batch = nil
-		s.probe = nil
-	}()
 
 	e := cloneEnv(env)
 	e.Reset()
@@ -378,7 +371,7 @@ func (s *Search) expandParallel(n *node, wk *workerState) float64 {
 	env := n.env
 	wk.sc.sp = env.SPInto(wk.sc.sp)
 	wk.sc.sa = env.AvailInto(wk.sc.sa)
-	out := s.evalLeaf(wk.sc.sp, wk.sc.sa, env.T())
+	out := s.evalLeaf(&wk.sc, env.T())
 	actions, prior := s.edgesOf(env, out.Probs, &wk.sc.arena)
 	m := len(actions)
 	visits := wk.sc.arena.intSlice(m)
@@ -408,26 +401,24 @@ func (s *Search) expandParallel(n *node, wk *workerState) float64 {
 	return v
 }
 
-// evalLeaf resolves one leaf evaluation on the calling worker. The
-// cache-probe fast path serves a leaf whose evaluation is already
-// cached without the batcher rendezvous (channel send, batcher
-// wake-up, response wait) — the dominant per-pass overhead once the
-// evaluation cache is warm. A probe miss falls through to the batcher,
-// whose own cache lookup counts the state exactly once, so
-// hits+misses still equals lookups. An evaluator fault surfaces as a
-// panic, unwinding to explorePass's recover.
-func (s *Search) evalLeaf(sp, sa []float64, t int) agent.Output {
-	if s.probe != nil {
-		if out, ok := s.probe.Probe(sp, sa, t); ok {
-			obsProbeHits.Inc()
-			return out
-		}
+// evalLeaf evaluates the state in sc.sp/sc.sa on the calling worker:
+// through EvaluateBatchInto with the worker's one-state buffers when
+// the evaluator has it (*agent.Agent, *agent.CachedEvaluator), through
+// EvaluateBatch otherwise (fault-injection wrappers). Nothing here
+// serializes workers — CachedEvaluator runs the network outside its
+// shard locks. An evaluator fault surfaces as a panic, unwinding to
+// explorePass's recover.
+func (s *Search) evalLeaf(sc *passScratch, t int) agent.Output {
+	sc.in[0] = agent.BatchInput{SP: sc.sp, SA: sc.sa, T: t}
+	if inf, ok := s.Agent.(agent.Inferencer); ok {
+		inf.EvaluateBatchInto(sc.in[:], sc.out[:])
+		return sc.out[0]
 	}
-	out, err := s.batch.eval(sp, sa, t)
-	if err != nil {
-		panic(err)
+	outs := s.Agent.EvaluateBatch(sc.in[:])
+	if len(outs) != 1 {
+		panic(fmt.Sprintf("mcts: EvaluateBatch returned %d outputs for 1 input", len(outs)))
 	}
-	return out
+	return outs[0]
 }
 
 // rolloutParallel is rollout with the worker's private RNG and the
@@ -464,179 +455,4 @@ func (s *Search) backup(path []edgeRef, v float64) {
 		e.n.vloss[e.k]--
 		e.n.mu.Unlock()
 	}
-}
-
-// evalResp is the outcome of one batched evaluation: the output, or
-// the error a recovered evaluator panic was converted to.
-type evalResp struct {
-	out agent.Output
-	err error
-}
-
-// evalReq is one pending leaf evaluation. Requests are pooled: the
-// response channel (capacity 1, always drained by eval) is created
-// once per pooled object and reused.
-type evalReq struct {
-	sp, sa []float64
-	t      int
-	out    chan evalResp
-}
-
-var evalReqPool = sync.Pool{New: func() any {
-	return &evalReq{out: make(chan evalResp, 1)}
-}}
-
-// batchIntoEvaluator is the optional interface through which the
-// batcher reuses its output buffer across batches (*agent.Agent and
-// *agent.CachedEvaluator implement it; fault-injection wrappers
-// usually don't and fall back to EvaluateBatch).
-type batchIntoEvaluator interface {
-	EvaluateBatchInto(in []agent.BatchInput, out []agent.Output)
-}
-
-// evalBatcher coalesces concurrent leaf evaluations into single
-// EvaluateBatch passes. One dedicated goroutine blocks for the first
-// request, then drains — without waiting — whatever else is already
-// queued (capped at maxBatch, the worker count, which bounds the
-// possible concurrency). Because it never waits to fill a batch, a
-// lone request is evaluated immediately and the batcher can never
-// deadlock the search.
-//
-// Fault isolation: an EvaluateBatch panic is recovered and the batch
-// is retried one request at a time, so a single poisoned input fails
-// only its own request; every queued request always receives a
-// response (output or error) — a faulty evaluator can never strand a
-// parked worker.
-type evalBatcher struct {
-	ev   Evaluator
-	into batchIntoEvaluator // non-nil when ev supports buffer reuse
-	req  chan *evalReq
-	done chan struct{}
-	max  int
-
-	// Reused by the loop goroutine only.
-	ins  []agent.BatchInput
-	outs []agent.Output
-}
-
-func newEvalBatcher(ev Evaluator, maxBatch int) *evalBatcher {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	b := &evalBatcher{
-		ev:   ev,
-		req:  make(chan *evalReq, maxBatch),
-		done: make(chan struct{}),
-		max:  maxBatch,
-	}
-	b.into, _ = ev.(batchIntoEvaluator)
-	go b.loop()
-	return b
-}
-
-// eval submits one state and blocks for its output or the error a
-// recovered evaluator panic was converted to. sp and sa are only read
-// until eval returns, so callers may pass reusable scratch buffers.
-func (b *evalBatcher) eval(sp, sa []float64, t int) (agent.Output, error) {
-	r := evalReqPool.Get().(*evalReq)
-	r.sp, r.sa, r.t = sp, sa, t
-	b.req <- r
-	resp := <-r.out
-	r.sp, r.sa = nil, nil
-	evalReqPool.Put(r)
-	return resp.out, resp.err
-}
-
-// stop shuts the batcher down. No eval may be in flight or issued
-// afterwards (the search joins all workers before calling it).
-func (b *evalBatcher) stop() {
-	close(b.req)
-	<-b.done
-}
-
-func (b *evalBatcher) loop() {
-	defer close(b.done)
-	pending := make([]*evalReq, 0, b.max)
-	for {
-		r, ok := <-b.req
-		if !ok {
-			return
-		}
-		pending = append(pending[:0], r)
-		closed := false
-	drain:
-		for len(pending) < b.max {
-			select {
-			case r2, ok2 := <-b.req:
-				if !ok2 {
-					closed = true
-					break drain
-				}
-				pending = append(pending, r2)
-			default:
-				break drain
-			}
-		}
-		b.serve(pending)
-		if closed {
-			return
-		}
-	}
-}
-
-// serve answers every pending request: one batched pass when it
-// succeeds, otherwise request-by-request so only the genuinely faulty
-// inputs fail.
-func (b *evalBatcher) serve(pending []*evalReq) {
-	obsBatchSize.Observe(float64(len(pending)))
-	outs, err := b.tryBatch(pending)
-	if err == nil {
-		for i, r := range pending {
-			r.out <- evalResp{out: outs[i]}
-		}
-		return
-	}
-	if len(pending) == 1 {
-		pending[0].out <- evalResp{err: err}
-		return
-	}
-	obsBatchFallbacks.Inc()
-	for _, r := range pending {
-		o, rerr := b.tryBatch([]*evalReq{r})
-		resp := evalResp{err: rerr}
-		if rerr == nil {
-			resp = evalResp{out: o[0]}
-		}
-		r.out <- resp
-	}
-}
-
-// tryBatch runs one EvaluateBatch pass, converting a panic (injected
-// fault or evaluator bug) into an error. The input buffer — and, when
-// the evaluator supports EvaluateBatchInto, the output buffer — is
-// reused across batches; only the loop goroutine calls this.
-func (b *evalBatcher) tryBatch(pending []*evalReq) (outs []agent.Output, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			outs, err = nil, fmt.Errorf("mcts: evaluator panic: %v", r)
-		}
-	}()
-	if cap(b.ins) < len(pending) {
-		b.ins = make([]agent.BatchInput, len(pending))
-		b.outs = make([]agent.Output, len(pending))
-	}
-	ins := b.ins[:len(pending)]
-	for i, r := range pending {
-		ins[i] = agent.BatchInput{SP: r.sp, SA: r.sa, T: r.t}
-	}
-	if b.into != nil {
-		outs = b.outs[:len(pending)]
-		b.into.EvaluateBatchInto(ins, outs)
-		return outs, nil
-	}
-	outs = b.ev.EvaluateBatch(ins)
-	if len(outs) != len(ins) {
-		return nil, fmt.Errorf("mcts: EvaluateBatch returned %d outputs for %d inputs", len(outs), len(ins))
-	}
-	return outs, nil
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"macroplace/internal/agent"
 )
@@ -173,8 +174,8 @@ func TestParallelOracleAccounting(t *testing.T) {
 
 // TestParallelStress is the dedicated race-detector workload: many
 // workers on a tiny exploration budget maximise contention on the
-// shared tree (expansion claims, virtual-loss counters, the batcher,
-// the terminal cache). Run it with `go test -race`.
+// shared tree (expansion claims, virtual-loss counters, concurrent
+// evaluator calls, the terminal cache). Run it with `go test -race`.
 func TestParallelStress(t *testing.T) {
 	for _, mode := range []EvalMode{ValueNet, Rollout} {
 		for trial := 0; trial < 4; trial++ {
@@ -222,8 +223,6 @@ func TestParallelVirtualLossReverted(t *testing.T) {
 	s2 := New(Config{Gamma: 24, Seed: 8, Workers: 4}, untrained(), wl, testScaler())
 	s2.result = Result{BestWirelength: math.Inf(1)}
 	s2.vlossVal = s2.Scaler.VirtualLoss()
-	s2.batch = newEvalBatcher(s2.Agent, 4)
-	defer s2.batch.stop()
 	e := env.Clone()
 	e.Reset()
 	root := &node{env: e}
@@ -263,54 +262,60 @@ func TestParallelVirtualLossReverted(t *testing.T) {
 	}
 }
 
-// TestBatcherCoalesces (white box): concurrent eval calls must come
-// back correct, and a lone request must not wait for company.
-func TestBatcherCoalesces(t *testing.T) {
-	ag := untrained()
-	b := newEvalBatcher(ag, 8)
-	defer b.stop()
-	env, _ := cornerEnv()
-	env.Reset()
-	sp, sa, tt := env.SP(), env.Avail(), env.T()
-	want := ag.EvaluateBatch([]agent.BatchInput{{SP: sp, SA: sa, T: tt}})[0]
+// overlapEvaluator records the peak number of EvaluateBatch calls in
+// flight at once. Each call waits up to hold for a concurrent one to
+// arrive, so two workers that evaluate independently meet even on a
+// loaded host, while a search that funnels every evaluation through one
+// goroutine only pays the wait. It deliberately lacks
+// EvaluateBatchInto, so the search calls EvaluateBatch.
+type overlapEvaluator struct {
+	ag   *agent.Agent
+	hold time.Duration
+	met  chan struct{} // closed when the peak reaches 2
 
-	// Lone request (must return promptly, not deadlock).
-	got, err := b.eval(sp, sa, tt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Value != want.Value {
-		t.Fatalf("lone eval value %v != %v", got.Value, want.Value)
-	}
+	mu             sync.Mutex
+	inFlight, peak int
+}
 
-	// Concurrent burst: all replies must be bit-identical to the
-	// single-state evaluation regardless of how they were batched.
-	var wg sync.WaitGroup
-	errs := make(chan string, 16)
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o, err := b.eval(sp, sa, tt)
-			if err != nil {
-				errs <- err.Error()
-				return
-			}
-			if o.Value != want.Value {
-				errs <- "batched value diverged"
-				return
-			}
-			for j := range o.Probs {
-				if o.Probs[j] != want.Probs[j] {
-					errs <- "batched probs diverged"
-					return
-				}
-			}
-		}()
+func (e *overlapEvaluator) Forward(sp, sa []float64, t int) agent.Output {
+	return e.ag.Forward(sp, sa, t)
+}
+
+func (e *overlapEvaluator) EvaluateBatch(in []agent.BatchInput) []agent.Output {
+	e.mu.Lock()
+	e.inFlight++
+	if e.inFlight > e.peak {
+		e.peak = e.inFlight
+		if e.peak == 2 {
+			close(e.met)
+		}
 	}
-	wg.Wait()
-	close(errs)
-	if msg, ok := <-errs; ok {
-		t.Fatal(msg)
+	e.mu.Unlock()
+	defer func() {
+		e.mu.Lock()
+		e.inFlight--
+		e.mu.Unlock()
+	}()
+	select {
+	case <-e.met:
+	case <-time.After(e.hold):
+	}
+	return e.ag.EvaluateBatch(in)
+}
+
+// TestParallelLeafEvaluationsOverlap: with two workers, two leaf
+// evaluations must be able to run at the same time — each worker calls
+// the evaluator itself, so the network passes of a Workers=2 search
+// use two cores. A search that queued every evaluation onto one
+// goroutine would peak at 1.
+func TestParallelLeafEvaluationsOverlap(t *testing.T) {
+	env, wl := cornerEnv()
+	ev := &overlapEvaluator{ag: untrained(), hold: 50 * time.Millisecond, met: make(chan struct{})}
+	res := New(Config{Gamma: 16, Seed: 1, Workers: 2}, ev, wl, testScaler()).Run(env)
+	if len(res.Anchors) != 3 || res.Explorations != 3*16 {
+		t.Fatalf("anchors=%v explorations=%d", res.Anchors, res.Explorations)
+	}
+	if ev.peak != 2 {
+		t.Fatalf("peak concurrent leaf evaluations = %d, want 2 (one per worker)", ev.peak)
 	}
 }

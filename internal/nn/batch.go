@@ -6,11 +6,11 @@ import "math"
 //
 // The training path (Forward/Backward) keeps per-layer caches and is
 // therefore stateful: one goroutine, one sample at a time. The batched
-// kernels below are the inference-only counterparts used by the MCTS
-// evaluation batcher: they are pure functions of the layer weights —
-// no caches, no BatchNorm running-statistic updates — so they are safe
-// to call concurrently, and they coalesce a whole batch into single
-// MatMul calls large enough to engage the parallel matmul kernel.
+// kernels below are the inference-only counterparts behind
+// Agent.EvaluateBatchInto: they are pure functions of the layer
+// weights — no caches, no BatchNorm running-statistic updates — so the
+// parallel MCTS workers call them concurrently, one state each, and a
+// multi-state batch flows through single MatMul calls.
 //
 // Batched feature maps are stored channel-major over the batch:
 // element (c, b, i) of a [C, B, H*W] map lives at x[(c*B+b)*hw + i].

@@ -1,42 +1,54 @@
 #!/bin/sh
-# benchgate.sh — benchmark smoke gate: the zero-allocation search hot
-# path must stay zero-allocation, telemetry included, and the serving
-# and portfolio layers must not regress their allocation budgets. Runs
-# the Workers=1 and Workers=8 rows of BenchmarkMCTSWorkers (the
-# benchmark warms the env pool, node arenas, inference scratch, and
-# evaluation cache before the timer, so the measured figure is steady
-# state), BenchmarkServeThroughput, and BenchmarkPortfolioRace once
-# each, plus BenchmarkFleetThroughput (the coordinator's per-job
-# control-plane cost over stub runners), BenchmarkECOJob (one warm
-# incremental re-placement job), and BenchmarkLEFDEFPlace (the LEF/DEF
-# parse → constrained place → emit → re-parse ingestion cycle), and
-# fails if allocs/op regresses above a tolerance band around the
-# committed BENCH_pr3.json / BENCH_pr6.json / BENCH_pr7.json /
-# BENCH_pr8.json / BENCH_pr9.json / BENCH_pr10.json baselines.
+# benchgate.sh — benchmark smoke gate, two checks in one run.
 #
-# Allocation counts are only comparable between runs scheduled the
-# same way, so a row is gated ONLY against a baseline recorded at the
-# same GOMAXPROCS (the per-entry "gomaxprocs" field of the artifact;
-# files from before that field default to 1). A row with no
-# same-GOMAXPROCS baseline is skipped with a named message rather than
-# silently compared against a differently-scheduled figure.
-# BENCH_pr8.json records the MCTS rows at both GOMAXPROCS=1 and 4, so
-# the usual single-core and 4-vCPU CI shapes both stay gated.
+# 1. Allocations. The zero-allocation search hot path must stay
+#    zero-allocation, telemetry included, and the serving and portfolio
+#    layers must not regress their allocation budgets. The gate runs
+#    the Workers=1 and Workers=8 rows of BenchmarkMCTSWorkers (the
+#    benchmark warms the env pool, node arenas, inference scratch, and
+#    evaluation cache before the timer, so the measured figure is
+#    steady state), BenchmarkServeThroughput, BenchmarkPortfolioRace,
+#    BenchmarkFleetThroughput (the coordinator's per-job control-plane
+#    cost over stub runners), BenchmarkECOJob (one warm incremental
+#    re-placement job), and BenchmarkLEFDEFPlace (the LEF/DEF parse →
+#    constrained place → emit → re-parse ingestion cycle), and fails if
+#    allocs/op regresses above a tolerance band around the committed
+#    BENCH_pr3/6/7/8/9/10/14.json baselines.
 #
-# Ceiling per benchmark = baseline allocs/op × (1 + TOLERANCE_PCT/100)
-# + SLACK_ALLOCS. The slack term absorbs run-to-run scheduling noise in
-# the parallel rows (goroutine/batcher startup lands inside the timed
-# region); the percentage term scales with the baseline. A real
-# regression — a lost pool, a per-node clone, a per-eval tensor or
-# metric-label allocation — reintroduces thousands of allocations per
-# search and overshoots the band immediately.
+#    The root-package rows run three times and the lowest allocs/op of
+#    the three is compared. At Workers>1 scheduling decides which leaves
+#    a search explores; a search that leaves the warmed cache pays a
+#    network pass, and its allocations, per new leaf, and about one run
+#    in twelve commits an uncached path and reads ~8000 allocs/op on a
+#    2-CPU host. Misses only ever add allocations, while a hot-path
+#    regression adds them to every run.
 #
-# Finally the parallel-speedup gate: BENCH_pr8.json must show the
-# workers=4 search strictly beating workers=1 on sims/sec at
-# GOMAXPROCS=4 — skipped with a named message when the artifact was
-# recorded on a single-core host (its "num_cpu" field), where four
-# workers time-slice one core and the comparison is meaningless (the
-# PR 1 stance: documented rather than demonstrated).
+#    Allocation counts are only comparable between runs scheduled the
+#    same way, so a row is gated ONLY against a baseline recorded at the
+#    same GOMAXPROCS (the per-entry "gomaxprocs" field of the artifact;
+#    files from before that field default to 1). A row with no
+#    same-GOMAXPROCS baseline is skipped with a named message rather
+#    than silently compared against a differently-scheduled figure.
+#    BENCH_pr8.json records the MCTS rows at GOMAXPROCS=1 and 4 and
+#    BENCH_pr14.json every gated row at 2, so single-core, 2-CPU and
+#    4-vCPU hosts all stay gated; a run that compares no row at all
+#    fails rather than reporting OK.
+#
+#    Ceiling per benchmark = baseline allocs/op × (1 + TOLERANCE_PCT/100)
+#    + SLACK_ALLOCS. The slack term absorbs run-to-run scheduling noise
+#    in the parallel rows (worker goroutine startup lands inside the
+#    timed region); the percentage term scales with the baseline. A
+#    real regression — a lost pool, a per-node clone, a per-eval tensor
+#    or metric-label allocation — reintroduces thousands of allocations
+#    per search and overshoots the band immediately.
+#
+# 2. Parallel speedup, within this run. BenchmarkMCTSColdWorkers runs
+#    the search with a fresh evaluation cache, so every new leaf is a
+#    network pass; at GOMAXPROCS >= 2 its workers=2 row must beat its
+#    workers=1 row on sims/sec (best of three runs each). Both rows run
+#    seconds apart in one process, so host speed drifts cancel out. At
+#    GOMAXPROCS=1 two workers time-slice one core and the check is
+#    skipped by name.
 #
 # Usage: scripts/benchgate.sh
 set -eu
@@ -49,8 +61,7 @@ cd "$(dirname "$0")/.."
 # setup allocations. Its row still prints for the record. Later files
 # override earlier ones on duplicate (name, gomaxprocs) keys, so
 # BENCH_pr8.json supersedes BENCH_pr3.json for the MCTS rows.
-BASELINE_FILES="BENCH_pr3.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json"
-SPEEDUP_FILE="BENCH_pr8.json"
+BASELINE_FILES="BENCH_pr3.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json BENCH_pr14.json"
 TOLERANCE_PCT=50
 SLACK_ALLOCS=64
 # GATED selects, by full benchmark name, the rows this gate compares:
@@ -81,7 +92,8 @@ if [ -z "$baselines" ]; then
     exit 1
 fi
 
-out=$(go test -run '^$' -bench 'BenchmarkMCTSWorkers/workers=(1|8)$|BenchmarkServeThroughput$|BenchmarkPortfolioRace$|BenchmarkFleetThroughput$|BenchmarkECOJob$|BenchmarkLEFDEFPlace$' -benchmem -benchtime=1x . ./internal/serve ./internal/portfolio ./internal/fleet ./internal/eco ./internal/lefdef)
+out=$(go test -run '^$' -bench 'BenchmarkMCTSWorkers/workers=(1|8)$|BenchmarkMCTSColdWorkers' -benchmem -benchtime=1x -count=3 . &&
+    go test -run '^$' -bench 'BenchmarkServeThroughput$|BenchmarkPortfolioRace$|BenchmarkFleetThroughput$|BenchmarkECOJob$|BenchmarkLEFDEFPlace$' -benchmem -benchtime=1x ./internal/serve ./internal/portfolio ./internal/fleet ./internal/eco ./internal/lefdef)
 echo "$out"
 
 echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v baselines="$baselines" -v gated="$GATED" '
@@ -101,38 +113,54 @@ echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v baselines=
       procs = substr(name, RSTART + 1) + 0
       sub(/-[0-9]+$/, "", name)
     }
+    for (i = 2; i <= NF; i++) if ($i == "sims/sec" && (!(name in sims) || $(i - 1) + 0 > sims[name])) sims[name] = $(i - 1) + 0
+    if (name ~ /^BenchmarkMCTSColdWorkers\//) coldProcs = procs
     if (name !~ gated) next
     allocs = -1
-    for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i - 1)
+    for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i - 1) + 0
     if (allocs < 0) {
       print "benchgate: no allocs/op on line: " $0 > "/dev/stderr"
       bad = 1
       next
     }
-    if (!(name in known)) {
-      # Newer benchmarks (recorded in later BENCH_pr*.json files) are
-      # informational here, not gated — skip instead of failing, so
-      # adding a benchmark never requires rewriting the pr3 baseline.
-      print "benchgate: skip " name " (no baseline in '"$BASELINE_FILES"')"
-      next
-    }
-    seen[name] = 1
-    if (!((name, procs) in base)) {
-      printf "benchgate: skip %s (baselines recorded at GOMAXPROCS%s, this run is GOMAXPROCS=%d — allocation counts are not comparable across schedulings)\n", \
-        name, known[name], procs
-      next
-    }
-    ceiling = int(base[name, procs] * (1 + tol / 100) + slack)
-    if (allocs + 0 > ceiling) {
-      printf "benchgate: FAIL %s: %d allocs/op exceeds ceiling %d (baseline %d + %d%% + %d slack at GOMAXPROCS=%d) — the search hot path regressed\n", \
-        name, allocs, ceiling, base[name, procs], tol, slack, procs > "/dev/stderr"
-      bad = 1
-    } else {
-      printf "benchgate: %s: %d allocs/op <= ceiling %d (baseline %d at GOMAXPROCS=%d)\n", \
-        name, allocs, ceiling, base[name, procs], procs
+    # Keep the lowest of the repeated runs (see header).
+    if (!(name in low)) {
+      order[++rows] = name
+      rowProcs[name] = procs
+      low[name] = allocs
+    } else if (allocs < low[name]) {
+      low[name] = allocs
     }
   }
   END {
+    for (r = 1; r <= rows; r++) {
+      name = order[r]
+      procs = rowProcs[name]
+      allocs = low[name]
+      if (!(name in known)) {
+        # Newer benchmarks (recorded in later BENCH_pr*.json files) are
+        # informational here, not gated — skip instead of failing, so
+        # adding a benchmark never requires rewriting the pr3 baseline.
+        print "benchgate: skip " name " (no baseline in '"$BASELINE_FILES"')"
+        continue
+      }
+      seen[name] = 1
+      if (!((name, procs) in base)) {
+        printf "benchgate: skip %s (baselines recorded at GOMAXPROCS%s, this run is GOMAXPROCS=%d — allocation counts are not comparable across schedulings)\n", \
+          name, known[name], procs
+        continue
+      }
+      compared++
+      ceiling = int(base[name, procs] * (1 + tol / 100) + slack)
+      if (allocs > ceiling) {
+        printf "benchgate: FAIL %s: %d allocs/op exceeds ceiling %d (baseline %d + %d%% + %d slack at GOMAXPROCS=%d) — the search hot path regressed\n", \
+          name, allocs, ceiling, base[name, procs], tol, slack, procs > "/dev/stderr"
+        bad = 1
+      } else {
+        printf "benchgate: %s: %d allocs/op <= ceiling %d (baseline %d at GOMAXPROCS=%d)\n", \
+          name, allocs, ceiling, base[name, procs], procs
+      }
+    }
     for (name in known) {
       if (name !~ gated) continue
       expected++
@@ -145,34 +173,27 @@ echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v baselines=
       print "benchgate: no baseline row matches " gated > "/dev/stderr"
       exit 1
     }
-    printf "benchgate: %d gated rows expected from the baselines\n", expected
+    if (compared == 0) {
+      print "benchgate: FAIL no gated row has a baseline at this GOMAXPROCS — the allocation gate compared nothing" > "/dev/stderr"
+      bad = 1
+    }
+    printf "benchgate: %d of %d gated rows compared\n", compared, expected
+
+    # Parallel-speedup check on this run (see header).
+    w1 = sims["BenchmarkMCTSColdWorkers/workers=1"]
+    w2 = sims["BenchmarkMCTSColdWorkers/workers=2"]
+    if (w1 == 0 || w2 == 0) {
+      print "benchgate: FAIL BenchmarkMCTSColdWorkers workers=1/workers=2 sims/sec rows missing from this run" > "/dev/stderr"
+      bad = 1
+    } else if (coldProcs < 2) {
+      print "benchgate: skip parallel-speedup check (GOMAXPROCS=1: two workers time-slice one core)"
+    } else if (w2 <= w1) {
+      printf "benchgate: FAIL parallel speedup: cold-cache workers=2 at %g sims/sec does not beat workers=1 at %g (GOMAXPROCS=%d)\n", w2, w1, coldProcs > "/dev/stderr"
+      bad = 1
+    } else {
+      printf "benchgate: parallel speedup OK: cold-cache workers=2 %g sims/sec > workers=1 %g at GOMAXPROCS=%d\n", w2, w1, coldProcs
+    }
     exit bad
   }'
-
-# Parallel-speedup gate on the committed artifact (see header).
-awk '
-  /"num_cpu":/    { gsub(/[",]/, ""); ncpu = $2 + 0 }
-  /"name":/       { gsub(/[",]/, ""); name = $2; sub(/-[0-9]+$/, "", name); gmp = 1 }
-  /"gomaxprocs":/ { gsub(/[",]/, ""); if (name != "") gmp = $2 + 0 }
-  /"sims\/sec":/  {
-    gsub(/[",]/, "")
-    if (gmp == 4 && name == "BenchmarkMCTSWorkers/workers=1") w1 = $2 + 0
-    if (gmp == 4 && name == "BenchmarkMCTSWorkers/workers=4") w4 = $2 + 0
-  }
-  END {
-    if (ncpu <= 1) {
-      print "benchgate: skip parallel-speedup gate ('"$SPEEDUP_FILE"' was recorded on a single-core host: workers=4 time-slices one core, so workers=4 > workers=1 is documented rather than demonstrated)"
-      exit 0
-    }
-    if (w1 == 0 || w4 == 0) {
-      print "benchgate: '"$SPEEDUP_FILE"' is missing the GOMAXPROCS=4 workers=1/workers=4 sims/sec rows" > "/dev/stderr"
-      exit 1
-    }
-    if (w4 <= w1) {
-      printf "benchgate: FAIL parallel speedup: workers=4 at %g sims/sec does not exceed workers=1 at %g (GOMAXPROCS=4, %d cores)\n", w4, w1, ncpu > "/dev/stderr"
-      exit 1
-    }
-    printf "benchgate: parallel speedup OK: workers=4 %g sims/sec > workers=1 %g at GOMAXPROCS=4\n", w4, w1
-  }' "$SPEEDUP_FILE"
 
 echo "benchgate: OK"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the concurrency tests under the race detector at GOMAXPROCS=2,
 # so goroutines actually interleave: the sharded evaluation cache, the
-# parallel tree search, and the daemon's worker pool.
+# parallel tree search (whose workers call the evaluator, and the fault
+# injector wrapping it, concurrently), and the daemon's worker pool.
 #
 #   scripts/race_multicore.sh
 #
@@ -30,7 +31,9 @@ run() {
 	GOMAXPROCS=2 go test -race -count=1 -run "$filter" "$pkg"
 }
 
-run ./internal/agent/ TestCacheConcurrentAccess TestEvaluateBatchConcurrent
+run ./internal/agent/ TestCacheConcurrentAccess TestEvaluateBatchConcurrent \
+	TestCacheEvaluatesConcurrentDuplicatesOnce
 run ./internal/mcts/ TestCacheCountersExactUnderConcurrency TestParallelStress \
-	TestParallelSearchSharedCacheRace TestDeterminism
+	TestParallelSearchSharedCacheRace TestDeterminism TestParallelLeafEvaluationsOverlap
+run ./internal/faults/ TestPanickingWorkersKeepTreeConsistent
 run ./internal/serve/ TestDaemonE2E TestDaemonBitIdenticalToDirectRun
