@@ -69,7 +69,8 @@ type Output struct {
 }
 
 // Agent is the Actor–Critic network. It is not safe for concurrent
-// use; clone per goroutine if needed.
+// use; clone per goroutine if needed (Replica for the workers of a
+// parallel update).
 type Agent struct {
 	Cfg Config
 

@@ -75,8 +75,11 @@ func (c *Conv2D) Backward(dy *Tensor) *Tensor {
 		c.Bias.G[co] += s
 	}
 
-	// dcols = Wᵀ · dy ; dx = col2im(dcols)
-	dcols := make([]float32, ck*hw)
+	// dcols = Wᵀ · dy ; dx = col2im(dcols). The columns are spent once
+	// dW has them, so dcols reuses their buffer: Backward consumes the
+	// cache its Forward filled, and a step allocates no second
+	// columns-sized matrix per convolution.
+	dcols := cols
 	MatMulATB(dcols, c.Weight.W, dy.Data, ck, c.Cout, hw)
 	dx := NewTensor(c.Cin, h, w)
 	col2im(dx.Data, dcols, c.Cin, h, w, c.K, c.Pad)
@@ -169,6 +172,9 @@ type BatchNorm2D struct {
 	xhat   []float32
 	invStd []float32
 	h, w   int
+
+	// per-channel statistics of the most recent training-mode Forward
+	batchMean, batchVar []float32
 }
 
 // NewBatchNorm2D builds a BatchNorm over c channels.
@@ -201,6 +207,8 @@ func (bn *BatchNorm2D) Forward(x *Tensor) *Tensor {
 	if cap(bn.xhat) < bn.C*hw {
 		bn.xhat = make([]float32, bn.C*hw)
 		bn.invStd = make([]float32, bn.C)
+		bn.batchMean = make([]float32, bn.C)
+		bn.batchVar = make([]float32, bn.C)
 	}
 	bn.xhat = bn.xhat[:bn.C*hw]
 	out := NewTensor(bn.C, h, w)
@@ -218,8 +226,7 @@ func (bn *BatchNorm2D) Forward(x *Tensor) *Tensor {
 				varv += d * d
 			}
 			varv /= n
-			bn.RunMean[c] = bn.Momentum*bn.RunMean[c] + (1-bn.Momentum)*mean
-			bn.RunVar[c] = bn.Momentum*bn.RunVar[c] + (1-bn.Momentum)*varv
+			bn.batchMean[c], bn.batchVar[c] = mean, varv
 		} else {
 			mean, varv = bn.RunMean[c], bn.RunVar[c]
 		}
@@ -233,7 +240,22 @@ func (bn *BatchNorm2D) Forward(x *Tensor) *Tensor {
 			oc[i] = g*xh[i] + b
 		}
 	}
+	if bn.Training {
+		bn.TrackStats(bn.RunMean, bn.RunVar)
+	}
 	return out
+}
+
+// TrackStats applies the batch statistics of bn's most recent
+// training-mode Forward to the running estimates runMean and runVar:
+// the exponential moving average every such Forward applies to
+// bn.RunMean and bn.RunVar. A parallel update calls it on the agent's
+// running statistics, one replayed step at a time in step order.
+func (bn *BatchNorm2D) TrackStats(runMean, runVar []float32) {
+	for c := range runMean {
+		runMean[c] = bn.Momentum*runMean[c] + (1-bn.Momentum)*bn.batchMean[c]
+		runVar[c] = bn.Momentum*runVar[c] + (1-bn.Momentum)*bn.batchVar[c]
+	}
 }
 
 // Backward implements Layer. Assumes Forward ran in training mode.
@@ -365,7 +387,10 @@ func (l *Linear) Backward(dy *Tensor) *Tensor {
 		wrow := l.Weight.W[o*l.In : (o+1)*l.In]
 		grow := l.Weight.G[o*l.In : (o+1)*l.In]
 		for i := 0; i < l.In; i++ {
-			grow[i] += g * l.x[i]
+			// The conversion rounds the product before the add, so no
+			// platform fuses the two: a step's contribution reaches the
+			// gradient unchanged however the steps are summed (agent.Fold).
+			grow[i] += float32(g * l.x[i])
 			dx.Data[i] += g * wrow[i]
 		}
 	}

@@ -362,52 +362,6 @@ func (tr *Trainer) logf(format string, args ...any) {
 	}
 }
 
-// update replays each recorded step to populate layer caches, then
-// backpropagates the Actor–Critic loss of Eqs. (5)–(8) and applies one
-// optimizer step over the whole batch.
-func (tr *Trainer) update(batch []episodeRecord) {
-	count := 0
-	var policyLoss, valueLoss, entropy float64
-	for _, ep := range batch {
-		r := float32(ep.reward)
-		for _, st := range ep.steps {
-			out := tr.Agent.Forward(st.sp, st.sa, st.t)
-			adv := r - out.Value // Eq. (6)
-			tr.Agent.Backward(st.action, adv, r, float32(tr.Cfg.EntropyCoef))
-			// Telemetry-only loss terms, recomputed from the same forward
-			// pass the backward step consumed — no effect on gradients.
-			if p := float64(out.Probs[st.action]); p > 0 {
-				policyLoss += -math.Log(p) * float64(adv)
-			}
-			valueLoss += float64(adv) * float64(adv)
-			for _, p := range out.Probs {
-				if p > 0 {
-					entropy += -float64(p) * math.Log(float64(p))
-				}
-			}
-			count++
-		}
-	}
-	if count > 0 {
-		// Average gradients over the batch for scale stability.
-		inv := 1 / float32(count)
-		var sq float64
-		for _, p := range tr.Agent.Params() {
-			for i := range p.G {
-				p.G[i] *= inv
-				sq += float64(p.G[i]) * float64(p.G[i])
-			}
-		}
-		tr.opt.Step()
-		obsUpdates.Inc()
-		n := float64(count)
-		obsPolicyLoss.Set(policyLoss / n)
-		obsValueLoss.Set(valueLoss / n)
-		obsEntropy.Set(entropy / n)
-		obsGradNorm.Set(math.Sqrt(sq))
-	}
-}
-
 // sampleAction draws from probs restricted to in-bounds actions.
 func sampleAction(probs []float32, env *grid.Env, rnd *rng.RNG) int {
 	w := make([]float64, len(probs))

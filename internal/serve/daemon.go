@@ -34,7 +34,7 @@ var errDrainJob = errors.New("serve: daemon draining")
 // completed job pins a child of the daemon's base context until
 // shutdown (and a DELETE after completion would flip the recorded
 // cause). runJob distinguishes real causes from this one by ordering —
-// it is only ever installed after the terminal transition.
+// it reads the job's cause before installing this one.
 var errJobDone = errors.New("serve: job finished")
 
 // Config tunes a daemon Server. The zero value serves one worker, an
@@ -296,8 +296,10 @@ func (d *Server) runJob(ctx context.Context, j *Job) {
 	// Release the job's context once the job is terminal: a completed
 	// job must not pin a live child of the daemon's base context, and a
 	// late DELETE must not install ErrCancelled over the real outcome.
-	// WithCancelCause keeps the FIRST cause, so this deferred call is a
-	// no-op whenever a real cancellation already happened.
+	// WithCancelCause keeps the FIRST cause, so this call is a no-op
+	// whenever a real cancellation already happened. A job that ran
+	// releases it before its terminal state is published (below); the
+	// deferred call covers the early returns.
 	defer j.cancel(errJobDone)
 	obsQueueWait.Observe(time.Since(j.Status().Created).Seconds())
 	if ctx.Err() != nil {
@@ -324,7 +326,12 @@ func (d *Server) runJob(ctx context.Context, j *Job) {
 	}()
 	obsJobSeconds.Observe(time.Since(start).Seconds())
 
-	switch cause := context.Cause(ctx); {
+	// Read the cause before installing errJobDone, and install it
+	// before publishing the terminal state, so a client that sees the
+	// job terminal never finds its context still live.
+	cause := context.Cause(ctx)
+	j.cancel(errJobDone)
+	switch {
 	case err != nil:
 		d.failJob(j, err)
 	case errors.Is(cause, ErrCancelled):

@@ -97,12 +97,15 @@ func (s *Scheduler) Submit(t Task) error {
 	if s.draining {
 		return ErrDraining
 	}
+	// Count the task before a worker can see it: a worker that runs it
+	// at once must not mark it done before it was added.
+	s.tasks.Add(1)
 	select {
 	case s.queue <- t:
-		s.tasks.Add(1)
 		obsQueueDepth.Set(float64(len(s.queue)))
 		return nil
 	default:
+		s.tasks.Done()
 		obsRejected.Inc()
 		return ErrQueueFull
 	}

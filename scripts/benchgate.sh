@@ -1,5 +1,5 @@
 #!/bin/sh
-# benchgate.sh — benchmark smoke gate, two checks in one run.
+# benchgate.sh — benchmark smoke gate, three checks in one run.
 #
 # 1. Allocations. The zero-allocation search hot path must stay
 #    zero-allocation, telemetry included, and the serving and portfolio
@@ -11,9 +11,11 @@
 #    BenchmarkFleetThroughput (the coordinator's per-job control-plane
 #    cost over stub runners), BenchmarkECOJob (one warm incremental
 #    re-placement job), and BenchmarkLEFDEFPlace (the LEF/DEF parse →
-#    constrained place → emit → re-parse ingestion cycle), and fails if
-#    allocs/op regresses above a tolerance band around the committed
-#    BENCH_pr3/6/7/8/9/10/14.json baselines.
+#    constrained place → emit → re-parse ingestion cycle), and
+#    BenchmarkTrainUpdate (one RL update over a recorded batch on one
+#    and on two replay workers), and fails if allocs/op regresses above
+#    a tolerance band around the committed
+#    BENCH_pr3/6/7/8/9/10/14/15.json baselines.
 #
 #    The root-package rows run three times and the lowest allocs/op of
 #    the three is compared. At Workers>1 scheduling decides which leaves
@@ -50,6 +52,12 @@
 #    GOMAXPROCS=1 two workers time-slice one core and the check is
 #    skipped by name.
 #
+# 3. Update speedup, within this run. BenchmarkTrainUpdate replays one
+#    150-step update batch at GOMAXPROCS=1 (procs=1) and at
+#    GOMAXPROCS=2 (procs=2); at GOMAXPROCS >= 2 the procs=2 row must be
+#    at least TRAIN_SPEEDUP times faster in ns/op (best of three runs
+#    each). At GOMAXPROCS=1 the check is skipped by name, as above.
+#
 # Usage: scripts/benchgate.sh
 set -eu
 
@@ -61,14 +69,15 @@ cd "$(dirname "$0")/.."
 # setup allocations. Its row still prints for the record. Later files
 # override earlier ones on duplicate (name, gomaxprocs) keys, so
 # BENCH_pr8.json supersedes BENCH_pr3.json for the MCTS rows.
-BASELINE_FILES="BENCH_pr3.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json BENCH_pr14.json"
+BASELINE_FILES="BENCH_pr3.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json BENCH_pr14.json BENCH_pr15.json"
 TOLERANCE_PCT=50
 SLACK_ALLOCS=64
+TRAIN_SPEEDUP=1.3
 # GATED selects, by full benchmark name, the rows this gate compares:
 # every baseline row it matches must show up in the run below, so the
 # expected row set comes from the BENCH files rather than a count kept
 # here.
-GATED='^Benchmark(MCTSWorkers/workers=(1|8)|ServeThroughput|PortfolioRace|FleetThroughput|ECOJob|LEFDEFPlace)$'
+GATED='^Benchmark(MCTSWorkers/workers=(1|8)|ServeThroughput|PortfolioRace|FleetThroughput|ECOJob|LEFDEFPlace|TrainUpdate/procs=(1|2))$'
 
 for f in $BASELINE_FILES; do
     if [ ! -f "$f" ]; then
@@ -93,15 +102,17 @@ if [ -z "$baselines" ]; then
 fi
 
 out=$(go test -run '^$' -bench 'BenchmarkMCTSWorkers/workers=(1|8)$|BenchmarkMCTSColdWorkers' -benchmem -benchtime=1x -count=3 . &&
-    go test -run '^$' -bench 'BenchmarkServeThroughput$|BenchmarkPortfolioRace$|BenchmarkFleetThroughput$|BenchmarkECOJob$|BenchmarkLEFDEFPlace$' -benchmem -benchtime=1x ./internal/serve ./internal/portfolio ./internal/fleet ./internal/eco ./internal/lefdef)
+    go test -run '^$' -bench 'BenchmarkServeThroughput$|BenchmarkPortfolioRace$|BenchmarkFleetThroughput$|BenchmarkECOJob$|BenchmarkLEFDEFPlace$' -benchmem -benchtime=1x ./internal/serve ./internal/portfolio ./internal/fleet ./internal/eco ./internal/lefdef &&
+    go test -run '^$' -bench 'BenchmarkTrainUpdate$' -benchmem -benchtime=1x -count=3 ./internal/rl)
 echo "$out"
 
-echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v baselines="$baselines" -v gated="$GATED" '
+echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v speedup="$TRAIN_SPEEDUP" -v baselines="$baselines" -v gated="$GATED" '
   BEGIN {
     n = split(baselines, parts, /[ \n]+/)
     for (i = 1; i + 2 <= n; i += 3) {
+      # Repeated rows (-count) list their GOMAXPROCS once.
+      if (!((parts[i], parts[i + 1]) in base)) known[parts[i]] = known[parts[i]] " " parts[i + 1]
       base[parts[i], parts[i + 1]] = parts[i + 2]
-      known[parts[i]] = known[parts[i]] " " parts[i + 1]
     }
   }
   /^Benchmark/ {
@@ -115,6 +126,10 @@ echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v baselines=
     }
     for (i = 2; i <= NF; i++) if ($i == "sims/sec" && (!(name in sims) || $(i - 1) + 0 > sims[name])) sims[name] = $(i - 1) + 0
     if (name ~ /^BenchmarkMCTSColdWorkers\//) coldProcs = procs
+    if (name ~ /^BenchmarkTrainUpdate\//) {
+      trainProcs = procs
+      for (i = 2; i <= NF; i++) if ($i == "ns/op" && (!(name in ns) || $(i - 1) + 0 < ns[name])) ns[name] = $(i - 1) + 0
+    }
     if (name !~ gated) next
     allocs = -1
     for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i - 1) + 0
@@ -192,6 +207,21 @@ echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v baselines=
       bad = 1
     } else {
       printf "benchgate: parallel speedup OK: cold-cache workers=2 %g sims/sec > workers=1 %g at GOMAXPROCS=%d\n", w2, w1, coldProcs
+    }
+
+    # Update-speedup check on this run (see header).
+    t1 = ns["BenchmarkTrainUpdate/procs=1"]
+    t2 = ns["BenchmarkTrainUpdate/procs=2"]
+    if (t1 == 0 || t2 == 0) {
+      print "benchgate: FAIL BenchmarkTrainUpdate procs=1/procs=2 ns/op rows missing from this run" > "/dev/stderr"
+      bad = 1
+    } else if (trainProcs < 2) {
+      print "benchgate: skip update-speedup check (GOMAXPROCS=1: two replay workers time-slice one core)"
+    } else if (t1 < speedup * t2) {
+      printf "benchgate: FAIL update speedup: procs=2 at %g ns/op is %.2fx procs=1 at %g, want >= %gx (GOMAXPROCS=%d)\n", t2, t1 / t2, t1, speedup, trainProcs > "/dev/stderr"
+      bad = 1
+    } else {
+      printf "benchgate: update speedup OK: procs=2 %g ns/op is %.2fx faster than procs=1 %g (>= %gx) at GOMAXPROCS=%d\n", t2, t1 / t2, t1, speedup, trainProcs
     }
     exit bad
   }'

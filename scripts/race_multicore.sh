@@ -2,7 +2,9 @@
 # Runs the concurrency tests under the race detector at GOMAXPROCS=2,
 # so goroutines actually interleave: the sharded evaluation cache, the
 # parallel tree search (whose workers call the evaluator, and the fault
-# injector wrapping it, concurrently), and the daemon's worker pool.
+# injector wrapping it, concurrently), the RL update's replay workers
+# (whose replicas share the agent's weights), and the daemon's worker
+# pool.
 #
 #   scripts/race_multicore.sh
 #
@@ -36,4 +38,6 @@ run ./internal/agent/ TestCacheConcurrentAccess TestEvaluateBatchConcurrent \
 run ./internal/mcts/ TestCacheCountersExactUnderConcurrency TestParallelStress \
 	TestParallelSearchSharedCacheRace TestDeterminism TestParallelLeafEvaluationsOverlap
 run ./internal/faults/ TestPanickingWorkersKeepTreeConsistent
-run ./internal/serve/ TestDaemonE2E TestDaemonBitIdenticalToDirectRun
+run ./internal/rl/ TestUpdateGoldenAcrossGOMAXPROCS TestUpdatePanicResurfaces
+run ./internal/serve/ TestDaemonE2E TestDaemonBitIdenticalToDirectRun \
+	TestTerminalJobContextReleased
