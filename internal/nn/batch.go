@@ -57,9 +57,11 @@ func (c *Conv2D) ForwardBatchWS(ws *Workspace, x []float32, batch, h, w int, rel
 }
 
 // im2colBatch lowers a channel-major batch [Cin, B, H*W] into
-// cols[Cin*K*K, B*H*W]: sample b of row r occupies columns
-// [b*hw, (b+1)*hw), so the per-sample columns are exactly the ones
-// im2col produces for that sample alone.
+// cols[Cin*K*K, B*H*W] for stride-1 convolution with the given
+// padding: sample b of row r occupies columns [b*hw, (b+1)*hw), so the
+// per-sample columns are exactly the ones a batch of one produces. Each
+// output row copies its in-bounds span and zeroes the rest; every
+// element of cols is written, so cols may hold garbage on entry.
 func im2colBatch(cols, x []float32, cin, batch, h, w, k, pad int) {
 	hw := h * w
 	bhw := batch * hw
@@ -67,27 +69,20 @@ func im2colBatch(cols, x []float32, cin, batch, h, w, k, pad int) {
 	for ci := 0; ci < cin; ci++ {
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
+				lo, hi := convSpan(kx, pad, w)
 				for b := 0; b < batch; b++ {
 					xc := x[(ci*batch+b)*hw : (ci*batch+b+1)*hw]
 					dst := cols[row*bhw+b*hw : row*bhw+(b+1)*hw]
 					for oy := 0; oy < h; oy++ {
+						d := dst[oy*w : oy*w+w]
 						iy := oy + ky - pad
-						base := oy * w
-						if iy < 0 || iy >= h {
-							for ox := 0; ox < w; ox++ {
-								dst[base+ox] = 0
-							}
+						if iy < 0 || iy >= h || lo == hi {
+							clear(d)
 							continue
 						}
-						ib := iy * w
-						for ox := 0; ox < w; ox++ {
-							ix := ox + kx - pad
-							if ix < 0 || ix >= w {
-								dst[base+ox] = 0
-							} else {
-								dst[base+ox] = xc[ib+ix]
-							}
-						}
+						clear(d[:lo])
+						copy(d[lo:hi], xc[iy*w+lo+kx-pad:])
+						clear(d[hi:])
 					}
 				}
 				row++

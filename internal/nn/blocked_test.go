@@ -1,27 +1,60 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"macroplace/internal/rng"
 )
 
-// The blocked/unrolled matmul kernels carry a bit-identity contract:
-// for every output element the k-axis contributions accumulate in
-// strictly increasing p order, exactly like the naive oracle, so
-// blocking must be invisible at the float32 bit level. The tests below
-// pin exact equality (not tolerance) on shapes chosen to exercise
-// every tile-remainder and unroll-remainder path: primes and odd sizes
-// straddling the mmTileK/mmTileN boundaries and the 4-wide unroll.
+// The register-blocked matmul kernels carry a bit-identity contract:
+// every output element sums its products from +0 in strictly
+// increasing p in one float32 accumulator, exactly like the naive
+// oracles, so blocking must be invisible at the float32 bit level. The
+// tests below pin exact equality (not tolerance) on the daemon tower's
+// real products and on shapes that hit every row and column remainder
+// of the 4×2 and 2×4 blocks, at several GOMAXPROCS so MatMul's row
+// fan-out and its chunk boundaries are covered on any host.
 
-var exactShapes = [][3]int{
-	{1, 1, 1}, {1, 7, 1}, {3, 5, 7}, {7, 3, 5}, {13, 11, 17},
-	{2, 129, 3}, {3, 131, 259}, {5, 257, 31}, {1, 128, 256},
-	{4, 130, 258}, {29, 37, 41},
-	// Above matmulParallelThreshold: MatMul's row fan-out engages
-	// (when GOMAXPROCS > 1) with an uneven last chunk.
-	{33, 200, 161},
+var exactShapes = func() [][3]int {
+	shapes := [][3]int{
+		{1, 1, 1}, {1, 7, 1}, {3, 5, 7}, {7, 3, 5}, {13, 11, 17},
+		{2, 129, 3}, {3, 131, 259}, {5, 257, 31}, {1, 128, 256},
+		{4, 130, 258}, {29, 37, 41},
+		// The daemon tower (ζ=16, 16 channels) as m×k×n of each
+		// kernel. Forward (MatMul): residual conv, input conv, policy
+		// and value heads.
+		{16, 144, 256}, {16, 9, 256}, {2, 16, 256}, {1, 18, 256},
+		// Input gradient (MatMulATB).
+		{144, 16, 256}, {9, 16, 256}, {16, 2, 256}, {18, 1, 256},
+		// Weight gradient (MatMulABTAcc).
+		{16, 256, 144}, {16, 256, 9}, {2, 256, 16}, {1, 256, 18},
+		// Above matmulParallelThreshold: MatMul's row fan-out engages
+		// (when GOMAXPROCS > 1) with a last chunk that ends in a row
+		// remainder.
+		{33, 200, 161}, {30, 200, 175},
+	}
+	// Every row and column remainder of both block shapes, including
+	// outputs smaller than one block.
+	for m := 1; m <= 9; m++ {
+		for n := 1; n <= 9; n++ {
+			shapes = append(shapes, [3]int{m, 3 + (m+n)%5, n})
+		}
+	}
+	return shapes
+}()
+
+// atProcs runs f as one subtest per GOMAXPROCS setting, restoring the
+// caller's setting afterwards.
+func atProcs(t *testing.T, f func(t *testing.T)) {
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f(t)
+		})
+	}
 }
 
 func fillNorm(r *rng.RNG, s []float32) {
@@ -41,108 +74,332 @@ func requireExact(t *testing.T, what string, shape [3]int, got, want []float32) 
 }
 
 func TestMatMulExactlyMatchesNaiveOnOddShapes(t *testing.T) {
-	r := rng.New(21)
-	for _, sh := range exactShapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := make([]float32, m*k)
-		b := make([]float32, k*n)
-		fillNorm(r, a)
-		fillNorm(r, b)
-		got := make([]float32, m*n)
-		want := make([]float32, m*n)
-		MatMul(got, a, b, m, k, n)
-		naiveMatMul(want, a, b, m, k, n)
-		requireExact(t, "MatMul", sh, got, want)
-	}
+	atProcs(t, func(t *testing.T) {
+		r := rng.New(21)
+		for _, sh := range exactShapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			a := make([]float32, m*k)
+			b := make([]float32, k*n)
+			fillNorm(r, a)
+			fillNorm(r, b)
+			got := make([]float32, m*n)
+			want := make([]float32, m*n)
+			fillNorm(r, got) // C is overwritten, not accumulated
+			MatMul(got, a, b, m, k, n)
+			naiveMatMul(want, a, b, m, k, n)
+			requireExact(t, "MatMul", sh, got, want)
+		}
+	})
 }
 
 func TestMatMulBiasExactlyMatchesSeparateEpilogues(t *testing.T) {
-	r := rng.New(22)
-	for _, sh := range exactShapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := make([]float32, m*k)
-		b := make([]float32, k*n)
-		bias := make([]float32, m)
-		fillNorm(r, a)
-		fillNorm(r, b)
-		fillNorm(r, bias)
-		for _, relu := range []bool{false, true} {
-			got := make([]float32, m*n)
-			MatMulBias(got, a, b, bias, m, k, n, relu)
-			want := make([]float32, m*n)
-			naiveMatMul(want, a, b, m, k, n)
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					v := want[i*n+j] + bias[i]
-					if relu && v < 0 {
-						v = 0
+	atProcs(t, func(t *testing.T) {
+		r := rng.New(22)
+		for _, sh := range exactShapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			a := make([]float32, m*k)
+			b := make([]float32, k*n)
+			bias := make([]float32, m)
+			fillNorm(r, a)
+			fillNorm(r, b)
+			fillNorm(r, bias)
+			for _, relu := range []bool{false, true} {
+				got := make([]float32, m*n)
+				MatMulBias(got, a, b, bias, m, k, n, relu)
+				want := make([]float32, m*n)
+				naiveMatMul(want, a, b, m, k, n)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						v := want[i*n+j] + bias[i]
+						if relu && v < 0 {
+							v = 0
+						}
+						want[i*n+j] = v
 					}
-					want[i*n+j] = v
 				}
+				requireExact(t, "MatMulBias", sh, got, want)
 			}
-			requireExact(t, "MatMulBias", sh, got, want)
+		}
+	})
+}
+
+// naiveATB is the definition of C = Aᵀ·B with A of shape (k×m): each
+// element sums its products from +0 in increasing p.
+func naiveATB(c, a, b []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				s += float32(a[p*m+i] * b[p*n+j])
+			}
+			c[i*n+j] = s
 		}
 	}
 }
 
-// naiveATB is the pre-blocking MatMulATB: contributions accumulate in
-// increasing p order per output element.
-func naiveATB(c, a, b []float32, m, k, n int) {
-	for x := 0; x < m*n; x++ {
-		c[x] = 0
-	}
-	for p := 0; p < k; p++ {
-		for i := 0; i < m; i++ {
-			av := a[p*m+i]
-			if av == 0 {
-				continue
+// naiveABTAcc is the definition of C += A·Bᵀ with B of shape (n×k):
+// each element's sum starts from +0, runs over increasing p, and is
+// added to C once.
+func naiveABTAcc(c, a, b []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				s += float32(a[i*k+p] * b[j*k+p])
 			}
-			for j := 0; j < n; j++ {
-				c[i*n+j] += av * b[p*n+j]
-			}
+			c[i*n+j] += s
 		}
 	}
 }
 
 func TestMatMulATBExactlyMatchesNaive(t *testing.T) {
-	r := rng.New(23)
-	for _, sh := range exactShapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := make([]float32, k*m)
-		b := make([]float32, k*n)
-		fillNorm(r, a)
-		fillNorm(r, b)
-		got := make([]float32, m*n)
-		want := make([]float32, m*n)
-		MatMulATB(got, a, b, m, k, n)
-		naiveATB(want, a, b, m, k, n)
-		requireExact(t, "MatMulATB", sh, got, want)
-	}
+	atProcs(t, func(t *testing.T) {
+		r := rng.New(23)
+		for _, sh := range exactShapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			a := make([]float32, k*m)
+			b := make([]float32, k*n)
+			fillNorm(r, a)
+			fillNorm(r, b)
+			got := make([]float32, m*n)
+			want := make([]float32, m*n)
+			fillNorm(r, got) // C is overwritten, not accumulated
+			MatMulATB(got, a, b, m, k, n)
+			naiveATB(want, a, b, m, k, n)
+			requireExact(t, "MatMulATB", sh, got, want)
+		}
+	})
 }
 
 func TestMatMulABTAccExactlyMatchesNaive(t *testing.T) {
-	r := rng.New(24)
-	for _, sh := range exactShapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := make([]float32, m*k)
-		b := make([]float32, n*k)
-		fillNorm(r, a)
-		fillNorm(r, b)
-		got := make([]float32, m*n)
-		want := make([]float32, m*n)
-		fillNorm(r, got) // accumulation must add onto prior contents
-		copy(want, got)
-		MatMulABTAcc(got, a, b, m, k, n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				var s float32
-				for p := 0; p < k; p++ {
-					s += a[i*k+p] * b[j*k+p]
+	atProcs(t, func(t *testing.T) {
+		r := rng.New(24)
+		for _, sh := range exactShapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			a := make([]float32, m*k)
+			b := make([]float32, n*k)
+			fillNorm(r, a)
+			fillNorm(r, b)
+			got := make([]float32, m*n)
+			want := make([]float32, m*n)
+			fillNorm(r, got) // accumulation must add onto prior contents
+			copy(want, got)
+			MatMulABTAcc(got, a, b, m, k, n)
+			naiveABTAcc(want, a, b, m, k, n)
+			requireExact(t, "MatMulABTAcc", sh, got, want)
+		}
+	})
+}
+
+// TestMatMulZeroTimesNonFiniteIsNaN pins the kernels to the naive
+// definition when an exact 0 in A meets an Inf or NaN in B: the
+// product is NaN and so is the element's sum. No kernel skips a == 0
+// terms, so all three return NaN in exactly the oracle's elements, and
+// every other element keeps the oracle's bits.
+func TestMatMulZeroTimesNonFiniteIsNaN(t *testing.T) {
+	inf := float32(math.Inf(1))
+	nan := float32(math.NaN())
+	const m, k, n = 9, 7, 11
+	r := rng.New(27)
+	// a is A for MatMul and MatMulABTAcc (m×k) and, read as k×m, for
+	// MatMulATB; b is B for MatMul and MatMulATB (k×n) and, read as
+	// n×k, for MatMulABTAcc. All three outputs are m×n. Every third element of a is an exact
+	// zero, and a few elements of b are non-finite.
+	a := make([]float32, m*k)
+	b := make([]float32, k*n)
+	fillNorm(r, a)
+	fillNorm(r, b)
+	for x := 0; x < len(a); x += 3 {
+		a[x] = 0
+	}
+	for x, v := range []float32{inf, -inf, nan, inf} {
+		b[x*17+5] = v
+	}
+
+	check := func(what string, got, want []float32) {
+		t.Helper()
+		nans := 0
+		for x := range want {
+			if math.IsNaN(float64(want[x])) {
+				nans++
+				if !math.IsNaN(float64(got[x])) {
+					t.Fatalf("%s element %d = %v, oracle NaN", what, x, got[x])
 				}
-				want[i*n+j] += s
+				continue
+			}
+			if math.Float32bits(got[x]) != math.Float32bits(want[x]) {
+				t.Fatalf("%s element %d = %v, oracle %v", what, x, got[x], want[x])
 			}
 		}
-		requireExact(t, "MatMulABTAcc", sh, got, want)
+		if nans == 0 || nans == len(want) {
+			t.Fatalf("%s: oracle has %d NaN elements of %d; the inputs no longer separate skipping from not", what, nans, len(want))
+		}
+	}
+
+	got, want := make([]float32, m*n), make([]float32, m*n)
+	MatMul(got, a, b, m, k, n)
+	naiveMatMul(want, a, b, m, k, n)
+	check("MatMul", got, want)
+
+	got, want = make([]float32, m*n), make([]float32, m*n)
+	MatMulATB(got, a, b, m, k, n)
+	naiveATB(want, a, b, m, k, n)
+	check("MatMulATB", got, want)
+
+	got, want = make([]float32, m*n), make([]float32, m*n)
+	MatMulABTAcc(got, a, b, m, k, n)
+	naiveABTAcc(want, a, b, m, k, n)
+	check("MatMulABTAcc", got, want)
+}
+
+// naiveIm2colBatch is the element-by-element lowering: every column
+// element tests its own input coordinate.
+func naiveIm2colBatch(cols, x []float32, cin, batch, h, w, k, pad int) {
+	hw := h * w
+	bhw := batch * hw
+	row := 0
+	for ci := 0; ci < cin; ci++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				for b := 0; b < batch; b++ {
+					xc := x[(ci*batch+b)*hw : (ci*batch+b+1)*hw]
+					dst := cols[row*bhw+b*hw : row*bhw+(b+1)*hw]
+					for oy := 0; oy < h; oy++ {
+						for ox := 0; ox < w; ox++ {
+							iy, ix := oy+ky-pad, ox+kx-pad
+							if iy < 0 || iy >= h || ix < 0 || ix >= w {
+								dst[oy*w+ox] = 0
+							} else {
+								dst[oy*w+ox] = xc[iy*w+ix]
+							}
+						}
+					}
+				}
+				row++
+			}
+		}
+	}
+}
+
+// naiveCol2im is the element-by-element scatter, adding into dx in
+// (ci, ky, kx, oy, ox) order.
+func naiveCol2im(dx, dcols []float32, cin, h, w, k, pad int) {
+	hw := h * w
+	row := 0
+	for ci := 0; ci < cin; ci++ {
+		xc := dx[ci*hw : (ci+1)*hw]
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				src := dcols[row*hw : (row+1)*hw]
+				row++
+				for oy := 0; oy < h; oy++ {
+					for ox := 0; ox < w; ox++ {
+						iy, ix := oy+ky-pad, ox+kx-pad
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							xc[iy*w+ix] += src[oy*w+ox]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// lowerShapes are (h, w) feature maps for the lowering tests: square,
+// ragged, and narrower or shorter than a 5×5 kernel.
+var lowerShapes = [][2]int{{1, 1}, {1, 4}, {4, 1}, {2, 3}, {3, 2}, {2, 6}, {5, 7}, {6, 6}}
+
+func TestIm2colBatchExactlyMatchesNaive(t *testing.T) {
+	r := rng.New(28)
+	const cin = 2
+	for _, k := range []int{1, 3, 5} {
+		for _, hw := range lowerShapes {
+			for _, batch := range []int{1, 3} {
+				h, w := hw[0], hw[1]
+				x := make([]float32, cin*batch*h*w)
+				fillNorm(r, x)
+				got := make([]float32, cin*k*k*batch*h*w)
+				want := make([]float32, len(got))
+				// Workspace buffers are not zeroed: every element of
+				// the destination must be written.
+				for i := range got {
+					got[i] = float32(math.NaN())
+				}
+				im2colBatch(got, x, cin, batch, h, w, k, k/2)
+				naiveIm2colBatch(want, x, cin, batch, h, w, k, k/2)
+				requireExact(t, fmt.Sprintf("im2colBatch k=%d batch=%d", k, batch), [3]int{cin, h, w}, got, want)
+			}
+		}
+	}
+}
+
+func TestCol2imExactlyMatchesNaive(t *testing.T) {
+	r := rng.New(29)
+	const cin = 2
+	for _, k := range []int{1, 3, 5} {
+		for _, hw := range lowerShapes {
+			h, w := hw[0], hw[1]
+			dcols := make([]float32, cin*k*k*h*w)
+			fillNorm(r, dcols)
+			got := make([]float32, cin*h*w)
+			fillNorm(r, got) // col2im adds onto prior contents
+			want := append([]float32(nil), got...)
+			col2im(got, dcols, cin, h, w, k, k/2)
+			naiveCol2im(want, dcols, cin, h, w, k, k/2)
+			requireExact(t, fmt.Sprintf("col2im k=%d", k), [3]int{cin, h, w}, got, want)
+		}
+	}
+}
+
+// BenchmarkConvKernels times one residual-block convolution step at
+// the daemon tower's shape (16 channels, 3×3, a 16×16 map): the
+// forward lowering and product, the weight gradient, the input
+// gradient and its scatter. The kernel=oracle row runs the naive
+// oracles above on the same operands; scripts/benchgate.sh requires
+// the kernel=blocked row to be faster by a fixed ratio in the same
+// run.
+func BenchmarkConvKernels(b *testing.B) {
+	const c, k, h, w = 16, 3, 16, 16
+	const ck, hw = c * k * k, h * w
+	r := rng.New(30)
+	x := make([]float32, c*hw)
+	wt := make([]float32, c*ck)
+	dy := make([]float32, c*hw)
+	fillNorm(r, x)
+	fillNorm(r, wt)
+	fillNorm(r, dy)
+	cols := make([]float32, ck*hw)
+	out := make([]float32, c*hw)
+	grad := make([]float32, c*ck)
+	dx := make([]float32, c*hw)
+
+	for _, row := range []struct {
+		name string
+		step func()
+	}{
+		{"blocked", func() {
+			im2colBatch(cols, x, c, 1, h, w, k, k/2)
+			MatMul(out, wt, cols, c, ck, hw)
+			MatMulABTAcc(grad, dy, cols, c, hw, ck)
+			MatMulATB(cols, wt, dy, ck, c, hw)
+			clear(dx)
+			col2im(dx, cols, c, h, w, k, k/2)
+		}},
+		{"oracle", func() {
+			naiveIm2colBatch(cols, x, c, 1, h, w, k, k/2)
+			naiveMatMul(out, wt, cols, c, ck, hw)
+			naiveABTAcc(grad, dy, cols, c, hw, ck)
+			naiveATB(cols, wt, dy, ck, c, hw)
+			clear(dx)
+			naiveCol2im(dx, cols, c, h, w, k, k/2)
+		}},
+	} {
+		b.Run("kernel="+row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				row.step()
+			}
+		})
 	}
 }
 

@@ -50,7 +50,7 @@ func (c *Conv2D) Forward(x *Tensor) *Tensor {
 		c.cols = make([]float32, ck*hw)
 	}
 	cols := c.cols[:ck*hw]
-	im2col(cols, x.Data, c.Cin, h, w, c.K, c.Pad)
+	im2colBatch(cols, x.Data, c.Cin, 1, h, w, c.K, c.Pad)
 
 	out := NewTensor(c.Cout, h, w)
 	MatMulBias(out.Data, c.Weight.W, cols, c.Bias.W, c.Cout, ck, hw, false)
@@ -86,43 +86,10 @@ func (c *Conv2D) Backward(dy *Tensor) *Tensor {
 	return dx
 }
 
-// im2col lowers x[Cin,H,W] into cols[Cin*K*K, H*W] for stride-1
-// convolution with the given padding.
-func im2col(cols, x []float32, cin, h, w, k, pad int) {
-	hw := h * w
-	row := 0
-	for ci := 0; ci < cin; ci++ {
-		xc := x[ci*hw : (ci+1)*hw]
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				dst := cols[row*hw : (row+1)*hw]
-				row++
-				for oy := 0; oy < h; oy++ {
-					iy := oy + ky - pad
-					base := oy * w
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < w; ox++ {
-							dst[base+ox] = 0
-						}
-						continue
-					}
-					ib := iy * w
-					for ox := 0; ox < w; ox++ {
-						ix := ox + kx - pad
-						if ix < 0 || ix >= w {
-							dst[base+ox] = 0
-						} else {
-							dst[base+ox] = xc[ib+ix]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// col2im is the adjoint of im2col: it scatters column gradients back
-// into the input gradient.
+// col2im is the adjoint of im2colBatch at batch 1: it scatters column
+// gradients back into the input gradient, adding the in-bounds span of
+// each column row. Every dx element receives its adds in the same
+// (ci, ky, kx, oy, ox) order as an element-by-element scatter.
 func col2im(dx, dcols []float32, cin, h, w, k, pad int) {
 	hw := h * w
 	row := 0
@@ -132,23 +99,33 @@ func col2im(dx, dcols []float32, cin, h, w, k, pad int) {
 			for kx := 0; kx < k; kx++ {
 				src := dcols[row*hw : (row+1)*hw]
 				row++
+				lo, hi := convSpan(kx, pad, w)
+				if lo == hi {
+					continue
+				}
 				for oy := 0; oy < h; oy++ {
 					iy := oy + ky - pad
 					if iy < 0 || iy >= h {
 						continue
 					}
-					base := oy * w
-					ib := iy * w
-					for ox := 0; ox < w; ox++ {
-						ix := ox + kx - pad
-						if ix >= 0 && ix < w {
-							xc[ib+ix] += src[base+ox]
-						}
+					s := src[oy*w+lo : oy*w+hi]
+					d := xc[iy*w+lo+kx-pad:][:len(s)]
+					for x, v := range s {
+						d[x] += v
 					}
 				}
 			}
 		}
 	}
+}
+
+// convSpan returns the output columns [lo, hi) of kernel column kx
+// whose input column ox+kx-pad lies inside [0, w); lo == hi when none
+// does.
+func convSpan(kx, pad, w int) (lo, hi int) {
+	lo = min(max(pad-kx, 0), w)
+	hi = min(max(w+pad-kx, lo), w)
+	return lo, hi
 }
 
 // ---------------------------------------------------------------------------

@@ -9,21 +9,31 @@ import (
 // fans rows out across goroutines.
 const matmulParallelThreshold = 1 << 20
 
-// Cache-blocking tile sizes for the matmul kernels. A kP×kN panel of B
-// (128×256 float32 = 128 KiB) is streamed against a row block of C, so
-// B is re-read from cache instead of memory once n and k outgrow L1.
+// The three GEMM kernels are register-blocked: each holds a small
+// block of C in local accumulators across the whole p loop and stores
+// every element once, so the hot loop loads only A and B. Blocks are
+// 4×2 for matmulRows and MatMulATB and 2×4 for MatMulABTAcc: with one
+// scalar accumulator per element, the eight accumulators and six
+// operands of one p step fit in amd64's fifteen allocatable XMM
+// registers, where a 4×4 block's sixteen accumulators spill. Elements
+// outside whole blocks (a ragged last row block or column) are
+// computed a row segment at a time. In matmulRows and MatMulATB a
+// segment starts at +0 and each p adds one product to every element,
+// so the elements' sums run side by side in the same p order; in
+// MatMulABTAcc, whose operands are rows in p, each is one dot product.
 //
-// Blocking must not change results bit-for-bit: for every output
-// element c[i][j] the contributions a[i][p]·b[p][j] are accumulated in
-// strictly increasing p order — the k tiles are visited in order and
-// each tile accumulates into c in memory, which round-trips float32
-// values exactly. Only the j loop is unrolled (distinct outputs), never
-// the p loop (that would split the sum into differently-rounded
-// partials). Tests pin equality against the naive oracle.
-const (
-	mmTileK = 128
-	mmTileN = 256
-)
+// Blocking must not change results bit for bit, and it changes only
+// which elements are computed together. Every c[i][j] sums its
+// products from +0 in strictly increasing p in one float32 accumulator
+// — the naive definition. Each update is written acc += float32(a*b):
+// the explicit conversion rounds the product before the add, so a
+// platform that fuses multiply-add rounds like one that does not.
+// Terms with a == 0 are not skipped: an accumulator that starts at +0
+// never becomes −0, so for finite inputs adding ±0 leaves its bits
+// alone, and a 0 against an Inf or NaN in B yields NaN, as the naive
+// definition does. Tests pin equality against naive oracles on every
+// block remainder.
+const mmBlockRows = 4 // matmulRows and MatMulATB block height
 
 // MatMul computes C = A·B with A of shape (m×k), B of shape (k×n),
 // and C of shape (m×n), all row-major. C is overwritten.
@@ -66,67 +76,79 @@ func MatMulBias(c, a, b, bias []float32, m, k, n int, relu bool) {
 	}
 }
 
-// matmulRows computes rows [r0, r1) of C with cache blocking over k
-// and n and a 4-wide unrolled inner loop. See the tile-size comment
-// for the bit-identity argument.
+// matmulRows computes rows [r0, r1) of C = A·B in 4×2 blocks. B is
+// read down its columns, n apart, in increasing p.
 func matmulRows(c, a, b []float32, k, n, r0, r1 int) {
-	for i := r0; i < r1; i++ {
-		ci := c[i*n : i*n+n]
-		for x := range ci {
-			ci[x] = 0
+	iEnd := r0 + (r1-r0)/mmBlockRows*mmBlockRows
+	jEnd := n &^ 1
+	for i := r0; i < iEnd; i += mmBlockRows {
+		a0 := a[i*k : i*k+k]
+		a1 := a[(i+1)*k:][:len(a0)]
+		a2 := a[(i+2)*k:][:len(a0)]
+		a3 := a[(i+3)*k:][:len(a0)]
+		c0 := c[i*n : i*n+n]
+		c1 := c[(i+1)*n:][:len(c0)]
+		c2 := c[(i+2)*n:][:len(c0)]
+		c3 := c[(i+3)*n:][:len(c0)]
+		for j := 0; j < jEnd; j += 2 {
+			var s00, s01, s10, s11, s20, s21, s30, s31 float32
+			o := j
+			for p, x0 := range a0 {
+				bp := b[o : o+2 : o+2]
+				y0, y1 := bp[0], bp[1]
+				o += n
+				x1, x2, x3 := a1[p], a2[p], a3[p]
+				s00 += float32(x0 * y0)
+				s01 += float32(x0 * y1)
+				s10 += float32(x1 * y0)
+				s11 += float32(x1 * y1)
+				s20 += float32(x2 * y0)
+				s21 += float32(x2 * y1)
+				s30 += float32(x3 * y0)
+				s31 += float32(x3 * y1)
+			}
+			c0[j], c0[j+1] = s00, s01
+			c1[j], c1[j+1] = s10, s11
+			c2[j], c2[j+1] = s20, s21
+			c3[j], c3[j+1] = s30, s31
 		}
 	}
-	for p0 := 0; p0 < k; p0 += mmTileK {
-		p1 := p0 + mmTileK
-		if p1 > k {
-			p1 = k
+	for i := r0; i < r1; i++ {
+		j0 := edgeStart(i, iEnd, jEnd)
+		if j0 == n {
+			continue
 		}
-		for j0 := 0; j0 < n; j0 += mmTileN {
-			j1 := j0 + mmTileN
-			if j1 > n {
-				j1 = n
-			}
-			for i := r0; i < r1; i++ {
-				ai := a[i*k : i*k+k]
-				ci := c[i*n+j0 : i*n+j1]
-				for p := p0; p < p1; p++ {
-					av := ai[p]
-					if av == 0 {
-						continue
-					}
-					bp := b[p*n+j0 : p*n+j1 : p*n+j1]
-					j := 0
-					for ; j+4 <= len(ci); j += 4 {
-						ci[j] += av * bp[j]
-						ci[j+1] += av * bp[j+1]
-						ci[j+2] += av * bp[j+2]
-						ci[j+3] += av * bp[j+3]
-					}
-					for ; j < len(ci); j++ {
-						ci[j] += av * bp[j]
-					}
-				}
+		ci := c[i*n+j0 : i*n+n]
+		clear(ci)
+		for p, x := range a[i*k : i*k+k] {
+			for j, y := range b[p*n+j0 : p*n+n] {
+				ci[j] += float32(x * y)
 			}
 		}
 	}
 }
 
+// edgeStart returns the first column of row i that no whole block
+// covers: 0 for rows at or past iEnd, where the blocked rows end, and
+// jEnd, where the blocked columns end, for the others.
+func edgeStart(i, iEnd, jEnd int) int {
+	if i >= iEnd {
+		return 0
+	}
+	return jEnd
+}
+
+// matmulParallel splits C's rows into one chunk per worker, each a
+// multiple of the block height so only the last chunk has a row
+// remainder. Every element is still computed by one goroutine in the
+// same p order, so the result is independent of the split.
 func matmulParallel(c, a, b []float32, m, k, n int) {
 	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
 	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		r0 := w * chunk
-		r1 := r0 + chunk
-		if r1 > m {
-			r1 = m
-		}
-		if r0 >= r1 {
-			break
-		}
+	chunk = (chunk + mmBlockRows - 1) / mmBlockRows * mmBlockRows
+	var wg sync.WaitGroup
+	for r0 := 0; r0 < m; r0 += chunk {
+		r1 := min(r0+chunk, m)
 		wg.Add(1)
 		go func(r0, r1 int) {
 			defer wg.Done()
@@ -137,82 +159,114 @@ func matmulParallel(c, a, b []float32, m, k, n int) {
 }
 
 // MatMulATB computes C = Aᵀ·B with A of shape (k×m), B of shape
-// (k×n): the gradient-w.r.t.-input kernel of Linear/Conv backward.
-// Each c[i][j] accumulates in increasing p order (tiles in order,
-// memory accumulator), matching the pre-blocking kernel bit for bit.
+// (k×n): the gradient-w.r.t.-input kernel of Linear/Conv backward. C
+// is computed in 4×2 blocks; both operands are read down their
+// columns in increasing p.
 func MatMulATB(c, a, b []float32, m, k, n int) {
-	for x := 0; x < m*n; x++ {
-		c[x] = 0
+	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
+		panic("nn: MatMulATB buffer too small")
 	}
-	for p0 := 0; p0 < k; p0 += mmTileK {
-		p1 := p0 + mmTileK
-		if p1 > k {
-			p1 = k
-		}
-		for j0 := 0; j0 < n; j0 += mmTileN {
-			j1 := j0 + mmTileN
-			if j1 > n {
-				j1 = n
+	iEnd := m / mmBlockRows * mmBlockRows
+	jEnd := n &^ 1
+	for i := 0; i < iEnd; i += mmBlockRows {
+		c0 := c[i*n : i*n+n]
+		c1 := c[(i+1)*n:][:len(c0)]
+		c2 := c[(i+2)*n:][:len(c0)]
+		c3 := c[(i+3)*n:][:len(c0)]
+		for j := 0; j < jEnd; j += 2 {
+			var s00, s01, s10, s11, s20, s21, s30, s31 float32
+			oa, ob := i, j
+			for p := 0; p < k; p++ {
+				ap := a[oa : oa+4 : oa+4]
+				bp := b[ob : ob+2 : ob+2]
+				oa += m
+				ob += n
+				x0, x1, x2, x3 := ap[0], ap[1], ap[2], ap[3]
+				y0, y1 := bp[0], bp[1]
+				s00 += float32(x0 * y0)
+				s01 += float32(x0 * y1)
+				s10 += float32(x1 * y0)
+				s11 += float32(x1 * y1)
+				s20 += float32(x2 * y0)
+				s21 += float32(x2 * y1)
+				s30 += float32(x3 * y0)
+				s31 += float32(x3 * y1)
 			}
-			for p := p0; p < p1; p++ {
-				ap := a[p*m : p*m+m]
-				bp := b[p*n+j0 : p*n+j1 : p*n+j1]
-				for i := 0; i < m; i++ {
-					av := ap[i]
-					if av == 0 {
-						continue
-					}
-					ci := c[i*n+j0 : i*n+j1]
-					j := 0
-					for ; j+4 <= len(ci); j += 4 {
-						ci[j] += av * bp[j]
-						ci[j+1] += av * bp[j+1]
-						ci[j+2] += av * bp[j+2]
-						ci[j+3] += av * bp[j+3]
-					}
-					for ; j < len(ci); j++ {
-						ci[j] += av * bp[j]
-					}
-				}
+			c0[j], c0[j+1] = s00, s01
+			c1[j], c1[j+1] = s10, s11
+			c2[j], c2[j+1] = s20, s21
+			c3[j], c3[j+1] = s30, s31
+		}
+	}
+	for i := 0; i < m; i++ {
+		j0 := edgeStart(i, iEnd, jEnd)
+		if j0 == n {
+			continue
+		}
+		ci := c[i*n+j0 : i*n+n]
+		clear(ci)
+		for p := 0; p < k; p++ {
+			x := a[p*m+i]
+			for j, y := range b[p*n+j0 : p*n+n] {
+				ci[j] += float32(x * y)
 			}
 		}
 	}
 }
 
 // MatMulABTAcc computes C += A·Bᵀ with A of shape (m×k), B of shape
-// (n×k): the weight-gradient kernel (accumulating). The j loop is
-// unrolled four-wide — four independent dot products, each still a
-// single accumulator over increasing p, so every c[i][j] receives the
-// exact pre-unrolling sum.
+// (n×k): the weight-gradient kernel (accumulating). C is computed in
+// 2×4 blocks, so every operand is a contiguous row read in increasing
+// p. Each element's sum starts from +0 and is added to C once, after
+// its last product.
 func MatMulABTAcc(c, a, b []float32, m, k, n int) {
+	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
+		panic("nn: MatMulABTAcc buffer too small")
+	}
+	iEnd := m &^ 1
+	jEnd := n / 4 * 4
+	for i := 0; i < iEnd; i += 2 {
+		a0 := a[i*k : i*k+k]
+		a1 := a[(i+1)*k:][:len(a0)]
+		c0 := c[i*n : i*n+n]
+		c1 := c[(i+1)*n:][:len(c0)]
+		for j := 0; j < jEnd; j += 4 {
+			b0 := b[j*k:][:len(a0)]
+			b1 := b[(j+1)*k:][:len(a0)]
+			b2 := b[(j+2)*k:][:len(a0)]
+			b3 := b[(j+3)*k:][:len(a0)]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float32
+			for p, x0 := range a0 {
+				x1 := a1[p]
+				y0, y1, y2, y3 := b0[p], b1[p], b2[p], b3[p]
+				s00 += float32(x0 * y0)
+				s01 += float32(x0 * y1)
+				s02 += float32(x0 * y2)
+				s03 += float32(x0 * y3)
+				s10 += float32(x1 * y0)
+				s11 += float32(x1 * y1)
+				s12 += float32(x1 * y2)
+				s13 += float32(x1 * y3)
+			}
+			c0[j] += s00
+			c0[j+1] += s01
+			c0[j+2] += s02
+			c0[j+3] += s03
+			c1[j] += s10
+			c1[j+1] += s11
+			c1[j+2] += s12
+			c1[j+3] += s13
+		}
+	}
 	for i := 0; i < m; i++ {
 		ai := a[i*k : i*k+k]
-		ci := c[i*n : i*n+n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b[j*k : j*k+k]
-			b1 := b[(j+1)*k : (j+1)*k+k]
-			b2 := b[(j+2)*k : (j+2)*k+k]
-			b3 := b[(j+3)*k : (j+3)*k+k]
-			var s0, s1, s2, s3 float32
-			for p, av := range ai {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			ci[j] += s0
-			ci[j+1] += s1
-			ci[j+2] += s2
-			ci[j+3] += s3
-		}
-		for ; j < n; j++ {
-			bj := b[j*k : j*k+k]
+		for j := edgeStart(i, iEnd, jEnd); j < n; j++ {
+			bj := b[j*k:][:len(ai)]
 			var s float32
-			for p, av := range ai {
-				s += av * bj[p]
+			for p, x := range ai {
+				s += float32(x * bj[p])
 			}
-			ci[j] += s
+			c[i*n+j] += s
 		}
 	}
 }

@@ -47,12 +47,14 @@ func TestFromSliceShapeMismatchPanics(t *testing.T) {
 	FromSlice(make([]float32, 5), 2, 3)
 }
 
+// naiveMatMul is the definition of C = A·B: each element sums its
+// products from +0 in increasing p, each product rounded to float32.
 func naiveMatMul(c, a, b []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var s float32
 			for p := 0; p < k; p++ {
-				s += a[i*k+p] * b[p*n+j]
+				s += float32(a[i*k+p] * b[p*n+j])
 			}
 			c[i*n+j] = s
 		}
@@ -440,7 +442,7 @@ func TestStepClearsGradients(t *testing.T) {
 // Properties
 
 func TestIm2colCol2imAdjointProperty(t *testing.T) {
-	// ⟨im2col(x), y⟩ == ⟨x, col2im(y)⟩ — the defining adjoint identity
+	// ⟨im2colBatch(x), y⟩ == ⟨x, col2im(y)⟩ at batch 1 — the defining adjoint identity
 	// that conv backward relies on.
 	r := rng.New(21)
 	f := func(seed int64) bool {
@@ -452,7 +454,7 @@ func TestIm2colCol2imAdjointProperty(t *testing.T) {
 		}
 		ck := cin * k * k
 		cols := make([]float32, ck*h*w)
-		im2col(cols, x, cin, h, w, k, k/2)
+		im2colBatch(cols, x, cin, 1, h, w, k, k/2)
 		y := make([]float32, ck*h*w)
 		for i := range y {
 			y[i] = float32(rr.NormFloat64())

@@ -1,5 +1,5 @@
 #!/bin/sh
-# benchgate.sh — benchmark smoke gate, three checks in one run.
+# benchgate.sh — benchmark smoke gate, four checks in one run.
 #
 # 1. Allocations. The zero-allocation search hot path must stay
 #    zero-allocation, telemetry included, and the serving and portfolio
@@ -58,6 +58,15 @@
 #    at least TRAIN_SPEEDUP times faster in ns/op (best of three runs
 #    each). At GOMAXPROCS=1 the check is skipped by name, as above.
 #
+# 4. Kernel speedup, within this run. BenchmarkConvKernels times one
+#    residual-block convolution step at the daemon shape on the
+#    register-blocked kernels (kernel=blocked) and on the naive test
+#    oracles (kernel=oracle); the blocked row must be at least
+#    KERNEL_SPEEDUP times faster in ns/op (best of three runs each).
+#    Both rows are single-threaded, so the check runs at any
+#    GOMAXPROCS. It catches a collapse to naive loops, not a return to
+#    the axpy kernels the blocked ones replaced (those read 1.39-2.19x).
+#
 # Usage: scripts/benchgate.sh
 set -eu
 
@@ -73,6 +82,7 @@ BASELINE_FILES="BENCH_pr3.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENC
 TOLERANCE_PCT=50
 SLACK_ALLOCS=64
 TRAIN_SPEEDUP=1.3
+KERNEL_SPEEDUP=1.5
 # GATED selects, by full benchmark name, the rows this gate compares:
 # every baseline row it matches must show up in the run below, so the
 # expected row set comes from the BENCH files rather than a count kept
@@ -103,10 +113,11 @@ fi
 
 out=$(go test -run '^$' -bench 'BenchmarkMCTSWorkers/workers=(1|8)$|BenchmarkMCTSColdWorkers' -benchmem -benchtime=1x -count=3 . &&
     go test -run '^$' -bench 'BenchmarkServeThroughput$|BenchmarkPortfolioRace$|BenchmarkFleetThroughput$|BenchmarkECOJob$|BenchmarkLEFDEFPlace$' -benchmem -benchtime=1x ./internal/serve ./internal/portfolio ./internal/fleet ./internal/eco ./internal/lefdef &&
-    go test -run '^$' -bench 'BenchmarkTrainUpdate$' -benchmem -benchtime=1x -count=3 ./internal/rl)
+    go test -run '^$' -bench 'BenchmarkTrainUpdate$' -benchmem -benchtime=1x -count=3 ./internal/rl &&
+    go test -run '^$' -bench 'BenchmarkConvKernels$' -benchmem -benchtime=100x -count=3 ./internal/nn)
 echo "$out"
 
-echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v speedup="$TRAIN_SPEEDUP" -v baselines="$baselines" -v gated="$GATED" '
+echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v speedup="$TRAIN_SPEEDUP" -v kspeedup="$KERNEL_SPEEDUP" -v baselines="$baselines" -v gated="$GATED" '
   BEGIN {
     n = split(baselines, parts, /[ \n]+/)
     for (i = 1; i + 2 <= n; i += 3) {
@@ -126,10 +137,9 @@ echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v speedup="$
     }
     for (i = 2; i <= NF; i++) if ($i == "sims/sec" && (!(name in sims) || $(i - 1) + 0 > sims[name])) sims[name] = $(i - 1) + 0
     if (name ~ /^BenchmarkMCTSColdWorkers\//) coldProcs = procs
-    if (name ~ /^BenchmarkTrainUpdate\//) {
-      trainProcs = procs
+    if (name ~ /^BenchmarkTrainUpdate\//) trainProcs = procs
+    if (name ~ /^Benchmark(TrainUpdate|ConvKernels)\//)
       for (i = 2; i <= NF; i++) if ($i == "ns/op" && (!(name in ns) || $(i - 1) + 0 < ns[name])) ns[name] = $(i - 1) + 0
-    }
     if (name !~ gated) next
     allocs = -1
     for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i - 1) + 0
@@ -222,6 +232,19 @@ echo "$out" | awk -v tol="$TOLERANCE_PCT" -v slack="$SLACK_ALLOCS" -v speedup="$
       bad = 1
     } else {
       printf "benchgate: update speedup OK: procs=2 %g ns/op is %.2fx faster than procs=1 %g (>= %gx) at GOMAXPROCS=%d\n", t2, t1 / t2, t1, speedup, trainProcs
+    }
+
+    # Kernel-speedup check on this run (see header).
+    kb = ns["BenchmarkConvKernels/kernel=blocked"]
+    ko = ns["BenchmarkConvKernels/kernel=oracle"]
+    if (kb == 0 || ko == 0) {
+      print "benchgate: FAIL BenchmarkConvKernels kernel=blocked/kernel=oracle ns/op rows missing from this run" > "/dev/stderr"
+      bad = 1
+    } else if (ko < kspeedup * kb) {
+      printf "benchgate: FAIL kernel speedup: blocked at %g ns/op is %.2fx the oracle at %g, want >= %gx\n", kb, ko / kb, ko, kspeedup > "/dev/stderr"
+      bad = 1
+    } else {
+      printf "benchgate: kernel speedup OK: blocked %g ns/op is %.2fx faster than the oracle %g (>= %gx)\n", kb, ko / kb, ko, kspeedup
     }
     exit bad
   }'
