@@ -41,7 +41,7 @@ func main() {
 		scale    = flag.Float64("scale", 0, "override benchmark scale")
 		episodes = flag.Int("episodes", 0, "override RL episodes")
 		gamma    = flag.Int("gamma", 0, "override MCTS explorations per group")
-		workers  = flag.Int("workers", 0, "parallel MCTS workers (default 1 = sequential/reproducible)")
+		workers  = flag.Int("workers", 0, "MCTS tree workers (default 1 = one worker, reproducible)")
 		sweepW   = flag.Int("sweep-workers", 0, "concurrent benchmarks per table sweep (default = -workers; never changes the numbers)")
 		zeta     = flag.Int("zeta", 0, "override grid resolution")
 		seed     = flag.Int64("seed", 0, "override seed")

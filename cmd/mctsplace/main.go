@@ -84,7 +84,7 @@ func newFlags(fs *flag.FlagSet) *flags {
 	fs.IntVar(&f.sp.Zeta, "zeta", 16, "grid resolution ζ")
 	fs.IntVar(&f.sp.Episodes, "episodes", 120, "RL pre-training episodes")
 	fs.IntVar(&f.sp.Gamma, "gamma", 24, "MCTS explorations per macro group")
-	fs.IntVar(&f.sp.Workers, "workers", 0, "parallel MCTS tree workers (0 = 1: sequential and deterministic, as for daemon jobs)")
+	fs.IntVar(&f.sp.Workers, "workers", 0, "MCTS tree workers (0 = 1: one worker, deterministic, as for daemon jobs)")
 	fs.IntVar(&f.sp.Channels, "channels", 16, "agent tower width (paper: 128)")
 	fs.IntVar(&f.sp.ResBlocks, "resblocks", 2, "agent tower depth (paper: 10)")
 	fs.StringVar(&f.out, "out", "", "directory to write the placed design as Bookshelf files")

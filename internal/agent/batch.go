@@ -8,14 +8,14 @@ import (
 	"macroplace/internal/nn"
 )
 
-// BatchInput is one ⟨s_p, s_a, t⟩ state for EvaluateBatch.
+// BatchInput is one ⟨s_p, s_a, t⟩ state for EvaluateBatchInto.
 type BatchInput struct {
 	SP, SA []float64
 	T      int
 }
 
 // inferScratch carries the workspace arena of one in-flight inference
-// pass. Scratches are pooled per agent so concurrent EvaluateBatch
+// pass. Scratches are pooled per agent so concurrent EvaluateBatchInto
 // calls never share an arena, and a warm scratch makes a whole forward
 // pass allocation-free except for the returned Probs slices (which
 // outlive the call: the MCTS tree and the evaluation cache retain
@@ -34,32 +34,21 @@ func (a *Agent) getScratch() *inferScratch {
 
 func (a *Agent) putScratch(sc *inferScratch) { a.infPool.Put(sc) }
 
-// EvaluateBatch runs both heads on a batch of states in one pass and
-// returns one Output per input, in order.
+// EvaluateBatchInto runs both heads on a batch of states in one pass,
+// writing one Output per input, in order, into out (len(out) must equal
+// len(in)). It is the one inference entry point: search workers and
+// greedy episodes call it with one-state batches and reusable buffers,
+// and only the per-sample Probs slices are freshly allocated — they
+// outlive the call by contract.
 //
 // Unlike Forward it is a pure function of the weights: it touches
 // neither the layer caches that Backward consumes nor the BatchNorm
 // running statistics, so it is safe to call concurrently with other
-// EvaluateBatch calls (Forward/Backward must still be externally
+// EvaluateBatchInto calls (Forward/Backward must still be externally
 // serialized against it only insofar as they mutate weights — searches
 // never do). Per sample the arithmetic matches Forward operation for
 // operation, so the outputs are bit-identical to evaluating each state
-// alone; the whole batch flows through single MatMul calls. The
-// parallel search calls it concurrently, one state per worker.
-func (a *Agent) EvaluateBatch(in []BatchInput) []Output {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make([]Output, len(in))
-	a.EvaluateBatchInto(in, out)
-	return out
-}
-
-// EvaluateBatchInto is EvaluateBatch writing into a caller-supplied
-// output slice (len(out) must equal len(in)): the reusable-buffer
-// entry point the parallel search workers evaluate their leaves
-// through. Only the per-sample Probs slices are freshly allocated —
-// they outlive the call by contract.
+// alone; the whole batch flows through single MatMul calls.
 func (a *Agent) EvaluateBatchInto(in []BatchInput, out []Output) {
 	batch := len(in)
 	if batch == 0 {
@@ -140,17 +129,4 @@ func (a *Agent) EvaluateBatchInto(in []BatchInput, out []Output) {
 		out[b].Value = val
 	}
 	obsInferLatency.Observe(time.Since(t0).Seconds())
-}
-
-// EvalState runs both heads on a single state through the pure batched
-// kernels: the inference-path counterpart of Forward. The result is
-// bit-identical to Forward's (the batch kernels pin that per sample)
-// but it records no backward caches, leaves the BatchNorm running
-// statistics untouched, and — warm scratch arena aside — allocates
-// only the returned Probs slice. Safe for concurrent use.
-func (a *Agent) EvalState(sp, sa []float64, t int) Output {
-	in := [1]BatchInput{{SP: sp, SA: sa, T: t}}
-	var out [1]Output
-	a.EvaluateBatchInto(in[:], out[:])
-	return out[0]
 }

@@ -9,6 +9,22 @@ func batchTestAgent() *Agent {
 	return New(Config{Zeta: 4, Channels: 6, ResBlocks: 2, MaxSteps: 5, Seed: 17})
 }
 
+// evaluateBatch runs in through EvaluateBatchInto into a fresh output
+// slice.
+func evaluateBatch(a *Agent, in []BatchInput) []Output {
+	out := make([]Output, len(in))
+	a.EvaluateBatchInto(in, out)
+	return out
+}
+
+// evalState runs one state through inf's EvaluateBatchInto, the way a
+// search worker or a greedy step does.
+func evalState(inf Inferencer, sp, sa []float64, t int) Output {
+	out := make([]Output, 1)
+	inf.EvaluateBatchInto([]BatchInput{{SP: sp, SA: sa, T: t}}, out)
+	return out[0]
+}
+
 // batchStates builds n distinct states with a mix of masked and open
 // actions.
 func batchStates(n, cells int) []BatchInput {
@@ -36,7 +52,7 @@ func TestEvaluateBatchMatchesForward(t *testing.T) {
 	cells := ag.Cfg.Zeta * ag.Cfg.Zeta
 	for _, batch := range []int{1, 2, 5} {
 		in := batchStates(batch, cells)
-		outs := ag.EvaluateBatch(in)
+		outs := evaluateBatch(ag, in)
 		if len(outs) != batch {
 			t.Fatalf("batch %d: got %d outputs", batch, len(outs))
 		}
@@ -64,26 +80,26 @@ func TestEvaluateBatchIsPure(t *testing.T) {
 	in := batchStates(3, cells)
 	before := ag.Forward(in[0].SP, in[0].SA, in[0].T)
 	runMean := append([]float32(nil), ag.bn1.RunMean...)
-	ag.EvaluateBatch(in)
+	evaluateBatch(ag, in)
 	for i := range runMean {
 		if ag.bn1.RunMean[i] != runMean[i] {
-			t.Fatal("EvaluateBatch mutated BatchNorm running statistics")
+			t.Fatal("EvaluateBatchInto mutated BatchNorm running statistics")
 		}
 	}
 	after := ag.Forward(in[0].SP, in[0].SA, in[0].T)
 	if before.Value != after.Value {
-		t.Fatal("EvaluateBatch changed subsequent Forward results")
+		t.Fatal("EvaluateBatchInto changed subsequent Forward results")
 	}
 }
 
 // TestEvaluateBatchConcurrent hammers one agent from many goroutines
-// (run under -race): EvaluateBatch is documented concurrency-safe, and
+// (run under -race): EvaluateBatchInto is documented concurrency-safe, and
 // every concurrent result must equal the serial one.
 func TestEvaluateBatchConcurrent(t *testing.T) {
 	ag := batchTestAgent()
 	cells := ag.Cfg.Zeta * ag.Cfg.Zeta
 	in := batchStates(4, cells)
-	want := ag.EvaluateBatch(in)
+	want := evaluateBatch(ag, in)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -93,7 +109,7 @@ func TestEvaluateBatchConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 10; iter++ {
-				outs := ag.EvaluateBatch(in)
+				outs := evaluateBatch(ag, in)
 				for b := range outs {
 					if outs[b].Value != want[b].Value {
 						errs <- "concurrent value mismatch"
@@ -125,11 +141,11 @@ func TestEvaluateBatchValidatesLengths(t *testing.T) {
 			t.Fatal("short SP slice must panic")
 		}
 	}()
-	ag.EvaluateBatch([]BatchInput{{SP: []float64{1}, SA: make([]float64, 16), T: 0}})
+	evaluateBatch(ag, []BatchInput{{SP: []float64{1}, SA: make([]float64, 16), T: 0}})
 }
 
+// TestEvaluateBatchEmpty: an empty batch is a no-op, not a length
+// mismatch.
 func TestEvaluateBatchEmpty(t *testing.T) {
-	if out := batchTestAgent().EvaluateBatch(nil); out != nil {
-		t.Fatalf("empty batch: got %v", out)
-	}
+	batchTestAgent().EvaluateBatchInto(nil, nil)
 }

@@ -6,12 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// Inferencer is the pure batched-inference surface CachedEvaluator
-// memoizes: *Agent implements it directly, and wrappers (timing,
-// fault injection) implement it by delegating to an Agent.
-// Implementations must be safe for concurrent use and bit-identical
-// per sample to Agent.EvaluateBatchInto (the cache stores outputs and
-// replays them as hits).
+// Inferencer is the pure batched-inference surface every evaluation
+// outside training goes through: the MCTS workers (mcts.Evaluator) and
+// greedy episodes call it with one-state batches. *Agent implements it
+// directly, CachedEvaluator memoizes it, and wrappers (timing, fault
+// injection) implement it by delegating. Implementations must be safe
+// for concurrent use and bit-identical per sample to
+// Agent.EvaluateBatchInto (the cache stores outputs and replays them as
+// hits).
 type Inferencer interface {
 	EvaluateBatchInto(in []BatchInput, out []Output)
 }
@@ -33,10 +35,10 @@ type Inferencer interface {
 // of a search, negligible).
 //
 // A hit returns the stored Output. Probs is shared between the cache
-// and every caller: it is read-only by the same contract as Forward's
-// (the search and the greedy player only read it). Hits are
-// bit-identical to misses — the cache stores exactly what EvalState
-// returned, and EvalState is pinned bit-identical to Forward.
+// and every caller: it is read-only (the search and the greedy player
+// only read it). Hits are bit-identical to misses — the cache stores
+// exactly what the wrapped Inferencer returned, and
+// Agent.EvaluateBatchInto is pinned bit-identical to Forward.
 //
 // Safe for concurrent use. The table is split into 16 independently
 // locked shards (selected by the low key bits, which the dual hash
@@ -204,7 +206,7 @@ func (c *CachedEvaluator) Fingerprint() uint64 { return c.fp }
 // construction rather than by remembering to flush.
 //
 // Not safe to call concurrently with lookups: quiesce the cache (no
-// in-flight Forward/EvaluateBatchInto) first. The warm store
+// in-flight EvaluateBatchInto) first. The warm store
 // serializes jobs per design, which provides exactly that.
 func (c *CachedEvaluator) Retarget(inf Inferencer) {
 	c.inf = inf
@@ -271,15 +273,6 @@ func (c *CachedEvaluator) store(key cacheKey, out Output) {
 	s.mu.Unlock()
 }
 
-// evalState runs a single state through the wrapped Inferencer (the
-// miss path of Forward).
-func (c *CachedEvaluator) evalState(sp, sa []float64, t int) Output {
-	in := [1]BatchInput{{SP: sp, SA: sa, T: t}}
-	var out [1]Output
-	c.inf.EvaluateBatchInto(in[:], out[:])
-	return out[0]
-}
-
 // count records one lookup as a hit or a miss.
 func (c *CachedEvaluator) count(hit bool) {
 	if hit {
@@ -291,27 +284,14 @@ func (c *CachedEvaluator) count(hit bool) {
 	}
 }
 
-// Forward implements the sequential half of mcts.Evaluator: a cache
-// lookup, falling through to the pure batched-inference path on a
-// miss. Unlike Agent.Forward it records no backward caches (searches
-// never call Backward).
-func (c *CachedEvaluator) Forward(sp, sa []float64, t int) Output {
-	key := stateKey(c.fp, t, sp, sa)
-	out, ok := c.lookup(key)
-	c.count(ok)
-	if !ok {
-		out = c.evalState(sp, sa, t)
-		c.store(key, out)
-	}
-	return out
-}
-
-// evalOne is EvaluateBatchInto for one state, a parallel search
-// worker's leaf, through the caller's buffers. A state another call is
-// already running the network for is waited for and counts as a hit:
-// two workers that reach one placement by different moves at the same
-// time run the network once, as a serial evaluator would. If that
-// evaluation panics, a waiter runs it instead.
+// evalOne is EvaluateBatchInto for one state — a search worker's leaf
+// or a greedy step — through the caller's buffers: one lookup, counted
+// as one hit or one miss, and on a miss one network pass whose output
+// is stored. A state another call is already running the network for
+// is waited for and counts as a hit: two workers that reach one
+// placement by different moves at the same time run the network once,
+// as a serial evaluator would. If that evaluation panics, a waiter runs
+// it instead.
 func (c *CachedEvaluator) evalOne(in []BatchInput, out []Output) {
 	key := stateKey(c.fp, in[0].T, in[0].SP, in[0].SA)
 	s := c.shard(key)
@@ -342,7 +322,8 @@ func (c *CachedEvaluator) evalOne(in []BatchInput, out []Output) {
 	c.store(key, out[0])
 }
 
-// EvaluateBatch implements the batched half of mcts.Evaluator.
+// EvaluateBatch is EvaluateBatchInto into a fresh output slice: the
+// ECO move-prior batch (internal/eco) evaluates through it.
 func (c *CachedEvaluator) EvaluateBatch(in []BatchInput) []Output {
 	if len(in) == 0 {
 		return nil

@@ -40,14 +40,15 @@ func requireSameOutput(t *testing.T, what string, got, want Output) {
 	}
 }
 
-// EvalState is the inference path the cache fills itself from; its
-// contract is bit-identity with the training-path Forward.
+// A one-state EvaluateBatchInto is the inference path the search and
+// the cache fill themselves from; its contract is bit-identity with the
+// training-path Forward.
 func TestEvalStateBitIdenticalToForward(t *testing.T) {
 	ag := New(Config{Zeta: 6, Channels: 8, ResBlocks: 2, MaxSteps: 9, Seed: 3})
 	for _, in := range testStates(36, 5, 11) {
 		want := ag.Forward(in.SP, in.SA, in.T)
-		got := ag.EvalState(in.SP, in.SA, in.T)
-		requireSameOutput(t, "EvalState vs Forward", got, want)
+		got := evalState(ag, in.SP, in.SA, in.T)
+		requireSameOutput(t, "one-state EvaluateBatchInto vs Forward", got, want)
 	}
 }
 
@@ -59,13 +60,13 @@ func TestCacheHitBitIdenticalToMiss(t *testing.T) {
 	states := testStates(36, 6, 12)
 	miss := make([]Output, len(states))
 	for i, in := range states {
-		miss[i] = ce.Forward(in.SP, in.SA, in.T)
+		miss[i] = evalState(ce, in.SP, in.SA, in.T)
 	}
 	if h, m := ce.Stats(); h != 0 || m != uint64(len(states)) {
 		t.Fatalf("cold cache: hits=%d misses=%d", h, m)
 	}
 	for i, in := range states {
-		hit := ce.Forward(in.SP, in.SA, in.T)
+		hit := evalState(ce, in.SP, in.SA, in.T)
 		requireSameOutput(t, "hit vs miss", hit, miss[i])
 		requireSameOutput(t, "hit vs uncached Forward", hit, ag.Forward(in.SP, in.SA, in.T))
 	}
@@ -78,15 +79,15 @@ func TestCacheBatchMixedHitsAndDuplicates(t *testing.T) {
 	ag := New(Config{Zeta: 6, Channels: 8, ResBlocks: 2, MaxSteps: 9, Seed: 5})
 	ce := NewCachedEvaluator(ag, 64)
 	states := testStates(36, 4, 13)
-	// Prime the cache with state 0 via the sequential path.
-	first := ce.Forward(states[0].SP, states[0].SA, states[0].T)
+	// Prime the cache with state 0 via the one-state path.
+	first := evalState(ce, states[0].SP, states[0].SA, states[0].T)
 
 	// Batch: [cached, new, duplicate-of-new, new].
 	batch := []BatchInput{states[0], states[1], states[1], states[2]}
 	outs := ce.EvaluateBatch(batch)
 	requireSameOutput(t, "batch cached element", outs[0], first)
 	requireSameOutput(t, "batch duplicate element", outs[2], outs[1])
-	requireSameOutput(t, "batch vs direct", outs[3], ag.EvalState(states[2].SP, states[2].SA, states[2].T))
+	requireSameOutput(t, "batch vs direct", outs[3], evalState(ag, states[2].SP, states[2].SA, states[2].T))
 	h, m := ce.Stats()
 	if h != 2 || m != 3 { // hit: cached + intra-batch dup; miss: 0-cold, 1, 3
 		t.Fatalf("hits=%d misses=%d, want 2/3", h, m)
@@ -105,20 +106,20 @@ func TestCacheEvictsLRU(t *testing.T) {
 	ag := New(Config{Zeta: 4, Channels: 4, ResBlocks: 1, MaxSteps: 9, Seed: 6})
 	ce := NewCachedEvaluator(ag, 2)
 	states := testStates(16, 3, 14)
-	ce.Forward(states[0].SP, states[0].SA, states[0].T) // miss
-	ce.Forward(states[1].SP, states[1].SA, states[1].T) // miss
-	ce.Forward(states[0].SP, states[0].SA, states[0].T) // hit; 1 becomes LRU
-	ce.Forward(states[2].SP, states[2].SA, states[2].T) // miss, evicts 1
+	evalState(ce, states[0].SP, states[0].SA, states[0].T) // miss
+	evalState(ce, states[1].SP, states[1].SA, states[1].T) // miss
+	evalState(ce, states[0].SP, states[0].SA, states[0].T) // hit; 1 becomes LRU
+	evalState(ce, states[2].SP, states[2].SA, states[2].T) // miss, evicts 1
 	if n := ce.Len(); n != 2 {
 		t.Fatalf("cache holds %d entries, want 2", n)
 	}
-	ce.Forward(states[1].SP, states[1].SA, states[1].T) // must be a miss again
+	evalState(ce, states[1].SP, states[1].SA, states[1].T) // must be a miss again
 	h, m := ce.Stats()
 	if h != 1 || m != 4 {
 		t.Fatalf("hits=%d misses=%d, want 1/4", h, m)
 	}
 	// 0 was evicted by re-inserting 1; 2 must still be cached.
-	ce.Forward(states[2].SP, states[2].SA, states[2].T)
+	evalState(ce, states[2].SP, states[2].SA, states[2].T)
 	if h2, _ := ce.Stats(); h2 != 2 {
 		t.Fatalf("expected state 2 to survive eviction")
 	}
@@ -168,7 +169,7 @@ func TestCacheNoCrossFingerprintHits(t *testing.T) {
 	}
 	states := testStates(36, 5, 17)
 	for _, in := range states {
-		ce.Forward(in.SP, in.SA, in.T) // populate under A's weights
+		evalState(ce, in.SP, in.SA, in.T) // populate under A's weights
 	}
 
 	// "Retrain": the same cache object retargets to B.
@@ -177,12 +178,12 @@ func TestCacheNoCrossFingerprintHits(t *testing.T) {
 		t.Fatal("Retarget did not re-capture the fingerprint")
 	}
 	for _, in := range states {
-		got := ce.Forward(in.SP, in.SA, in.T)
-		requireSameOutput(t, "post-retrain", got, agB.EvalState(in.SP, in.SA, in.T))
+		got := evalState(ce, in.SP, in.SA, in.T)
+		requireSameOutput(t, "post-retrain", got, evalState(agB, in.SP, in.SA, in.T))
 	}
 	outs := ce.EvaluateBatch(states)
 	for i, in := range states {
-		requireSameOutput(t, "post-retrain batch", outs[i], agB.EvalState(in.SP, in.SA, in.T))
+		requireSameOutput(t, "post-retrain batch", outs[i], evalState(agB, in.SP, in.SA, in.T))
 	}
 	h, m := ce.Stats()
 	// A-phase: 5 misses. B-phase Forward loop: 5 misses (zero
@@ -198,7 +199,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	states := testStates(16, 12, 15)
 	want := make([]Output, len(states))
 	for i, in := range states {
-		want[i] = ag.EvalState(in.SP, in.SA, in.T)
+		want[i] = evalState(ag, in.SP, in.SA, in.T)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -207,7 +208,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				i := (w + rep) % len(states)
-				got := ce.Forward(states[i].SP, states[i].SA, states[i].T)
+				got := evalState(ce, states[i].SP, states[i].SA, states[i].T)
 				requireSameOutput(t, "concurrent", got, want[i])
 				outs := ce.EvaluateBatch(states[i : i+1])
 				requireSameOutput(t, "concurrent batch", outs[0], want[i])
@@ -251,7 +252,7 @@ func (h *heldInferencer) EvaluateBatchInto(in []BatchInput, out []Output) {
 func TestCacheEvaluatesConcurrentDuplicatesOnce(t *testing.T) {
 	ag := New(Config{Zeta: 4, Channels: 4, ResBlocks: 1, MaxSteps: 9, Seed: 7})
 	st := testStates(16, 1, 21)[0]
-	want := ag.EvalState(st.SP, st.SA, st.T)
+	want := evalState(ag, st.SP, st.SA, st.T)
 	for _, failFirst := range []bool{false, true} {
 		inf := &heldInferencer{ag: ag, hold: 50 * time.Millisecond, failFirst: failFirst, second: make(chan struct{})}
 		ce := NewCachedEvaluatorFor(inf, 64)

@@ -347,7 +347,7 @@ func searchLocalMoves(ctx context.Context, p *core.Placer, evaluator *agent.Cach
 		if ctx.Err() != nil {
 			break
 		}
-		k := mcts.SelectPUCT(c, scaler.Reward(curCost), priors, visits, values)
+		k := mcts.SelectPUCT(c, scaler.Reward(curCost), priors, visits, values, nil, 0)
 		if k < 0 {
 			break
 		}

@@ -39,11 +39,11 @@ type Config struct {
 	Episodes int
 	// Gamma is the MCTS exploration budget per macro group.
 	Gamma int
-	// Workers is the parallel MCTS worker count. It defaults to 1
-	// (sequential) rather than all CPUs: the committed EXPERIMENTS.md
-	// numbers must be bit-reproducible, which only the sequential
-	// search guarantees. Set >1 (or pass -workers to cmd/experiments)
-	// to trade reproducibility for wall-clock speed.
+	// Workers is the MCTS tree worker count. It defaults to 1 rather
+	// than all CPUs: the committed EXPERIMENTS.md numbers must be
+	// bit-reproducible, which only a one-worker search guarantees. Set
+	// >1 (or pass -workers to cmd/experiments) to trade
+	// reproducibility for wall-clock speed.
 	Workers int
 	// SweepWorkers is the number of independent benchmarks the table
 	// sweeps (TableII/III/IV) run concurrently through the serving

@@ -164,10 +164,13 @@ func TestAblationRolloutQuick(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	// Rollout mode must evaluate more real placements.
-	if res.Rows[1].TerminalEvals <= res.Rows[0].TerminalEvals {
-		t.Errorf("rollout evals %d <= value-net evals %d",
-			res.Rows[1].TerminalEvals, res.Rows[0].TerminalEvals)
+	// Sec. IV-B3's runtime argument: rollouts place a real terminal on
+	// nearly every exploration, the value net on few. The quick preset
+	// reads 53 vs 1 and the standard preset 682 vs 27 (EXPERIMENTS.md),
+	// so require an order of magnitude.
+	valueNet, rollout := res.Rows[0].TerminalEvals, res.Rows[1].TerminalEvals
+	if rollout < 10*max(valueNet, 1) {
+		t.Errorf("rollout evals %d < 10 × max(value-net evals %d, 1)", rollout, valueNet)
 	}
 	WriteAblation(testWriter{t}, res)
 }

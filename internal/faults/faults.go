@@ -35,9 +35,9 @@ var ErrInjected = errors.New("faults: injected write failure")
 // fires on every multiple. One Injector may back several wrappers at
 // once — they share its counters.
 type Injector struct {
-	// PanicEvery makes every Nth evaluator call (Forward or
-	// EvaluateBatch) panic instead of returning. PanicEvery=1 is a
-	// dead evaluator: every call fails.
+	// PanicEvery makes every Nth evaluator call (EvaluateBatchInto)
+	// panic instead of returning. PanicEvery=1 is a dead evaluator:
+	// every call fails.
 	PanicEvery int
 	// NaNEvery poisons every Nth evaluator call's output with NaN
 	// probabilities and value — the "NaN activations" fault.
@@ -107,24 +107,14 @@ func (e *faultyEvaluator) act() (poison bool) {
 	return false
 }
 
-func (e *faultyEvaluator) Forward(sp, sa []float64, t int) agent.Output {
+func (e *faultyEvaluator) EvaluateBatchInto(in []agent.BatchInput, out []agent.Output) {
 	poison := e.act()
-	out := e.inner.Forward(sp, sa, t)
-	if poison {
-		out = poisonOutput(out)
-	}
-	return out
-}
-
-func (e *faultyEvaluator) EvaluateBatch(in []agent.BatchInput) []agent.Output {
-	poison := e.act()
-	out := e.inner.EvaluateBatch(in)
+	e.inner.EvaluateBatchInto(in, out)
 	if poison {
 		for i := range out {
 			out[i] = poisonOutput(out[i])
 		}
 	}
-	return out
 }
 
 // poisonOutput returns a copy of out with NaN value and probabilities.

@@ -102,46 +102,51 @@ func TestDeadlineMidSearchReturnsLegalBestSoFar(t *testing.T) {
 	}
 }
 
-// TestPanickingWorkersKeepTreeConsistent pins documented recovery #2:
-// injected evaluator panics are recovered, counted, and never corrupt
-// the shared tree — the search still commits a legal allocation.
-// Every leaf is one evaluator call, so each injected panic is exactly
-// one abandoned pass, and the top-up restores the full budget. Which
-// pass draws a faulting call depends on scheduling, so the accounting
-// is checked over ten runs. go test -race makes the "never corrupt"
-// part load-bearing.
+// TestPanickingWorkersKeepTreeConsistent pins documented recovery #2
+// at one worker and at four: injected evaluator panics are recovered,
+// counted, and never corrupt the shared tree — the search still commits
+// a legal allocation. Every leaf is one evaluator call, so each
+// injected panic is exactly one abandoned pass, and the top-up restores
+// the full budget. Which pass draws a faulting call depends on
+// scheduling, so the accounting is checked over ten runs. go test
+// -race makes the "never corrupt" part load-bearing.
 func TestPanickingWorkersKeepTreeConsistent(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		inj := &faults.Injector{PanicEvery: 3}
-		env, wl := cornerEnv()
-		s := mcts.New(mcts.Config{Gamma: 24, Seed: seed, Workers: 4},
-			inj.Evaluator(testAgent(11)), wl, testScaler())
-		res := s.Run(env)
-		requireLegalComplete(t, env, wl, res)
-		if inj.Panics() == 0 {
-			t.Fatalf("seed %d: injector never fired — the test exercised nothing", seed)
-		}
-		if res.WorkerPanics != inj.Panics() {
-			t.Errorf("seed %d: Result.WorkerPanics = %d, want the %d injected panics", seed, res.WorkerPanics, inj.Panics())
-		}
-		if res.Explorations != 3*24 {
-			t.Errorf("seed %d: explorations = %d, want %d (γ per step, topped up after each panic)", seed, res.Explorations, 3*24)
+	for _, workers := range []int{1, 4} {
+		for seed := int64(1); seed <= 10; seed++ {
+			inj := &faults.Injector{PanicEvery: 3}
+			env, wl := cornerEnv()
+			s := mcts.New(mcts.Config{Gamma: 24, Seed: seed, Workers: workers},
+				inj.Evaluator(testAgent(11)), wl, testScaler())
+			res := s.Run(env)
+			requireLegalComplete(t, env, wl, res)
+			if inj.Panics() == 0 {
+				t.Fatalf("workers=%d seed %d: injector never fired — the test exercised nothing", workers, seed)
+			}
+			if res.WorkerPanics != inj.Panics() {
+				t.Errorf("workers=%d seed %d: Result.WorkerPanics = %d, want the %d injected panics", workers, seed, res.WorkerPanics, inj.Panics())
+			}
+			if res.Explorations != 3*24 {
+				t.Errorf("workers=%d seed %d: explorations = %d, want %d (γ per step, topped up after each panic)", workers, seed, res.Explorations, 3*24)
+			}
 		}
 	}
 }
 
 // TestDeadEvaluatorStillCommitsLegalAllocation is the extreme of
 // recovery #2: every evaluator call panics, all workers retire, and
-// the commit fallback still produces a complete legal allocation.
+// the commit fallback still produces a complete legal allocation, at
+// one worker and at four.
 func TestDeadEvaluatorStillCommitsLegalAllocation(t *testing.T) {
-	inj := &faults.Injector{PanicEvery: 1}
-	env, wl := cornerEnv()
-	s := mcts.New(mcts.Config{Gamma: 8, Seed: 4, Workers: 4},
-		inj.Evaluator(testAgent(11)), wl, testScaler())
-	res := s.Run(env)
-	requireLegalComplete(t, env, wl, res)
-	if res.WorkerPanics == 0 {
-		t.Error("a dead evaluator must be visible in Result.WorkerPanics")
+	for _, workers := range []int{1, 4} {
+		inj := &faults.Injector{PanicEvery: 1}
+		env, wl := cornerEnv()
+		s := mcts.New(mcts.Config{Gamma: 8, Seed: 4, Workers: workers},
+			inj.Evaluator(testAgent(11)), wl, testScaler())
+		res := s.Run(env)
+		requireLegalComplete(t, env, wl, res)
+		if res.WorkerPanics == 0 {
+			t.Errorf("workers=%d: a dead evaluator must be visible in Result.WorkerPanics", workers)
+		}
 	}
 }
 

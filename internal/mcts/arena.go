@@ -137,9 +137,9 @@ func (a *nodeArena) kidSlice(n int) []*node {
 	return s
 }
 
-// passScratch is the reusable per-goroutine buffer set of exploration
+// passScratch is one worker's reusable buffer set of exploration
 // passes: the selected path, the s_p/s_a state buffers handed to the
-// evaluator, the one-state batch a parallel worker evaluates its leaf
+// evaluator, the one-state batch the worker evaluates its leaves
 // through, the legal-move list of rollouts, and the node arena.
 type passScratch struct {
 	path   []edgeRef

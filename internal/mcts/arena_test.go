@@ -29,9 +29,9 @@ func TestReleaseDiscardedSparesCommittedSubtree(t *testing.T) {
 	s := New(Config{Gamma: 24, Seed: 31, Workers: 1}, untrained(), wl, testScaler())
 	e := cloneEnv(env)
 	e.Reset()
-	root := s.scratch.arena.newNode(e)
+	root := s.arena().newNode(e)
 	for i := 0; i < s.Cfg.Gamma; i++ {
-		s.explore(root)
+		s.explorePass(root, s.wks[0])
 	}
 	keep, _ := s.commit(root)
 
@@ -57,7 +57,7 @@ func TestReleaseDiscardedSparesCommittedSubtree(t *testing.T) {
 	// The kept subtree must still be searchable: its envs are live and
 	// none of them was handed to the pool for recycling.
 	for i := 0; i < s.Cfg.Gamma; i++ {
-		s.explore(keep)
+		s.explorePass(keep, s.wks[0])
 	}
 	for n := range kept {
 		if n.env == nil {

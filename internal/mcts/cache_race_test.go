@@ -10,21 +10,11 @@ import (
 )
 
 // countingCache wraps a CachedEvaluator and counts every lookup
-// submitted to it. It implements EvaluateBatchInto so the parallel
-// workers take the exact production path through the cache.
+// submitted to it, so the workers and the greedy episode take the exact
+// production path through the cache.
 type countingCache struct {
 	inner   *agent.CachedEvaluator
 	lookups atomic.Uint64
-}
-
-func (c *countingCache) Forward(sp, sa []float64, t int) agent.Output {
-	c.lookups.Add(1)
-	return c.inner.Forward(sp, sa, t)
-}
-
-func (c *countingCache) EvaluateBatch(in []agent.BatchInput) []agent.Output {
-	c.lookups.Add(uint64(len(in)))
-	return c.inner.EvaluateBatch(in)
 }
 
 func (c *countingCache) EvaluateBatchInto(in []agent.BatchInput, out []agent.Output) {

@@ -19,18 +19,11 @@ type cancellingEvaluator struct {
 	cancel context.CancelFunc
 }
 
-func (c *cancellingEvaluator) Forward(sp, sa []float64, t int) agent.Output {
+func (c *cancellingEvaluator) EvaluateBatchInto(in []agent.BatchInput, out []agent.Output) {
 	if atomic.AddInt64(&c.calls, 1) == c.after {
 		c.cancel()
 	}
-	return c.inner.Forward(sp, sa, t)
-}
-
-func (c *cancellingEvaluator) EvaluateBatch(in []agent.BatchInput) []agent.Output {
-	if atomic.AddInt64(&c.calls, 1) == c.after {
-		c.cancel()
-	}
-	return c.inner.EvaluateBatch(in)
+	c.inner.EvaluateBatchInto(in, out)
 }
 
 // TestRunContextBackgroundMatchesRun pins the acceptance criterion

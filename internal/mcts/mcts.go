@@ -6,12 +6,13 @@
 // runtime reduction — real placements run only at terminal nodes), and
 // backpropagation updates N/W/Q along the path (Eq. 12).
 //
-// The search runs either sequentially (Workers=1, bit-reproducible for
-// a fixed seed) or tree-parallel (Workers>1): concurrent workers
-// descend one shared tree under per-node mutexes, in-flight paths are
-// discouraged by virtual loss, and each worker evaluates the leaf it
-// claimed itself, so network passes of different workers overlap. See
-// parallel.go and DESIGN.md §"Parallel search".
+// Every search runs one worker loop: Config.Workers workers descend one
+// shared tree under per-node mutexes, in-flight paths are discouraged
+// by virtual loss, and each worker evaluates the leaf it claimed
+// itself, so network passes of different workers overlap. Worker 0 runs
+// on the calling goroutine, so a one-worker search spawns nothing and
+// is bit-reproducible for a fixed seed. See parallel.go and DESIGN.md
+// §"Parallel search".
 package mcts
 
 import (
@@ -20,22 +21,20 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"macroplace/internal/agent"
 	"macroplace/internal/grid"
 	"macroplace/internal/rl"
 )
 
-// Evaluator abstracts the pre-trained network the search queries:
-// Forward serves the sequential path, EvaluateBatch the parallel
-// workers' one-state leaf evaluations (which prefer EvaluateBatchInto,
-// agent.Inferencer, when the evaluator has it). *agent.Agent
-// implements both; internal/faults wraps one to inject evaluator
-// failures for the recovery tests.
-type Evaluator interface {
-	Forward(sp, sa []float64, t int) agent.Output
-	EvaluateBatch(in []agent.BatchInput) []agent.Output
-}
+// Evaluator is the pre-trained network the search queries: each worker
+// evaluates the leaf it claimed through EvaluateBatchInto with a
+// one-state batch and its own buffers, so implementations must be safe
+// for concurrent use. *agent.Agent and *agent.CachedEvaluator implement
+// it; internal/faults wraps one to inject evaluator failures for the
+// recovery tests.
+type Evaluator = agent.Inferencer
 
 // EvalMode selects how non-terminal nodes are evaluated.
 type EvalMode int
@@ -62,15 +61,15 @@ type Config struct {
 	Mode EvalMode
 	// Seed drives rollout randomness (Rollout mode only).
 	Seed int64
-	// Workers is the number of concurrent exploration goroutines.
-	// 0 selects runtime.NumCPU(); 1 runs the sequential search, which
-	// is bit-identical to the pre-parallelism implementation for a
-	// fixed seed. Workers>1 is tree-parallel with virtual loss: the
-	// result is a legal allocation of statistically equivalent quality,
-	// but not bit-reproducible across runs (goroutine scheduling
-	// decides which leaves are in flight together). The effective
-	// count is capped at Gamma — more workers than explorations per
-	// commit can never be busy at once.
+	// Workers is the number of exploration workers. 0 selects
+	// runtime.NumCPU(). Worker 0 runs on the calling goroutine, so
+	// Workers=1 spawns no goroutine and is bit-reproducible for a fixed
+	// seed (the goldens in parallel_test.go pin it). Workers>1 is
+	// tree-parallel with virtual loss: the result is a legal allocation
+	// of statistically equivalent quality, but not bit-reproducible
+	// across runs (goroutine scheduling decides which leaves are in
+	// flight together). The effective count is capped at Gamma — more
+	// workers than explorations per commit can never be busy at once.
 	Workers int
 	// FreshRoot discards the inherited subtree after every commit, so
 	// each step's decision is a pure function of the committed prefix
@@ -125,9 +124,9 @@ type Result struct {
 	// Anchors is then the best allocation committable from the
 	// statistics gathered so far — still complete and legal.
 	Interrupted bool
-	// WorkerPanics counts exploration passes the parallel search
-	// abandoned after recovering a worker panic or evaluator fault
-	// (zero in a healthy run).
+	// WorkerPanics counts exploration passes the search abandoned
+	// after recovering a worker panic or evaluator fault (zero in a
+	// healthy run).
 	WorkerPanics int
 	// CacheHits / CacheMisses count the evaluation-cache lookups this
 	// search served from / added to the cache, when the evaluator
@@ -144,10 +143,9 @@ type cacheStatser interface {
 	Stats() (hits, misses uint64)
 }
 
-// Node expansion states. A node is created nodeNew; in the parallel
-// search exactly one worker claims it (nodeExpanding) while its leaf
-// evaluation is in flight, and every node ends nodeExpanded. The
-// sequential search moves nodes directly from nodeNew to nodeExpanded.
+// Node expansion states. A node is created nodeNew; exactly one worker
+// claims it (nodeExpanding) while its leaf evaluation is in flight, and
+// every node ends nodeExpanded.
 const (
 	nodeNew uint8 = iota
 	nodeExpanding
@@ -177,13 +175,12 @@ type node struct {
 	termReward float64
 	termWL     float64
 
-	// Parallel-search state. mu guards every mutable field above
-	// (state, eval, the per-edge statistics, the terminal cache) plus
-	// vloss; the sequential search never locks it. vloss counts
-	// in-flight selections per edge: each adds one pessimistic virtual
-	// visit during selection and is reverted by the backup. cond (lazy,
-	// shares mu) wakes workers that reached a node whose expansion
-	// another worker has claimed.
+	// Worker-loop state. mu guards every mutable field above (state,
+	// eval, the per-edge statistics, the terminal cache) plus vloss
+	// while workers run. vloss counts in-flight selections per edge:
+	// each adds one pessimistic virtual visit during selection and is
+	// reverted by the backup. cond (lazy, shares mu) wakes workers that
+	// reached a node whose expansion another worker has claimed.
 	mu    sync.Mutex
 	cond  *sync.Cond
 	vloss []int
@@ -210,11 +207,16 @@ type Search struct {
 	// degradation notices). Nil discards them.
 	Logf func(format string, args ...any)
 
-	rnd rolloutRNG
-
 	result Result
 
-	// Parallel-search plumbing (nil / unused at Workers=1).
+	// wks are the exploration workers (see parallel.go); worker 0 runs
+	// on the calling goroutine and owns the nodes made while the tree
+	// is quiescent. tickets and okPasses count one step's handed-out
+	// and completed passes, and wg joins the step's spawned workers.
+	wks               []*workerState
+	tickets, okPasses atomic.Int64
+	wg                sync.WaitGroup
+
 	// wlMu serializes WL oracle calls: WirelengthFunc implementations
 	// (core.Placer.EvalAnchors in particular) mutate shared scratch
 	// state and are documented as single-goroutine. resMu guards the
@@ -223,11 +225,6 @@ type Search struct {
 	wlMu     sync.Mutex
 	resMu    sync.Mutex
 	vlossVal float64
-
-	// scratch is the sequential driver's reusable pass memory (the
-	// parallel workers each carry their own in workerState). See
-	// arena.go.
-	scratch passScratch
 
 	// Evaluation-cache counters at run start, for per-run deltas.
 	cacheBaseHits, cacheBaseMisses uint64
@@ -254,7 +251,14 @@ func (r *rolloutRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 // are comparable with RL rewards, as in Fig. 5).
 func New(cfg Config, ev Evaluator, wl rl.WirelengthFunc, scaler rl.Scaler) *Search {
 	cfg = cfg.Normalize()
-	return &Search{Cfg: cfg, Agent: ev, WL: wl, Scaler: scaler, rnd: rolloutRNG{s: uint64(cfg.Seed) + 1}}
+	s := &Search{Cfg: cfg, Agent: ev, WL: wl, Scaler: scaler}
+	s.wks = make([]*workerState, min(cfg.Workers, cfg.Gamma))
+	for i := range s.wks {
+		// Worker 0 draws the rollout stream a one-worker search always
+		// has; the others are offset from it.
+		s.wks[i] = &workerState{rnd: rolloutRNG{s: uint64(cfg.Seed) + 1 + uint64(i)*0x9E3779B97F4A7C15}}
+	}
+	return s
 }
 
 // Run executes Alg. 1 lines 11–15 on a fresh clone of env and returns
@@ -272,24 +276,17 @@ func (s *Search) Run(env *grid.Env) Result {
 func (s *Search) RunContext(ctx context.Context, env *grid.Env) Result {
 	obsSearches.Inc()
 	s.captureCacheBase()
-	if s.Cfg.Workers > 1 {
-		return s.runParallel(ctx, env)
-	}
 	s.result = Result{BestWirelength: math.Inf(1)}
+	s.vlossVal = s.Scaler.VirtualLoss()
 	e := cloneEnv(env)
 	e.Reset()
 	t0, committed := s.applyResume(e)
-	root := s.scratch.arena.newNode(e)
+	root := s.arena().newNode(e)
 	steps := e.NumSteps()
 
 	for t := t0; t < steps; t++ {
-		for i := 0; i < s.Cfg.Gamma; i++ {
-			if ctx.Err() != nil {
-				return s.finishInterrupted(root)
-			}
-			s.explore(root)
-			s.result.Explorations++
-			obsExplorations.Inc()
+		if !s.exploreStep(ctx, root) {
+			return s.finishInterrupted(root)
 		}
 		var act int
 		prev := root
@@ -315,8 +312,12 @@ func (s *Search) maybeFreshRoot(root *node) *node {
 	}
 	e := cloneEnv(root.env)
 	releaseDiscarded(root, nil)
-	return s.scratch.arena.newNode(e)
+	return s.arena().newNode(e)
 }
+
+// arena is worker 0's node arena, which holds the nodes made while the
+// tree is quiescent: roots, forced commits and fallbacks.
+func (s *Search) arena() *nodeArena { return &s.wks[0].sc.arena }
 
 // captureCacheBase records the evaluator's cache counters at run
 // start so Result carries this run's deltas.
@@ -381,7 +382,7 @@ func (s *Search) snapshotNow(committed []int) Snapshot {
 }
 
 // finishRun traces the committed terminal node into the result
-// (shared by the sequential and parallel drivers; single-threaded).
+// (single-threaded: the tree is quiescent).
 func (s *Search) finishRun(root *node) Result {
 	if !root.env.Done() {
 		panic("mcts: committed path did not reach a terminal state")
@@ -416,15 +417,14 @@ func (s *Search) finishRun(root *node) Result {
 // index.
 func (s *Search) commit(n *node) (*node, int) {
 	obsCommits.Inc()
-	if !n.expanded() {
-		// γ = 0, all explorations ended below, or an interrupted search
-		// is completing its committed path: force an expansion. If the
-		// evaluator is faulted out (injected panics, poisoned weights),
-		// fall back to the first legal action — the committed path must
-		// stay complete and legal even with a dead network.
-		if !s.safeExplore(n) {
-			return s.commitFallback(n)
-		}
+	// All explorations ended below n, or an interrupted search is
+	// completing its committed path: force an expansion, one pass on
+	// worker 0. If the evaluator is faulted out (injected panics,
+	// poisoned weights), the pass is abandoned and the commit falls back
+	// to the first legal action — the committed path must stay complete
+	// and legal even with a dead network.
+	if !n.expanded() && !s.explorePass(n, s.wks[0]) {
+		return s.commitFallback(n)
 	}
 	best := -1
 	better := func(k, b int) bool {
@@ -452,29 +452,9 @@ func (s *Search) commit(n *node) (*node, int) {
 				best = k
 			}
 		}
-		s.child(n, best)
+		s.childLocked(n, best, s.arena())
 	}
 	return n.children[best], n.actions[best]
-}
-
-// safeExplore runs one sequential exploration pass, converting a
-// panic (an evaluator fault) into a counted failure. Only the commit
-// path uses it: the regular exploration loops let genuine bugs
-// surface in sequential mode and use explorePass's recovery in
-// parallel mode.
-func (s *Search) safeExplore(n *node) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.result.WorkerPanics++
-			obsWorkerPanics.Inc()
-			if s.Logf != nil {
-				s.Logf("mcts: recovered panic during forced expansion: %v", r)
-			}
-			ok = false
-		}
-	}()
-	s.explore(n)
-	return true
 }
 
 // commitFallback commits the first legal action of n without any
@@ -493,7 +473,7 @@ func (s *Search) commitFallback(n *node) (*node, int) {
 			recycleEnv(e)
 			continue
 		}
-		return s.scratch.arena.newNode(e), a
+		return s.arena().newNode(e), a
 	}
 	panic("mcts: non-terminal node with no legal action to commit")
 }
@@ -505,103 +485,51 @@ func q(n *node, k int) float64 {
 	return n.value[k] / float64(n.visits[k])
 }
 
-// explore performs one selection→expansion→evaluation→backpropagation
-// pass from n (Fig. 3). Sequential only.
-func (s *Search) explore(n *node) {
-	path := s.scratch.path[:0]
-	defer func() { s.scratch.path = path[:0] }()
-	cur := n
-	for cur.expanded() && !cur.env.Done() {
-		k := s.selectEdge(cur)
-		s.child(cur, k)
-		path = append(path, edgeRef{cur, k})
-		cur = cur.children[k]
-	}
-
-	var v float64
-	if cur.env.Done() {
-		// Terminal: real placement evaluation (cached per node).
-		if !cur.termEvaled {
-			wl := s.WL(cur.env.Anchors())
-			cur.termWL = wl
-			cur.termReward = s.Scaler.Reward(wl)
-			cur.termEvaled = true
-			s.result.TerminalEvals++
-			obsTerminalEvals.Inc()
-			if wl < s.result.BestWirelength {
-				s.result.BestWirelength = wl
-				s.result.BestAnchors = cur.env.Anchors()
-			}
-		}
-		v = cur.termReward
-	} else {
-		v = s.expand(cur)
-		cur.eval = v
-	}
-
-	for _, e := range path {
-		e.n.visits[e.k]++
-		e.n.value[e.k] += v
-	}
-}
-
-// selectEdge applies Eq. (10): argmax over children of Q + U with the
-// PUCT bonus of Eq. (11). At a freshly expanded node every N is zero
-// and Eq. (11) evaluates to 0 for all children, leaving the argmax
-// undefined; ties therefore break toward the higher policy prior,
-// which is the selection AlphaZero-style implementations converge to.
-func (s *Search) selectEdge(n *node) int {
-	best := SelectPUCT(s.Cfg.C, n.eval, n.prior, n.visits, n.value)
-	if best < 0 {
-		panic("mcts: node has no actions")
-	}
-	return best
-}
-
-// SelectPUCT is the PUCT edge selection rule of Eqs. (10)–(11) as a
-// standalone function: argmax_k Q(k) + c·P(k)·√ΣN/(1+N(k)), where
-// Q(k) = value[k]/visits[k] for visited edges and eval (the node's own
-// network value, the first-play-urgency choice the search uses) for
-// unvisited ones. Ties break toward the higher prior. Returns -1 when
-// prior is empty.
+// SelectPUCT is the PUCT edge selection rule of Eqs. (10)–(11):
+// argmax_k Q(k) + c·P(k)·√ΣN/(1+N(k)), where Q(k) = value[k]/visits[k]
+// for visited edges and eval (the node's own network value, the
+// first-play-urgency choice the search uses) for unvisited ones. At a
+// freshly expanded node every N is zero and the bonus is 0 for all
+// edges, so ties break toward the higher prior, the selection
+// AlphaZero-style implementations converge to. Returns -1 when prior is
+// empty.
 //
-// The floating-point operation order is pinned: selectEdge delegates
-// here, and the ECO local-move search (internal/eco) uses the same
-// function, so both searches reproduce identical selection sequences
-// for identical statistics — a prerequisite for the bit-identity
-// goldens both pin.
-func SelectPUCT(c, eval float64, prior []float64, visits []int, value []float64) int {
+// vloss (nil for none) counts the in-flight passes of each edge: each
+// is scored as one more visit that returned vlossVal, the calibrated
+// worst-case reward. Only edges with vloss > 0 take that term, so with
+// no passes in flight the floating-point operations are exactly those
+// of the plain rule; the ECO local-move search (internal/eco) calls it
+// with nil, and a one-worker search never has a pass in flight where it
+// selects. Both therefore reproduce identical selection sequences for
+// identical statistics — a prerequisite for the bit-identity goldens
+// both pin.
+func SelectPUCT(c, eval float64, prior []float64, visits []int, value []float64, vloss []int, vlossVal float64) int {
 	total := 0
-	for _, cnt := range visits {
+	for k, cnt := range visits {
 		total += cnt
+		if vloss != nil {
+			total += vloss[k]
+		}
 	}
 	sqrtTotal := math.Sqrt(float64(total))
 	best, bestScore := -1, math.Inf(-1)
 	for k := range prior {
-		q := eval
-		if visits[k] > 0 {
-			q = value[k] / float64(visits[k])
+		nk, w := visits[k], value[k]
+		if vloss != nil && vloss[k] > 0 {
+			nk += vloss[k]
+			w += float64(vloss[k]) * vlossVal
 		}
-		u := c * prior[k] * sqrtTotal / float64(1+visits[k])
+		q := eval
+		if nk > 0 {
+			q = w / float64(nk)
+		}
+		u := c * prior[k] * sqrtTotal / float64(1+nk)
 		score := q + u
 		if score > bestScore || (score == bestScore && best >= 0 && prior[k] > prior[best]) {
 			best, bestScore = k, score
 		}
 	}
 	return best
-}
-
-// child lazily materialises child k of n.
-func (s *Search) child(n *node, k int) {
-	if n.children[k] != nil {
-		return
-	}
-	e := cloneEnv(n.env)
-	if err := e.Step(n.actions[k]); err != nil {
-		recycleEnv(e)
-		panic(fmt.Sprintf("mcts: illegal expansion action: %v", err))
-	}
-	n.children[k] = s.scratch.arena.newNode(e)
 }
 
 // edgesOf enumerates the in-bounds actions of env and their
@@ -668,59 +596,4 @@ func (s *Search) clampValue(v float64) float64 {
 		v = hi
 	}
 	return v
-}
-
-// expand marks n explored, enumerates its legal actions, initialises
-// edge priors from π_θ, and returns the evaluation of n (v_θ in
-// ValueNet mode, a random-rollout reward in Rollout mode). Sequential
-// only — the parallel search expands in exploreParallel.
-func (s *Search) expand(n *node) float64 {
-	env := n.env
-	sc := &s.scratch
-	sc.sa = env.AvailInto(sc.sa)
-	sc.sp = env.SPInto(sc.sp)
-	out := s.Agent.Forward(sc.sp, sc.sa, env.T())
-
-	n.actions, n.prior = s.edgesOf(env, out.Probs, &sc.arena)
-	m := len(n.actions)
-	n.visits = sc.arena.intSlice(m)
-	n.value = sc.arena.floatSlice(m)
-	n.vloss = sc.arena.intSlice(m)
-	n.children = sc.arena.kidSlice(m)
-	n.state = nodeExpanded
-
-	if s.Cfg.Mode == Rollout {
-		return s.rollout(env)
-	}
-	return s.clampValue(float64(out.Value))
-}
-
-// rollout plays uniform-random in-bounds actions to a terminal state
-// and returns its scaled reward (traditional MCTS evaluation).
-// Sequential only: it draws from the search-wide RNG and updates the
-// result without locks.
-func (s *Search) rollout(env *grid.Env) float64 {
-	e := cloneEnv(env)
-	defer recycleEnv(e)
-	ncells := e.G.NumCells()
-	for !e.Done() {
-		legal := s.scratch.legal[:0]
-		for a := 0; a < ncells; a++ {
-			if e.InBounds(a) {
-				legal = append(legal, a)
-			}
-		}
-		s.scratch.legal = legal
-		if err := e.Step(legal[s.rnd.intn(len(legal))]); err != nil {
-			panic(fmt.Sprintf("mcts: illegal rollout action: %v", err))
-		}
-	}
-	wl := s.WL(e.Anchors())
-	s.result.TerminalEvals++
-	obsTerminalEvals.Inc()
-	if wl < s.result.BestWirelength {
-		s.result.BestWirelength = wl
-		s.result.BestAnchors = e.Anchors()
-	}
-	return s.Scaler.Reward(wl)
 }

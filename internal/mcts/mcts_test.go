@@ -192,7 +192,7 @@ func TestTreeReuseAcrossCommits(t *testing.T) {
 	e.Reset()
 	root := &node{env: e}
 	for i := 0; i < s.Cfg.Gamma; i++ {
-		s.explore(root)
+		s.explorePass(root, s.wks[0])
 	}
 	next, _ := s.commit(root)
 	if next == nil {
@@ -226,7 +226,7 @@ func TestBackpropUpdatesWholePath(t *testing.T) {
 	root := &node{env: e}
 	// Drive enough explorations to surely reach a terminal.
 	for i := 0; i < 60; i++ {
-		s.explore(root)
+		s.explorePass(root, s.wks[0])
 	}
 	if s.result.TerminalEvals == 0 {
 		t.Fatal("no terminal reached in 60 explorations of a depth-3 tree")

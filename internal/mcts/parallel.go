@@ -3,17 +3,19 @@ package mcts
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"macroplace/internal/agent"
 	"macroplace/internal/grid"
 )
 
-// Tree-parallel search (Workers > 1).
+// The worker loop: every search, whatever its worker count.
 //
-// All workers of one commit step descend the same tree concurrently:
+// All workers of one commit step descend the same tree concurrently.
+// Worker 0 runs on the calling goroutine and only workers 1..n−1 are
+// spawned, so a one-worker search runs on one goroutine, locks only
+// uncontended mutexes and never selects at a node with a pass in
+// flight, which keeps it bit-reproducible for a fixed seed.
 //
 //   - Per-node statistics are guarded by node.mu; a path is locked one
 //     node at a time (selection and backup), never two nodes at once,
@@ -33,8 +35,7 @@ import (
 //   - Each worker evaluates the leaf it claimed itself, through the
 //     evaluator's pure batched entry point with a one-state batch, so
 //     two workers run two network passes on two cores at once.
-//     Agent.Forward itself is stateful and is never called while
-//     workers run.
+//     Agent.Forward, the stateful training path, is never called.
 //   - The wirelength oracle is serialized behind wlMu
 //     (WirelengthFunc is documented single-goroutine), and the shared
 //     Result fields behind resMu. Lock order: node.mu → wlMu → resMu.
@@ -47,20 +48,21 @@ import (
 // statistic is touched. Every lock a pass holds across fallible code
 // is released by defer, so a panicking pass can never strand a mutex.
 // A worker that fails workerMaxFails consecutive passes retires; if
-// every worker retires, the driver tops the step up on the calling
-// goroutine so the search degrades to sequential instead of dying.
-// Each leaf is evaluated by exactly one evaluator call, so every
-// evaluator fault is exactly one abandoned pass.
+// every worker retires, exploreStep tops the step up on worker 0 so
+// the search degrades to one worker instead of dying. Each leaf is
+// evaluated by exactly one evaluator call, so every evaluator fault is
+// exactly one abandoned pass.
 //
 // Between commit steps the tree is quiescent (WaitGroup barrier), so
-// commit and finishRun reuse the sequential code unchanged.
+// commit and finishRun need no locks; a commit's forced expansion is
+// one more pass on worker 0.
 
 // workerMaxFails is the number of consecutive recovered panics after
 // which a worker retires (a systematically failing worker would
 // otherwise spin on the ticket counter, starving useful passes).
 const workerMaxFails = 8
 
-// seqTopUpFactor caps the driver's sequential top-up at
+// seqTopUpFactor caps exploreStep's top-up on worker 0 at
 // seqTopUpFactor×γ attempts per commit step, bounding the time spent
 // against an evaluator that fails on every call.
 const seqTopUpFactor = 2
@@ -71,12 +73,11 @@ type edgeRef struct {
 	k int
 }
 
-// workerState is the per-goroutine state of one search worker. Each
-// worker owns a rollout RNG seeded from Cfg.Seed and its worker index,
-// so Rollout mode needs no RNG lock (sequences differ from the
-// sequential search's, which is inherent to parallel rollouts).
-// fails counts consecutive recovered panics; at workerMaxFails the
-// worker retires for the rest of the search.
+// workerState is the state of one search worker. Each worker owns a
+// rollout RNG seeded from Cfg.Seed and its worker index, so Rollout
+// mode needs no RNG lock; worker 0's stream is the one a one-worker
+// search has always drawn. fails counts consecutive recovered panics;
+// at workerMaxFails the worker retires for the rest of the search.
 type workerState struct {
 	rnd     rolloutRNG
 	fails   int
@@ -86,107 +87,72 @@ type workerState struct {
 	sc passScratch
 }
 
-// runParallel is the Workers>1 counterpart of Run: the same
-// steps × (γ explorations, commit) schedule, with each step's γ
-// explorations distributed over the workers by an atomic ticket
-// counter. In a healthy run exactly γ passes complete per step;
-// passes abandoned by recovered panics are re-attempted (by the
-// workers while tickets remain, then sequentially by the driver), so
-// the exploration budget degrades only when the evaluator is
-// persistently broken.
-func (s *Search) runParallel(ctx context.Context, env *grid.Env) Result {
-	s.result = Result{BestWirelength: math.Inf(1)}
-	s.vlossVal = s.Scaler.VirtualLoss()
-	workers := s.Cfg.Workers
-	if workers > s.Cfg.Gamma {
-		workers = s.Cfg.Gamma
+// exploreStep spends one commit step's γ explorations from root,
+// handed out to the workers by an atomic ticket counter. In a healthy
+// step exactly γ passes complete; passes abandoned by recovered panics
+// are re-attempted, by the workers while tickets remain and then on
+// worker 0 alone, so the budget degrades only when the evaluator is
+// persistently broken. The tree is quiescent on return. It reports
+// false when the context cut the step short of its budget.
+func (s *Search) exploreStep(ctx context.Context, root *node) bool {
+	s.tickets.Store(0)
+	s.okPasses.Store(0)
+	for _, wk := range s.wks[1:] {
+		if !wk.retired {
+			s.wg.Add(1)
+			go s.work(ctx, root, wk)
+		}
 	}
-
-	e := cloneEnv(env)
-	e.Reset()
-	t0, committed := s.applyResume(e)
-	root := s.scratch.arena.newNode(e)
-	steps := e.NumSteps()
-
-	wks := make([]*workerState, workers)
-	for i := range wks {
-		wks[i] = &workerState{rnd: rolloutRNG{s: uint64(s.Cfg.Seed) + 1 + uint64(i+1)*0x9E3779B97F4A7C15}}
+	if !s.wks[0].retired {
+		s.wg.Add(1)
+		s.work(ctx, root, s.wks[0])
 	}
+	s.wg.Wait()
 
-	for t := t0; t < steps; t++ {
-		if ctx.Err() != nil {
-			return s.finishInterrupted(root)
+	// Top-up: recovered panics (or a fully retired worker pool) left
+	// the step short of its γ budget; re-attempt on worker 0, bounded
+	// so a dead evaluator cannot hang the search.
+	ok := int(s.okPasses.Load())
+	for n := 0; ok < s.Cfg.Gamma && n < seqTopUpFactor*s.Cfg.Gamma && ctx.Err() == nil; n++ {
+		if s.explorePass(root, s.wks[0]) {
+			ok++
 		}
-		var tickets, okPasses int64
-		var wg sync.WaitGroup
-		for _, wk := range wks {
-			if wk.retired {
-				continue
-			}
-			wg.Add(1)
-			go func(wk *workerState) {
-				defer wg.Done()
-				for atomic.AddInt64(&tickets, 1) <= int64(s.Cfg.Gamma) {
-					if ctx.Err() != nil {
-						return
-					}
-					if s.explorePass(root, wk) {
-						atomic.AddInt64(&okPasses, 1)
-						wk.fails = 0
-					} else if wk.fails++; wk.fails >= workerMaxFails {
-						wk.retired = true
-						obsWorkerRetires.Inc()
-						if s.Logf != nil {
-							s.Logf("mcts: worker retired after %d consecutive recovered panics", wk.fails)
-						}
-						return
-					}
-				}
-			}(wk)
-		}
-		wg.Wait()
-
-		// Tree is quiescent from here to the end of the loop body.
-		if ctx.Err() != nil {
-			s.result.Explorations += int(okPasses)
-			obsExplorations.Add(uint64(okPasses))
-			return s.finishInterrupted(root)
-		}
-		// Sequential top-up: recovered panics (or a fully retired
-		// worker pool) left the step short of its γ budget; re-attempt
-		// on this goroutine, bounded so a dead evaluator cannot hang
-		// the search.
-		for n := 0; okPasses < int64(s.Cfg.Gamma) && n < seqTopUpFactor*s.Cfg.Gamma; n++ {
-			if ctx.Err() != nil {
-				break
-			}
-			if s.explorePass(root, wks[0]) {
-				okPasses++
-			}
-		}
-		s.result.Explorations += int(okPasses)
-		obsExplorations.Add(uint64(okPasses))
-
-		var act int
-		prev := root
-		root, act = s.commit(prev)
-		releaseDiscarded(prev, root)
-		committed = append(committed, act)
-		if s.OnSnapshot != nil {
-			s.OnSnapshot(s.snapshotNow(committed))
-		}
-		root = s.maybeFreshRoot(root)
 	}
-	return s.finishRun(root)
+	s.result.Explorations += ok
+	obsExplorations.Add(uint64(ok))
+	return ok == s.Cfg.Gamma || ctx.Err() == nil
 }
 
-// explorePass is one selection→expansion→evaluation→backup pass under
-// the tree-parallel protocol. It reports whether the pass completed;
-// a panic anywhere in the pass (worker bug or injected evaluator
-// fault) is recovered here: the path's virtual losses are reverted,
-// an unpublished expansion claim is released, the panic is counted,
-// and false is returned. No lock is held across fallible code without
-// a defer, so the recovery never runs against a stranded mutex.
+// work is one worker's share of a step: it draws tickets until γ have
+// been handed out, running one exploration pass per ticket, and retires
+// after workerMaxFails failed passes in a row.
+func (s *Search) work(ctx context.Context, root *node, wk *workerState) {
+	defer s.wg.Done()
+	for s.tickets.Add(1) <= int64(s.Cfg.Gamma) {
+		if ctx.Err() != nil {
+			return
+		}
+		if s.explorePass(root, wk) {
+			s.okPasses.Add(1)
+			wk.fails = 0
+		} else if wk.fails++; wk.fails >= workerMaxFails {
+			wk.retired = true
+			obsWorkerRetires.Inc()
+			if s.Logf != nil {
+				s.Logf("mcts: worker retired after %d consecutive recovered panics", wk.fails)
+			}
+			return
+		}
+	}
+}
+
+// explorePass is one selection→expansion→evaluation→backup pass
+// (Fig. 3) under the worker protocol. It reports whether the pass
+// completed; a panic anywhere in the pass (worker bug or injected
+// evaluator fault) is recovered here: the path's virtual losses are
+// reverted, an unpublished expansion claim is released, the panic is
+// counted, and false is returned. No lock is held across fallible code
+// without a defer, so the recovery never runs against a stranded mutex.
 func (s *Search) explorePass(root *node, wk *workerState) (ok bool) {
 	path := wk.sc.path[:0]
 	var claimed *node
@@ -225,7 +191,10 @@ func (s *Search) explorePass(root *node, wk *workerState) (ok bool) {
 				cur.state = nodeExpanding
 				return nil
 			}
-			k := s.selectEdgeVL(cur)
+			k := SelectPUCT(s.Cfg.C, cur.eval, cur.prior, cur.visits, cur.value, cur.vloss, s.vlossVal)
+			if k < 0 {
+				panic("mcts: node has no actions")
+			}
 			s.childLocked(cur, k, &wk.sc.arena)
 			cur.vloss[k]++
 			path = append(path, edgeRef{cur, k})
@@ -233,7 +202,7 @@ func (s *Search) explorePass(root *node, wk *workerState) (ok bool) {
 		}()
 		if next == nil {
 			claimed = cur
-			v := s.expandParallel(cur, wk)
+			v := s.expandLeaf(cur, wk)
 			claimed = nil
 			s.backup(path, v)
 			return true
@@ -279,40 +248,9 @@ func (s *Search) notePanic(r any) {
 	}
 }
 
-// selectEdgeVL is selectEdge with virtual loss folded into both Q and
-// the visit counts of Eq. (10)/(11): an edge with vloss in-flight
-// passes is scored as if those passes had already returned the
-// calibrated worst-case reward. Caller holds n.mu.
-func (s *Search) selectEdgeVL(n *node) int {
-	total := 0
-	for k := range n.visits {
-		total += n.visits[k] + n.vloss[k]
-	}
-	sqrtTotal := math.Sqrt(float64(total))
-	best, bestScore := -1, math.Inf(-1)
-	for k := range n.actions {
-		nk := n.visits[k] + n.vloss[k]
-		var qv float64
-		if nk == 0 {
-			qv = n.eval
-		} else {
-			qv = (n.value[k] + float64(n.vloss[k])*s.vlossVal) / float64(nk)
-		}
-		u := s.Cfg.C * n.prior[k] * sqrtTotal / float64(1+nk)
-		score := qv + u
-		if score > bestScore || (score == bestScore && best >= 0 && n.prior[k] > n.prior[best]) {
-			best, bestScore = k, score
-		}
-	}
-	if best < 0 {
-		panic("mcts: node has no actions")
-	}
-	return best
-}
-
-// childLocked materialises child k of n out of the calling worker's
-// arena. Caller holds n.mu, which makes the lazy creation race-free;
-// the clone/step work on the new child's private env.
+// childLocked materialises child k of n out of arena ar. Caller holds
+// n.mu or the tree is quiescent, which makes the lazy creation
+// race-free; the clone/step work on the new child's private env.
 func (s *Search) childLocked(n *node, k int, ar *nodeArena) {
 	if n.children[k] != nil {
 		return
@@ -333,7 +271,7 @@ func (s *Search) terminalValue(n *node) float64 {
 	defer n.mu.Unlock()
 	if !n.termEvaled {
 		anchors := n.env.Anchors()
-		wl := s.oracleParallel(anchors)
+		wl := s.oracle(anchors)
 		n.termWL = wl
 		n.termReward = s.Scaler.Reward(wl)
 		n.termEvaled = true
@@ -342,8 +280,8 @@ func (s *Search) terminalValue(n *node) float64 {
 	return n.termReward
 }
 
-// oracleParallel serializes one wirelength evaluation behind wlMu.
-func (s *Search) oracleParallel(anchors []int) float64 {
+// oracle serializes one wirelength evaluation behind wlMu.
+func (s *Search) oracle(anchors []int) float64 {
 	s.wlMu.Lock()
 	defer s.wlMu.Unlock()
 	return s.WL(anchors)
@@ -361,13 +299,15 @@ func (s *Search) recordTerminal(wl float64, anchors []int) {
 	}
 }
 
-// expandParallel evaluates and publishes a claimed leaf. The agent
-// evaluation (and in Rollout mode the random playout) runs with no
+// expandLeaf evaluates and publishes a claimed leaf: it enumerates the
+// legal actions, initialises edge priors from π_θ, and returns the
+// leaf's value (v_θ in ValueNet mode, a random-playout reward in
+// Rollout mode). The agent evaluation (and the playout) runs with no
 // node lock held; the expansion is then published under n.mu and any
 // workers parked on the claim are woken. An evaluator fault surfaces
 // as a panic and unwinds to explorePass's recover, which releases the
 // claim.
-func (s *Search) expandParallel(n *node, wk *workerState) float64 {
+func (s *Search) expandLeaf(n *node, wk *workerState) float64 {
 	env := n.env
 	wk.sc.sp = env.SPInto(wk.sc.sp)
 	wk.sc.sa = env.AvailInto(wk.sc.sa)
@@ -381,7 +321,7 @@ func (s *Search) expandParallel(n *node, wk *workerState) float64 {
 
 	var v float64
 	if s.Cfg.Mode == Rollout {
-		v = s.rolloutParallel(env, wk)
+		v = s.playout(env, wk)
 	} else {
 		v = s.clampValue(float64(out.Value))
 	}
@@ -401,29 +341,22 @@ func (s *Search) expandParallel(n *node, wk *workerState) float64 {
 	return v
 }
 
-// evalLeaf evaluates the state in sc.sp/sc.sa on the calling worker:
-// through EvaluateBatchInto with the worker's one-state buffers when
-// the evaluator has it (*agent.Agent, *agent.CachedEvaluator), through
-// EvaluateBatch otherwise (fault-injection wrappers). Nothing here
-// serializes workers — CachedEvaluator runs the network outside its
-// shard locks. An evaluator fault surfaces as a panic, unwinding to
-// explorePass's recover.
+// evalLeaf evaluates the state in sc.sp/sc.sa on the calling worker,
+// through EvaluateBatchInto with the worker's one-state buffers.
+// Nothing here serializes workers — CachedEvaluator runs the network
+// outside its shard locks. An evaluator fault surfaces as a panic,
+// unwinding to explorePass's recover.
 func (s *Search) evalLeaf(sc *passScratch, t int) agent.Output {
 	sc.in[0] = agent.BatchInput{SP: sc.sp, SA: sc.sa, T: t}
-	if inf, ok := s.Agent.(agent.Inferencer); ok {
-		inf.EvaluateBatchInto(sc.in[:], sc.out[:])
-		return sc.out[0]
-	}
-	outs := s.Agent.EvaluateBatch(sc.in[:])
-	if len(outs) != 1 {
-		panic(fmt.Sprintf("mcts: EvaluateBatch returned %d outputs for 1 input", len(outs)))
-	}
-	return outs[0]
+	s.Agent.EvaluateBatchInto(sc.in[:], sc.out[:])
+	return sc.out[0]
 }
 
-// rolloutParallel is rollout with the worker's private RNG and the
-// shared oracle/result taken under their locks.
-func (s *Search) rolloutParallel(env *grid.Env, wk *workerState) float64 {
+// playout plays uniform-random in-bounds actions from env to a
+// terminal state with the worker's private RNG and returns its scaled
+// reward (traditional MCTS evaluation); the shared oracle and result
+// are taken under their locks.
+func (s *Search) playout(env *grid.Env, wk *workerState) float64 {
 	e := cloneEnv(env)
 	defer recycleEnv(e)
 	ncells := e.G.NumCells()
@@ -440,7 +373,7 @@ func (s *Search) rolloutParallel(env *grid.Env, wk *workerState) float64 {
 		}
 	}
 	anchors := e.Anchors()
-	wl := s.oracleParallel(anchors)
+	wl := s.oracle(anchors)
 	s.recordTerminal(wl, anchors)
 	return s.Scaler.Reward(wl)
 }

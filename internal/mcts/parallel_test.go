@@ -262,12 +262,11 @@ func TestParallelVirtualLossReverted(t *testing.T) {
 	}
 }
 
-// overlapEvaluator records the peak number of EvaluateBatch calls in
+// overlapEvaluator records the peak number of evaluator calls in
 // flight at once. Each call waits up to hold for a concurrent one to
 // arrive, so two workers that evaluate independently meet even on a
 // loaded host, while a search that funnels every evaluation through one
-// goroutine only pays the wait. It deliberately lacks
-// EvaluateBatchInto, so the search calls EvaluateBatch.
+// goroutine only pays the wait.
 type overlapEvaluator struct {
 	ag   *agent.Agent
 	hold time.Duration
@@ -277,11 +276,7 @@ type overlapEvaluator struct {
 	inFlight, peak int
 }
 
-func (e *overlapEvaluator) Forward(sp, sa []float64, t int) agent.Output {
-	return e.ag.Forward(sp, sa, t)
-}
-
-func (e *overlapEvaluator) EvaluateBatch(in []agent.BatchInput) []agent.Output {
+func (e *overlapEvaluator) EvaluateBatchInto(in []agent.BatchInput, out []agent.Output) {
 	e.mu.Lock()
 	e.inFlight++
 	if e.inFlight > e.peak {
@@ -300,7 +295,7 @@ func (e *overlapEvaluator) EvaluateBatch(in []agent.BatchInput) []agent.Output {
 	case <-e.met:
 	case <-time.After(e.hold):
 	}
-	return e.ag.EvaluateBatch(in)
+	e.ag.EvaluateBatchInto(in, out)
 }
 
 // TestParallelLeafEvaluationsOverlap: with two workers, two leaf

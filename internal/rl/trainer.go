@@ -197,13 +197,6 @@ func (tr *Trainer) Calibrate() []float64 {
 	return wls
 }
 
-// Evaluator is the inference surface greedy playout needs: both
-// *agent.Agent and *agent.CachedEvaluator implement it, so callers can
-// route the episode through a shared evaluation cache.
-type Evaluator interface {
-	Forward(sp, sa []float64, t int) agent.Output
-}
-
 // PlayGreedy runs one episode with argmax actions (no exploration) and
 // returns the anchors and wirelength — the "RL result" curve of
 // Fig. 5.
@@ -211,18 +204,23 @@ func PlayGreedy(ag *agent.Agent, env *grid.Env, wl WirelengthFunc) ([]int, float
 	return PlayGreedyEval(ag, env, wl)
 }
 
-// PlayGreedyEval is PlayGreedy over any Evaluator. State buffers are
-// reused across steps (the evaluator must not retain them — Forward's
-// contract).
-func PlayGreedyEval(ev Evaluator, env *grid.Env, wl WirelengthFunc) ([]int, float64) {
+// PlayGreedyEval is PlayGreedy over any agent.Inferencer — the agent
+// itself or a shared evaluation cache over it — queried one state at a
+// time through the pure inference path, so the episode leaves the
+// agent's training state untouched. State buffers are reused across
+// steps (the evaluator must not retain them).
+func PlayGreedyEval(ev agent.Inferencer, env *grid.Env, wl WirelengthFunc) ([]int, float64) {
 	env.Reset()
 	var spBuf, saBuf []float64
+	var in [1]agent.BatchInput
+	var out [1]agent.Output
 	for !env.Done() {
 		saBuf = env.AvailInto(saBuf)
 		spBuf = env.SPInto(spBuf)
-		out := ev.Forward(spBuf, saBuf, env.T())
+		in[0] = agent.BatchInput{SP: spBuf, SA: saBuf, T: env.T()}
+		ev.EvaluateBatchInto(in[:], out[:])
 		best, bestP := -1, float32(-1)
-		for a, p := range out.Probs {
+		for a, p := range out[0].Probs {
 			if p > bestP && env.InBounds(a) {
 				best, bestP = a, p
 			}

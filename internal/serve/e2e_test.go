@@ -83,7 +83,7 @@ func TestDaemonE2E(t *testing.T) {
 			// A dead evaluator: the first forward pass panics. runJob
 			// must contain it and fail only this job.
 			inj := &faults.Injector{PanicEvery: 1}
-			inj.Evaluator(nil).Forward(nil, nil, 0)
+			inj.Evaluator(nil).EvaluateBatchInto(nil, nil)
 			return nil, nil
 		case seedCancel:
 			// Hold until the client DELETE cancels the job context.

@@ -27,9 +27,9 @@ import (
 // LEF/DEF pair inline) plus the core/MCTS options. It is the one job
 // model: daemon clients submit it as JSON and cmd/mctsplace fills it
 // from its flags, and both run it through RunDesign. Zero fields
-// select the defaults normalize documents; Workers defaults to 1
-// (sequential and deterministic), so a shared daemon never lets one
-// job grab the machine by default.
+// select the defaults normalize documents; Workers defaults to 1 (one
+// search worker, deterministic), so a shared daemon never lets one job
+// grab the machine by default.
 type Spec struct {
 	// Bench names a synthetic benchmark (ibm01..ibm18, cir1..cir6).
 	// Mutually exclusive with Bookshelf.

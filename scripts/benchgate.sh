@@ -7,7 +7,11 @@
 #    the Workers=1 and Workers=8 rows of BenchmarkMCTSWorkers (the
 #    benchmark warms the env pool, node arenas, inference scratch, and
 #    evaluation cache before the timer, so the measured figure is
-#    steady state), BenchmarkServeThroughput, BenchmarkPortfolioRace,
+#    steady state), the workers=1 row of BenchmarkMCTSColdWorkers (a
+#    search on a fresh evaluation cache: every new leaf is one network
+#    pass through the worker's reusable one-state buffers, so a
+#    per-evaluation allocation shows here and not in the warm rows),
+#    BenchmarkServeThroughput, BenchmarkPortfolioRace,
 #    BenchmarkFleetThroughput (the coordinator's per-job control-plane
 #    cost over stub runners), BenchmarkECOJob (one warm incremental
 #    re-placement job), and BenchmarkLEFDEFPlace (the LEF/DEF parse →
@@ -15,7 +19,7 @@
 #    BenchmarkTrainUpdate (one RL update over a recorded batch on one
 #    and on two replay workers), and fails if allocs/op regresses above
 #    a tolerance band around the committed
-#    BENCH_pr3/6/7/8/9/10/14/15.json baselines.
+#    BENCH_pr3/6/7/8/9/10/14/15/17.json baselines.
 #
 #    The root-package rows run three times and the lowest allocs/op of
 #    the three is compared. At Workers>1 scheduling decides which leaves
@@ -31,10 +35,11 @@
 #    files from before that field default to 1). A row with no
 #    same-GOMAXPROCS baseline is skipped with a named message rather
 #    than silently compared against a differently-scheduled figure.
-#    BENCH_pr8.json records the MCTS rows at GOMAXPROCS=1 and 4 and
-#    BENCH_pr14.json every gated row at 2, so single-core, 2-CPU and
-#    4-vCPU hosts all stay gated; a run that compares no row at all
-#    fails rather than reporting OK.
+#    BENCH_pr8.json records the warm MCTS rows at GOMAXPROCS=1 and 4,
+#    BENCH_pr14.json the rest at 2 and BENCH_pr17.json the cold
+#    workers=1 row at 2, so single-core, 2-CPU and 4-vCPU hosts all
+#    stay gated (the cold row only at 2); a run that compares no row
+#    at all fails rather than reporting OK.
 #
 #    Ceiling per benchmark = baseline allocs/op × (1 + TOLERANCE_PCT/100)
 #    + SLACK_ALLOCS. The slack term absorbs run-to-run scheduling noise
@@ -77,8 +82,9 @@ cd "$(dirname "$0")/.."
 # gate runs -benchtime=1x where the first iteration carries one-time
 # setup allocations. Its row still prints for the record. Later files
 # override earlier ones on duplicate (name, gomaxprocs) keys, so
-# BENCH_pr8.json supersedes BENCH_pr3.json for the MCTS rows.
-BASELINE_FILES="BENCH_pr3.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json BENCH_pr14.json BENCH_pr15.json"
+# BENCH_pr8.json supersedes BENCH_pr3.json for the MCTS rows and
+# BENCH_pr17.json supersedes BENCH_pr14.json for the cold rows.
+BASELINE_FILES="BENCH_pr3.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json BENCH_pr14.json BENCH_pr15.json BENCH_pr17.json"
 TOLERANCE_PCT=50
 SLACK_ALLOCS=64
 TRAIN_SPEEDUP=1.3
@@ -87,7 +93,7 @@ KERNEL_SPEEDUP=1.5
 # every baseline row it matches must show up in the run below, so the
 # expected row set comes from the BENCH files rather than a count kept
 # here.
-GATED='^Benchmark(MCTSWorkers/workers=(1|8)|ServeThroughput|PortfolioRace|FleetThroughput|ECOJob|LEFDEFPlace|TrainUpdate/procs=(1|2))$'
+GATED='^Benchmark(MCTSWorkers/workers=(1|8)|MCTSColdWorkers/workers=1|ServeThroughput|PortfolioRace|FleetThroughput|ECOJob|LEFDEFPlace|TrainUpdate/procs=(1|2))$'
 
 for f in $BASELINE_FILES; do
     if [ ! -f "$f" ]; then
