@@ -12,17 +12,16 @@
 //   - MaskPlace — a per-macro placer driven by the wiremask
 //     incremental-HPWL estimate (Table III's MaskPlace row).
 //
-// Every baseline ends with the same finishing pass — macro overlap
-// removal and a full-netlist analytical cell placement — so Table
-// comparisons measure the macro-placement policy, not the finishing
-// machinery. The real tools are unavailable (GPU binaries, proprietary
-// code); DESIGN.md records how each substitute preserves the trait the
-// paper contrasts against.
+// Every baseline ends with the same finishing pass — the legalization
+// tail the paper's flow ends in (legalize.Separate) and a full-netlist
+// analytical cell placement — so Table comparisons measure the
+// macro-placement policy, not the finishing machinery. The real tools
+// are unavailable (GPU binaries, proprietary code); DESIGN.md records
+// how each substitute preserves the trait the paper contrasts against.
 package baseline
 
 import (
 	"context"
-	"math"
 	"sort"
 
 	"macroplace/internal/geom"
@@ -37,99 +36,22 @@ type Result struct {
 	HPWL float64
 	// MacroOverlap is the residual macro-macro overlap area.
 	MacroOverlap float64
-	// Converged reports whether the finishing shove eliminated every
-	// movable-macro overlap within its iteration budget. When false the
-	// placement still honors region bounds but MacroOverlap carries
-	// residual overlap the shove could not resolve — callers (and the
-	// portfolio conformance suite) must not treat the result as legal
-	// without checking this.
+	// Converged reports whether the placement is legal
+	// (legalize.Clean): movable-macro overlap within
+	// legalize.ConvergenceEps and no physical-constraint violation.
+	// When false, MacroOverlap or d.ConstraintViolations carries what
+	// the tail could not resolve.
 	Converged bool
 }
 
-// Finish legalizes macros (pairwise shove, with a deterministic
-// nearest-free-slot repair when the shove livelocks) and runs the
+// Finish ends every baseline: the legalization tail (legalize.Separate:
+// pairwise shove, lattice snapping, and a greedy lattice repair when
+// the result is not yet clean, all under d.Phys when set), then the
 // final cell placement, returning the evaluated result. It mutates d.
-// Designs with active physical constraints (d.Phys) additionally run
-// the shared constraint-enforcement pass, so every baseline honors
-// halo/channel spacing, fences, and snapping like the main flow.
 func Finish(d *netlist.Design) Result {
-	converged := shoveMacros(d, 200)
-	if !converged {
-		// The pairwise shove can cycle: multi-body push chains cancel
-		// each other sweep after sweep, so a bigger budget never helps.
-		// Re-seat the still-overlapping macros greedily instead, then
-		// let a short shove clean up.
-		if repairMacroOverlap(d) {
-			converged = true
-		} else {
-			converged = shoveMacros(d, 50)
-		}
-	}
-	if d.Phys.Active() {
-		converged = legalize.EnforceConstraints(d) && converged
-	}
+	converged := legalize.Separate(d)
 	gplace.Place(d, gplace.Config{Mode: gplace.MoveCells, Iterations: 6})
-	return Result{HPWL: d.HPWL(), MacroOverlap: macroOverlap(d), Converged: converged}
-}
-
-// repairMacroOverlap is the last-resort separation pass behind Finish:
-// macros are committed in non-increasing area order, and any macro
-// overlapping an earlier commitment (or a fixed macro) moves to the
-// nearest free candidate-grid center, scanning progressively finer
-// grids. It reports whether every movable macro ended overlap-free;
-// macros that fit nowhere stay put and fail the pass.
-func repairMacroOverlap(d *netlist.Design) bool {
-	var committed []geom.Rect
-	for i := range d.Nodes {
-		n := &d.Nodes[i]
-		if n.Kind == netlist.Macro && n.Fixed {
-			committed = append(committed, n.Rect())
-		}
-	}
-	overlapsAny := func(r geom.Rect) bool {
-		for _, c := range committed {
-			if r.OverlapArea(c) > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	ok := true
-	for _, m := range macrosByAreaDesc(d) {
-		n := &d.Nodes[m]
-		r := n.Rect()
-		if !overlapsAny(r) {
-			committed = append(committed, r)
-			continue
-		}
-		cur := r.Center()
-		placed := false
-		for _, k := range []int{16, 32, 64} {
-			bestD := math.Inf(1)
-			var bestR geom.Rect
-			for _, c := range candidateGrid(d.Region, n.W, n.H, k) {
-				cand := geom.NewRect(c.X-n.W/2, c.Y-n.H/2, n.W, n.H).ClampInto(d.Region)
-				if overlapsAny(cand) {
-					continue
-				}
-				dx, dy := c.X-cur.X, c.Y-cur.Y
-				if dist := dx*dx + dy*dy; dist < bestD {
-					bestD, bestR = dist, cand
-				}
-			}
-			if !math.IsInf(bestD, 1) {
-				n.X, n.Y = bestR.Lx, bestR.Ly
-				committed = append(committed, bestR)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			ok = false
-			committed = append(committed, r)
-		}
-	}
-	return ok
+	return Result{HPWL: d.HPWL(), MacroOverlap: legalize.TotalMacroOverlap(d), Converged: converged}
 }
 
 // cancelled reports whether ctx is non-nil and already done. The
@@ -145,92 +67,6 @@ func cancelled(ctx context.Context) bool {
 	default:
 		return false
 	}
-}
-
-// shoveMacros separates overlapping macros with the minimum-
-// penetration push, treating fixed macros as obstacles. It reports
-// whether it reached a state with no remaining movable-macro overlap
-// (false: the iteration budget ran out first).
-func shoveMacros(d *netlist.Design, maxIters int) bool {
-	var movable, fixed []int
-	for i := range d.Nodes {
-		if d.Nodes[i].Kind != netlist.Macro {
-			continue
-		}
-		if d.Nodes[i].Fixed {
-			fixed = append(fixed, i)
-		} else {
-			movable = append(movable, i)
-		}
-	}
-	all := append(append([]int(nil), movable...), fixed...)
-	nMov := len(movable)
-	for iter := 0; iter < maxIters; iter++ {
-		found := false
-		for a := 0; a < len(all); a++ {
-			for b := a + 1; b < len(all); b++ {
-				if a >= nMov && b >= nMov {
-					continue
-				}
-				na, nb := &d.Nodes[all[a]], &d.Nodes[all[b]]
-				is, ok := na.Rect().Intersect(nb.Rect())
-				if !ok {
-					continue
-				}
-				found = true
-				moveA, moveB := a < nMov, b < nMov
-				dx, dy := is.W(), is.H()
-				push := func(n *netlist.Node, px, py float64) {
-					r := n.Rect().Translate(px, py).ClampInto(d.Region)
-					n.X, n.Y = r.Lx, r.Ly
-				}
-				if dx <= dy {
-					dir := 1.0
-					if na.Center().X > nb.Center().X {
-						dir = -1
-					}
-					switch {
-					case moveA && moveB:
-						push(na, -dir*dx/2, 0)
-						push(nb, dir*dx/2, 0)
-					case moveA:
-						push(na, -dir*dx, 0)
-					default:
-						push(nb, dir*dx, 0)
-					}
-				} else {
-					dir := 1.0
-					if na.Center().Y > nb.Center().Y {
-						dir = -1
-					}
-					switch {
-					case moveA && moveB:
-						push(na, 0, -dir*dy/2)
-						push(nb, 0, dir*dy/2)
-					case moveA:
-						push(na, 0, -dir*dy)
-					default:
-						push(nb, 0, dir*dy)
-					}
-				}
-			}
-		}
-		if !found {
-			return true
-		}
-	}
-	return false
-}
-
-func macroOverlap(d *netlist.Design) float64 {
-	macros := d.MacroIndices()
-	var total float64
-	for i := 0; i < len(macros); i++ {
-		for j := i + 1; j < len(macros); j++ {
-			total += d.Nodes[macros[i]].Rect().OverlapArea(d.Nodes[macros[j]].Rect())
-		}
-	}
-	return total
 }
 
 // macroNetHPWL returns the summed HPWL of the nets incident to node m,

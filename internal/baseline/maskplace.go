@@ -123,7 +123,7 @@ func runMaskPlaceEpisode(d *netlist.Design, macros []int, nodeNets [][]int, cfg 
 		}
 		if len(cands) == 0 {
 			// Everything overlaps; keep the analytical position and
-			// let the finishing shove resolve it.
+			// let the legalization tail in Finish resolve it.
 			placedRects = append(placedRects, n.Rect())
 			continue
 		}

@@ -54,7 +54,8 @@ func SABTree(d *netlist.Design, cfg SAConfig) Result {
 			total += macroNetHPWL(d, nodeNets, m)
 		}
 		// Penalise floorplans exceeding the region: such packings get
-		// clamped and overlap, which the finishing shove must undo.
+		// clamped and overlap, which the legalization tail in Finish
+		// must undo.
 		exW := math.Max(0, bb.W()-d.Region.W())
 		exH := math.Max(0, bb.H()-d.Region.H())
 		return total * (1 + (exW+exH)/(d.Region.W()+d.Region.H()))

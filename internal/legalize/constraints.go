@@ -8,90 +8,127 @@ import (
 	"macroplace/internal/netlist"
 )
 
-// EnforceConstraints makes every movable macro of d clean under
-// d.Phys — halo/channel spacing, fence containment, and row/track
-// snapping — mutating d. It is the shared final pass of every placer
-// backend (legalize.Macros for the mcts/core flow, baseline.Finish for
-// the six comparison placers), so the whole portfolio honors one
-// constraint semantics. It reports whether a violation-free state was
-// reached; with no active constraints it is a no-op returning true.
+// Separate is the legalization tail every placer ends in
+// (legalize.Macros for the paper flow, baseline.Finish for the
+// comparison placers), so the whole portfolio shares one legality
+// semantics. It mutates d and reports Clean(d).
 //
-// Strategy: a pairwise shove on pad-inflated rectangles (cheap,
-// preserves the placement), then lattice snapping, then — only for
-// macros still in violation — a deterministic greedy re-seat onto the
-// nearest legal lattice position, committed in non-increasing area
-// order.
-func EnforceConstraints(d *netlist.Design) bool {
-	c := d.Phys
-	if !c.Active() {
-		return true
-	}
-	fence := c.FenceRect(d.Region)
-	if is, ok := fence.Intersect(d.Region); ok {
+// Every movable macro is inflated by its pad (halo and half the
+// channel; zero without d.Phys), and every move keeps the inflated rect
+// inside the fence (the whole region without one):
+//
+//  1. a pairwise shove separates the inflated rects (cheap, preserves
+//     the placement);
+//  2. macro origins snap onto the row/track lattice;
+//  3. only when the result is not Clean, a deterministic greedy
+//     repair re-seats each macro still in violation onto the nearest
+//     legal lattice position, committed in non-increasing area order.
+func Separate(d *netlist.Design) bool {
+	c := constraintsOf(d)
+	fence := d.Region
+	if is, ok := c.FenceRect(d.Region).Intersect(d.Region); ok {
 		fence = is
-	} else {
-		fence = d.Region
 	}
-
 	movable := d.MovableMacroIndices()
-	if len(movable) == 0 {
-		return d.ConstraintViolations().Clean()
-	}
-
-	shoveInflated(d, movable, fence, 200)
-	snapMovable(d, movable, fence)
-	if d.ConstraintViolations().Clean() {
+	shove(d, c, movable, fence)
+	snapMovable(d, c, movable, fence)
+	if Clean(d) {
 		return true
 	}
-	repairConstrained(d, fence)
-	return d.ConstraintViolations().Clean()
+	repair(d, c, fence)
+	return Clean(d)
 }
 
-// shoveInflated is the constraint analogue of shove: movable macros
-// are inflated by their pads, separated along the minimum-penetration
-// axis, and clamped so the inflated rect stays inside the fence.
-// Fixed macros push (inflated by their own pads) but never move.
-func shoveInflated(d *netlist.Design, movable []int, fence geom.Rect, maxIters int) {
-	c := d.Phys
-	var all []int
-	all = append(all, movable...)
+// Clean is the one legality predicate of a macro placement: movable
+// macro overlap within ConvergenceEps and no violation of d.Phys.
+func Clean(d *netlist.Design) bool {
+	return MovableOverlap(d) <= ConvergenceEps(d) && d.ConstraintViolations().Clean()
+}
+
+// MovableOverlap sums the pairwise overlap area over macro pairs with
+// at least one movable member — the quantity legalization is obliged
+// to drive to zero (fixed-fixed overlap is the design's own).
+func MovableOverlap(d *netlist.Design) float64 {
+	macros := d.MacroIndices()
+	var total float64
+	for i := 0; i < len(macros); i++ {
+		for j := i + 1; j < len(macros); j++ {
+			if d.Nodes[macros[i]].Fixed && d.Nodes[macros[j]].Fixed {
+				continue
+			}
+			total += d.Nodes[macros[i]].Rect().OverlapArea(d.Nodes[macros[j]].Rect())
+		}
+	}
+	return total
+}
+
+// ConvergenceEps returns the movable-overlap threshold below which a
+// placement counts as fully separated: legalization packs neighbors
+// edge to edge, and the packed coordinates can carry float-ulp overlap
+// slivers that are not meaningful. The threshold scales with total
+// macro area so it stays ulp-sized on any design.
+func ConvergenceEps(d *netlist.Design) float64 {
+	var area float64
+	for _, m := range d.MacroIndices() {
+		area += d.Nodes[m].Area()
+	}
+	return 1e-12 * area
+}
+
+// constraintsOf returns d.Phys, or the zero constraint set (zero pads,
+// no fence, no lattice) for a design without one.
+func constraintsOf(d *netlist.Design) *netlist.Constraints {
+	if d.Phys == nil {
+		return &netlist.Constraints{}
+	}
+	return d.Phys
+}
+
+// shove separates overlapping macros along the minimum-penetration
+// axis of their pad-inflated rects; each push recomputes the inflated
+// rect from the node and clamps it into the fence. Fixed macros push
+// but never move. It stops after the first sweep without overlap, or
+// after 200 sweeps: multi-body push chains can cancel each other sweep
+// after sweep, which is what the repair is for.
+func shove(d *netlist.Design, c *netlist.Constraints, movable []int, fence geom.Rect) {
+	all := append([]int(nil), movable...)
 	nMov := len(all)
 	for i := range d.Nodes {
 		if d.Nodes[i].Kind == netlist.Macro && !d.Nodes[i].Movable() {
 			all = append(all, i)
 		}
 	}
-	infl := make([]geom.Rect, len(all))
 	pads := make([][2]float64, len(all))
 	for k, i := range all {
-		n := &d.Nodes[i]
-		px, py := c.Pad(n.Name)
-		pads[k] = [2]float64{px, py}
-		infl[k] = n.Rect().Inflate(px, py)
-		if k < nMov {
-			infl[k] = infl[k].ClampInto(fence)
-		}
+		pads[k][0], pads[k][1] = c.Pad(d.Nodes[i].Name)
 	}
-	for iter := 0; iter < maxIters; iter++ {
+	inflated := func(k int) geom.Rect {
+		return d.Nodes[all[k]].Rect().Inflate(pads[k][0], pads[k][1])
+	}
+	push := func(k int, dx, dy float64) {
+		r := inflated(k).Translate(dx, dy).ClampInto(fence)
+		n := &d.Nodes[all[k]]
+		n.X, n.Y = r.Lx+pads[k][0], r.Ly+pads[k][1]
+	}
+	for sweep := 0; sweep < 200; sweep++ {
 		found := false
 		for a := 0; a < len(all); a++ {
 			for b := a + 1; b < len(all); b++ {
 				if a >= nMov && b >= nMov {
-					continue
+					continue // both fixed
 				}
-				is, ok := infl[a].Intersect(infl[b])
-				if !ok || is.Empty() {
+				is, ok := inflated(a).Intersect(inflated(b))
+				if !ok {
 					continue
 				}
 				found = true
+				ca, cb := d.Nodes[all[a]].Center(), d.Nodes[all[b]].Center()
 				moveA, moveB := a < nMov, b < nMov
 				dx, dy := is.W(), is.H()
-				push := func(k int, px, py float64) {
-					infl[k] = infl[k].Translate(px, py).ClampInto(fence)
-				}
 				if dx <= dy {
+					// Separate horizontally.
 					dir := 1.0
-					if infl[a].Center().X > infl[b].Center().X {
+					if ca.X > cb.X {
 						dir = -1
 					}
 					switch {
@@ -105,7 +142,7 @@ func shoveInflated(d *netlist.Design, movable []int, fence geom.Rect, maxIters i
 					}
 				} else {
 					dir := 1.0
-					if infl[a].Center().Y > infl[b].Center().Y {
+					if ca.Y > cb.Y {
 						dir = -1
 					}
 					switch {
@@ -121,21 +158,15 @@ func shoveInflated(d *netlist.Design, movable []int, fence geom.Rect, maxIters i
 			}
 		}
 		if !found {
-			break
+			return
 		}
-	}
-	for k := 0; k < nMov; k++ {
-		n := &d.Nodes[all[k]]
-		n.X = infl[k].Lx + pads[k][0]
-		n.Y = infl[k].Ly + pads[k][1]
 	}
 }
 
 // snapMovable puts every movable macro's origin on the snap lattice,
 // choosing the nearest lattice point whose inflated rect stays inside
 // the fence.
-func snapMovable(d *netlist.Design, movable []int, fence geom.Rect) {
-	c := d.Phys
+func snapMovable(d *netlist.Design, c *netlist.Constraints, movable []int, fence geom.Rect) {
 	if c.SnapX <= 0 && c.SnapY <= 0 {
 		return
 	}
@@ -175,14 +206,13 @@ func snapInto(v, lo, hi, pitch, origin float64) (float64, bool) {
 	return s, true
 }
 
-// repairConstrained is the deterministic last-resort pass: macros are
-// committed in non-increasing area order; a macro violating spacing or
-// fence against the committed set moves to the nearest legal lattice
-// position found on progressively finer candidate grids. Macros that
-// fit nowhere stay put (the enclosing EnforceConstraints re-audit
-// reports them).
-func repairConstrained(d *netlist.Design, fence geom.Rect) {
-	c := d.Phys
+// repair is the deterministic last resort: macros are committed in
+// non-increasing area order; a macro whose inflated rect leaves the
+// fence, overlaps the committed set by any positive area, or sits off
+// the lattice moves to the nearest legal lattice position found on
+// progressively finer candidate grids. Macros that fit nowhere stay
+// put (Separate's closing Clean reports them).
+func repair(d *netlist.Design, c *netlist.Constraints, fence geom.Rect) {
 	eps := 1e-9 * (d.Region.W() + d.Region.H())
 
 	var committed []geom.Rect
@@ -198,7 +228,7 @@ func repairConstrained(d *netlist.Design, fence geom.Rect) {
 			return false
 		}
 		for _, cm := range committed {
-			if is, ok := r.Intersect(cm); ok && math.Min(is.W(), is.H()) > eps {
+			if r.Overlap(cm) {
 				return false
 			}
 		}

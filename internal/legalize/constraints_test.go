@@ -18,20 +18,24 @@ func constrainedDesign() *netlist.Design {
 	return d
 }
 
-func TestEnforceConstraintsNilPhysNoop(t *testing.T) {
+func TestSeparateNilPhysSeparates(t *testing.T) {
 	d := constrainedDesign()
-	before := d.Positions()
-	if !EnforceConstraints(d) {
-		t.Fatal("nil Phys must trivially succeed")
+	fx, fy := d.Nodes[3].X, d.Nodes[3].Y
+	if !Separate(d) {
+		t.Fatalf("nil Phys not separated: movable overlap %v", MovableOverlap(d))
 	}
-	for i, p := range d.Positions() {
-		if p != before[i] {
-			t.Fatalf("node %d moved with nil constraints", i)
-		}
+	if d.Phys != nil {
+		t.Fatal("Separate must not install constraints")
+	}
+	if d.Nodes[3].X != fx || d.Nodes[3].Y != fy {
+		t.Fatal("fixed macro moved")
+	}
+	if ov := MaxMacroOverflow(d); ov > 0 {
+		t.Fatalf("macro overflow outside region = %v", ov)
 	}
 }
 
-func TestEnforceConstraintsSeparatesAndSnaps(t *testing.T) {
+func TestSeparateSeparatesAndSnaps(t *testing.T) {
 	d := constrainedDesign()
 	fence := geom.NewRect(10, 10, 180, 180)
 	d.Phys = &netlist.Constraints{
@@ -39,7 +43,7 @@ func TestEnforceConstraintsSeparatesAndSnaps(t *testing.T) {
 		Fence: &fence,
 		SnapX: 2, SnapY: 5,
 	}
-	if !EnforceConstraints(d) {
+	if !Separate(d) {
 		t.Fatalf("enforcement failed: %v", d.ConstraintViolations())
 	}
 	if rep := d.ConstraintViolations(); !rep.Clean() {
@@ -58,13 +62,13 @@ func TestEnforceConstraintsSeparatesAndSnaps(t *testing.T) {
 	}
 }
 
-func TestEnforceConstraintsPerMacroHalo(t *testing.T) {
+func TestSeparatePerMacroHalo(t *testing.T) {
 	d := constrainedDesign()
 	d.Phys = &netlist.Constraints{
 		HaloX: 1, HaloY: 1,
 		Halos: map[string]netlist.Halo{"mb": {X: 10, Y: 10}},
 	}
-	if !EnforceConstraints(d) {
+	if !Separate(d) {
 		t.Fatalf("enforcement failed: %v", d.ConstraintViolations())
 	}
 	a, b := d.Nodes[0].Rect(), d.Nodes[1].Rect() // ma (halo 1) vs mb (halo 10)
@@ -75,13 +79,13 @@ func TestEnforceConstraintsPerMacroHalo(t *testing.T) {
 	}
 }
 
-func TestEnforceConstraintsRespectsFixedMacros(t *testing.T) {
+func TestSeparateRespectsFixedMacros(t *testing.T) {
 	d := constrainedDesign()
 	// Drop a movable macro right on top of the fixed one.
 	d.Nodes[0].X, d.Nodes[0].Y = 121, 121
 	d.Phys = &netlist.Constraints{HaloX: 2, HaloY: 2}
 	fx, fy := d.Nodes[3].X, d.Nodes[3].Y
-	if !EnforceConstraints(d) {
+	if !Separate(d) {
 		t.Fatalf("enforcement failed: %v", d.ConstraintViolations())
 	}
 	if d.Nodes[3].X != fx || d.Nodes[3].Y != fy {

@@ -46,9 +46,11 @@ type Result struct {
 //  2. macro groups are decomposed and member macros receive relative
 //     positions from a bounded QP (Gauss–Seidel sweeps projected into
 //     the group's grid block);
-//  3. per-block overlap is removed by the sequence-pair LP (Eq. 3),
-//     followed by a global pairwise shove pass for residual overlap
-//     between blocks.
+//  3. per-block overlap is removed by the sequence-pair LP (Eq. 3) on
+//     pad-inflated items, and the legalization tail (Separate) removes
+//     residual overlap between blocks: a pairwise shove, lattice
+//     snapping, and, only when the result is not Clean, a greedy
+//     repair onto the nearest legal lattice points.
 func Macros(in Input) (Result, error) {
 	d := in.Design
 	clus := in.Clustering
@@ -149,18 +151,10 @@ func Macros(in Input) (Result, error) {
 			members[gi] = append(members[gi], m)
 		}
 	}
-	// Physical constraints (nil Phys: every pad is zero and this path
-	// is bit-identical to the unconstrained legalizer): the sequence
-	// pair sees pad-inflated items so block packing already reserves
-	// halo/channel spacing.
-	phys := d.Phys
-	constrained := phys.Active()
-	pad := func(m int) (float64, float64) {
-		if !constrained {
-			return 0, 0
-		}
-		return phys.Pad(d.Nodes[m].Name)
-	}
+	// The sequence pair sees pad-inflated items, so block packing
+	// already reserves halo/channel spacing (every pad is zero without
+	// physical constraints).
+	c := constraintsOf(d)
 	for gi, ms := range members {
 		if len(ms) == 0 {
 			continue
@@ -168,7 +162,7 @@ func Macros(in Input) (Result, error) {
 		items := make([]Item, len(ms))
 		for k, m := range ms {
 			n := &d.Nodes[m]
-			px, py := pad(m)
+			px, py := c.Pad(n.Name)
 			items[k] = Item{
 				W: n.W + 2*px, H: n.H + 2*py,
 				X: proxy[m].X - n.W/2 - px, Y: proxy[m].Y - n.H/2 - py,
@@ -179,95 +173,17 @@ func Macros(in Input) (Result, error) {
 		RemoveOverlaps(items, blockRects[gi], in.MaxLPItems)
 		for k, m := range ms {
 			n := &d.Nodes[m]
-			px, py := pad(m)
+			px, py := c.Pad(n.Name)
 			r := geom.NewRect(items[k].X+px, items[k].Y+py, n.W, n.H).ClampInto(d.Region)
 			n.X, n.Y = r.Lx, r.Ly
 		}
 	}
 
-	// Global shove pass for residual cross-block overlap; constrained
-	// designs run the shared constraint-enforcement pass instead (an
-	// inflated shove plus snapping and a greedy lattice repair).
-	res := Result{Moved: len(movable)}
-	if constrained {
-		EnforceConstraints(d)
-	} else {
-		shove(d, movable, 200)
-	}
-	res.Overlap = TotalMacroOverlap(d)
+	Separate(d)
+	res := Result{Overlap: TotalMacroOverlap(d), Moved: len(movable)}
 	obsRuns.Inc()
 	obsResidualOverlap.Set(res.Overlap)
 	return res, nil
-}
-
-// shove iteratively separates overlapping movable macros along the
-// minimum-penetration axis (fixed macros push but never move).
-func shove(d *netlist.Design, movable []int, maxIters int) {
-	// Include fixed macros as immovable obstacles.
-	var all []int
-	all = append(all, movable...)
-	fixedStart := len(all)
-	for i := range d.Nodes {
-		if d.Nodes[i].Kind == netlist.Macro && d.Nodes[i].Fixed {
-			all = append(all, i)
-		}
-	}
-	for iter := 0; iter < maxIters; iter++ {
-		obsShoveIters.Inc()
-		found := false
-		for ai := 0; ai < len(all); ai++ {
-			for bi := ai + 1; bi < len(all); bi++ {
-				if ai >= fixedStart && bi >= fixedStart {
-					continue // both fixed
-				}
-				a, b := &d.Nodes[all[ai]], &d.Nodes[all[bi]]
-				is, ok := a.Rect().Intersect(b.Rect())
-				if !ok {
-					continue
-				}
-				found = true
-				dx, dy := is.W(), is.H()
-				aMov, bMov := ai < fixedStart, bi < fixedStart
-				push := func(n *netlist.Node, px, py float64) {
-					r := n.Rect().Translate(px, py).ClampInto(d.Region)
-					n.X, n.Y = r.Lx, r.Ly
-				}
-				if dx <= dy {
-					// Separate horizontally.
-					dir := 1.0
-					if a.Center().X > b.Center().X {
-						dir = -1
-					}
-					switch {
-					case aMov && bMov:
-						push(a, -dir*dx/2, 0)
-						push(b, dir*dx/2, 0)
-					case aMov:
-						push(a, -dir*dx, 0)
-					default:
-						push(b, dir*dx, 0)
-					}
-				} else {
-					dir := 1.0
-					if a.Center().Y > b.Center().Y {
-						dir = -1
-					}
-					switch {
-					case aMov && bMov:
-						push(a, 0, -dir*dy/2)
-						push(b, 0, dir*dy/2)
-					case aMov:
-						push(a, 0, -dir*dy)
-					default:
-						push(b, 0, dir*dy)
-					}
-				}
-			}
-		}
-		if !found {
-			return
-		}
-	}
 }
 
 // TotalMacroOverlap returns the summed pairwise overlap area between

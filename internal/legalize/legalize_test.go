@@ -232,21 +232,37 @@ func legalizeFixture(t *testing.T, seed int64) (Input, *netlist.Design) {
 
 func TestMacrosLegalizesGeneratedDesign(t *testing.T) {
 	in, d := legalizeFixture(t, 31)
-	res, err := Macros(in)
-	if err != nil {
+	if _, err := Macros(in); err != nil {
 		t.Fatalf("Macros: %v", err)
 	}
-	// Residual overlap must be tiny relative to macro area.
-	var macroArea float64
-	for _, m := range d.MacroIndices() {
-		macroArea += d.Nodes[m].Area()
-	}
-	if res.Overlap > 0.02*macroArea {
-		t.Errorf("overlap = %v (%.2f%% of macro area)", res.Overlap, res.Overlap/macroArea*100)
+	if !Clean(d) {
+		t.Errorf("movable overlap = %v (eps %v)", MovableOverlap(d), ConvergenceEps(d))
 	}
 	// All movable macros inside the region.
 	if ov := MaxMacroOverflow(d); ov > 1e-9 {
 		t.Errorf("macro overflow outside region = %v", ov)
+	}
+}
+
+// TestMacrosCleanWithEveryGroupOnOneBlock anchors every macro group at
+// grid cell 0, the worst allocation a search can commit: the block LP
+// packs each group on its own, so the groups land on top of each
+// other and only the tail can separate them.
+func TestMacrosCleanWithEveryGroupOnOneBlock(t *testing.T) {
+	for seed := int64(31); seed <= 40; seed++ {
+		in, d := legalizeFixture(t, seed)
+		for gi := range in.Anchors {
+			in.Anchors[gi] = 0
+		}
+		if _, err := Macros(in); err != nil {
+			t.Fatalf("seed %d: Macros: %v", seed, err)
+		}
+		if !Clean(d) {
+			t.Errorf("seed %d: movable overlap = %v (eps %v)", seed, MovableOverlap(d), ConvergenceEps(d))
+		}
+		if ov := MaxMacroOverflow(d); ov > 1e-9 {
+			t.Errorf("seed %d: macro overflow outside region = %v", seed, ov)
+		}
 	}
 }
 

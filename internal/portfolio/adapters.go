@@ -263,41 +263,10 @@ func runMCTSBackend(ctx context.Context, d *netlist.Design, opts Options, emit e
 	return Result{
 		HPWL:         res.Final.HPWL,
 		MacroOverlap: res.Final.MacroOverlap,
-		Converged:    MovableOverlap(p.Work) <= ConvergenceEps(p.Work),
+		Converged:    legalize.Clean(p.Work),
 		Interrupted:  res.Search.Interrupted,
 		Placed:       p.Work,
 	}, nil
-}
-
-// MovableOverlap sums the pairwise overlap area over macro pairs with
-// at least one movable member — the quantity legalization is obliged
-// to drive to zero (fixed-fixed overlap is the design's own), and the
-// geometric ground truth behind Result.Converged.
-func MovableOverlap(d *netlist.Design) float64 {
-	macros := d.MacroIndices()
-	var total float64
-	for i := 0; i < len(macros); i++ {
-		for j := i + 1; j < len(macros); j++ {
-			if d.Nodes[macros[i]].Fixed && d.Nodes[macros[j]].Fixed {
-				continue
-			}
-			total += d.Nodes[macros[i]].Rect().OverlapArea(d.Nodes[macros[j]].Rect())
-		}
-	}
-	return total
-}
-
-// ConvergenceEps returns the movable-overlap threshold below which a
-// placement counts as fully separated: legalization packs neighbors
-// edge to edge, and the packed coordinates can carry float-ulp overlap
-// slivers that are not meaningful. The threshold scales with total
-// macro area so it stays ulp-sized on any design.
-func ConvergenceEps(d *netlist.Design) float64 {
-	var area float64
-	for _, m := range d.MacroIndices() {
-		area += d.Nodes[m].Area()
-	}
-	return 1e-12 * area
 }
 
 // RecomputeOverlap re-derives a placed design's total macro overlap

@@ -12,7 +12,9 @@
 //     macros inside the region, macro overlap within tolerance;
 //  3. reported metrics equal recomputation from the placed netlist,
 //     bit-exactly (HPWL and MacroOverlap);
-//  4. Converged is truthful: when set, no movable-macro pair overlaps;
+//  4. the placement is legal (legalize.Clean: movable-macro overlap
+//     within legalize.ConvergenceEps, no constraint violation) and
+//     Converged reports it, on every run the suite checks;
 //  5. a fixed seed yields a bit-identical result;
 //  6. cancellation returns a complete legal anytime incumbent within a
 //     bounded grace period, flagged Interrupted;
@@ -32,6 +34,7 @@ import (
 	"macroplace/internal/faults"
 	"macroplace/internal/gen"
 	"macroplace/internal/geom"
+	"macroplace/internal/legalize"
 	"macroplace/internal/netlist"
 	"macroplace/internal/portfolio"
 )
@@ -44,11 +47,6 @@ type Config struct {
 	Opts portfolio.Options
 	// Designs are the designs to cover; nil selects StandardDesigns.
 	Designs []*netlist.Design
-	// AllowUnconverged skips the Converged=true assertion (the
-	// consistency assertion — Converged implies zero movable overlap —
-	// always runs). The standard designs are small enough that every
-	// backend is expected to converge, so this defaults to off.
-	AllowUnconverged bool
 	// CancelGrace bounds how long a cancelled PlaceContext may take to
 	// return its anytime incumbent (default 2 minutes — generous for
 	// race-detector runs on one core; real returns are milliseconds).
@@ -114,7 +112,7 @@ func Run(t *testing.T, backend string, cfg Config) {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
 			res1 := place(t, p, context.Background(), d, cfg.Opts, cfg.CancelGrace)
-			CheckResult(t, backend, d, res1, cfg.AllowUnconverged)
+			CheckResult(t, backend, d, res1)
 			if caps.Deterministic {
 				res2 := place(t, p, context.Background(), d, cfg.Opts, cfg.CancelGrace)
 				checkIdentical(t, backend, res1, res2)
@@ -127,10 +125,7 @@ func Run(t *testing.T, backend string, cfg Config) {
 			d := ConstrainedDesign(t, base)
 			t.Run(d.Name, func(t *testing.T) {
 				res := place(t, p, context.Background(), d, cfg.Opts, cfg.CancelGrace)
-				// Constrained runs may legitimately trade convergence
-				// for legality on the smoke budget; the constraint
-				// verdict below is the invariant under test.
-				CheckResult(t, backend, d, res, true)
+				CheckResult(t, backend, d, res)
 				if rep := res.Placed.ConstraintViolations(); !rep.Clean() {
 					t.Errorf("%s: constraint violations on %s: %s", backend, d.Name, rep)
 				}
@@ -144,10 +139,9 @@ func Run(t *testing.T, backend string, cfg Config) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel() // already cancelled before the run starts
 			res := place(t, p, ctx, d, cfg.Opts, cfg.CancelGrace)
-			// A pre-cancelled run may legitimately not converge — the
-			// budget it got was zero — but it must still be a complete
-			// legal anytime placement, marked interrupted.
-			CheckResult(t, backend, d, res, true)
+			// The budget was zero, but the result must still be a
+			// complete legal anytime placement, marked interrupted.
+			CheckResult(t, backend, d, res)
 			if !res.Interrupted {
 				t.Errorf("%s: cancelled run not flagged Interrupted", backend)
 			}
@@ -169,7 +163,7 @@ func Run(t *testing.T, backend string, cfg Config) {
 				// escape PlaceContext (placeErr's goroutine would die
 				// and the watchdog below would report it).
 				if err == nil {
-					CheckResult(t, backend, cfg.Designs[0], res, true)
+					CheckResult(t, backend, cfg.Designs[0], res)
 				} else if inj.Panics() == 0 {
 					t.Errorf("%s: error %v without any injected panic (PanicEvery=%d)", backend, err, period)
 				}
@@ -255,10 +249,10 @@ func placeErr(t *testing.T, p portfolio.Placer, ctx context.Context, d *netlist.
 }
 
 // CheckResult asserts the per-result invariants (completeness,
-// legality, metric truthfulness, Converged consistency) on one
-// backend result. Exported so ad-hoc tests outside the suite (the
-// race E2E, the smoke script's test mode) apply identical checks.
-func CheckResult(t testing.TB, backend string, input *netlist.Design, res portfolio.Result, allowUnconverged bool) {
+// legality, metric truthfulness, convergence) on one backend result.
+// Exported so ad-hoc tests outside the suite (the race E2E, the smoke
+// script's test mode) apply identical checks.
+func CheckResult(t testing.TB, backend string, input *netlist.Design, res portfolio.Result) {
 	t.Helper()
 	if res.Backend != backend {
 		t.Errorf("%s: result claims backend %q", backend, res.Backend)
@@ -309,14 +303,13 @@ func CheckResult(t testing.TB, backend string, input *netlist.Design, res portfo
 		t.Errorf("%s: reported overlap %v != recomputed %v", backend, res.MacroOverlap, got)
 	}
 
-	// Converged truthfulness: the flag may never claim a separation
-	// the geometry contradicts (modulo ulp-sized packing slivers).
-	if res.Converged {
-		if mo := portfolio.MovableOverlap(d); mo > portfolio.ConvergenceEps(d) {
-			t.Errorf("%s: Converged set but movable-macro overlap = %v", backend, mo)
-		}
-	} else if !allowUnconverged {
-		t.Errorf("%s: did not converge on %s (movable overlap %v)", backend, d.Name, portfolio.MovableOverlap(d))
+	// Convergence: every placement is Clean, and Converged says so.
+	if !legalize.Clean(d) {
+		t.Errorf("%s: placement on %s not clean: movable overlap %v (eps %v), %s",
+			backend, d.Name, legalize.MovableOverlap(d), legalize.ConvergenceEps(d), d.ConstraintViolations())
+	}
+	if !res.Converged {
+		t.Errorf("%s: did not converge on %s", backend, d.Name)
 	}
 }
 

@@ -155,8 +155,9 @@ type Result struct {
 	HPWL float64 `json:"hpwl"`
 	// MacroOverlap is the residual macro-macro overlap area.
 	MacroOverlap float64 `json:"macro_overlap"`
-	// Converged reports whether legalization eliminated every
-	// movable-macro overlap (the surfaced shoveMacros give-up).
+	// Converged reports whether the placement is legal
+	// (legalize.Clean): movable-macro overlap within
+	// legalize.ConvergenceEps and no physical-constraint violation.
 	Converged bool `json:"converged"`
 	// Interrupted marks runs degraded by cancellation; the result is
 	// still a complete legal placement.

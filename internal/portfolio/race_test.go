@@ -129,7 +129,7 @@ func TestRaceDeterministicAndBitIdentical(t *testing.T) {
 	conformance.CheckResult(t, rr.Winner, d, portfolio.Result{
 		Backend: rr.Winner, HPWL: win.HPWL, MacroOverlap: win.MacroOverlap,
 		Converged: win.Converged, Placed: win.Placed,
-	}, false)
+	})
 }
 
 // TestRaceSurvivesBackendError: a failing backend is an Outcome, not a

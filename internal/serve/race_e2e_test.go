@@ -213,5 +213,5 @@ func TestDaemonRaceE2E(t *testing.T) {
 		t.Errorf("daemon race winner (hpwl=%v overlap=%v) != direct run (hpwl=%v overlap=%v)",
 			res.HPWL, res.MacroOverlap, direct.HPWL, direct.MacroOverlap)
 	}
-	conformance.CheckResult(t, portfolio.BackendMinCut, design, direct, false)
+	conformance.CheckResult(t, portfolio.BackendMinCut, design, direct)
 }

@@ -4,9 +4,10 @@
 # CLI, assert the winner's placement is legal (zero macro overlap) and
 # the leaderboard fields land in the run summary, then submit the same
 # race as a daemon "race" job and check the result, the race.json
-# leaderboard, and the SSE incumbent stream agree. (Both entry points
-# run the race through serve.RunDesign, so CLI/daemon equality holds by
-# construction and is not re-checked here.)
+# leaderboard (every raced backend converged), and the SSE incumbent
+# stream agree. (Both entry points run the race through
+# serve.RunDesign, so CLI/daemon equality holds by construction and is
+# not re-checked here.)
 #
 # Usage: scripts/portfolio_smoke.sh
 set -eu
@@ -95,6 +96,14 @@ for b in mincut maskplace sabtree; do
     grep -q "\"backend\": *\"$b\"" "$board" \
         || { echo "portfolio_smoke: race.json missing backend $b" >&2; cat "$board" >&2; exit 1; }
 done
+
+echo "== every raced backend converged"
+outcomes=$(sed -n '/"outcomes": \[/,/"incumbents":/p' "$board")
+rows=$(echo "$outcomes" | grep -c '"backend":' || true)
+conv=$(echo "$outcomes" | grep -c '"converged": true' || true)
+[ "$rows" -eq 3 ] && [ "$conv" -eq 3 ] \
+    || { echo "portfolio_smoke: $conv of $rows race.json outcomes converged, want 3 of 3" >&2; cat "$board" >&2; exit 1; }
+echo "   $conv of $rows backends converged"
 
 echo "== SSE stream carries incumbent events"
 events=$(curl -sfN "http://$addr/v1/jobs/$id/events")
