@@ -409,6 +409,14 @@ func runAgentFiles(ctx context.Context, sp serve.Spec, d *netlist.Design, load, 
 		if err := p.Preprocess(); err != nil {
 			return nil, nil, err
 		}
+		got, want := ag.Cfg, p.Agent.Cfg
+		got.Seed, want.Seed = 0, 0
+		if got != want {
+			shape := func(c macroplace.AgentConfig) string {
+				return fmt.Sprintf("zeta=%d channels=%d resblocks=%d maxsteps=%d", c.Zeta, c.Channels, c.ResBlocks, c.MaxSteps)
+			}
+			return nil, nil, fmt.Errorf("agent %s has shape %s, this run needs %s", load, shape(got), shape(want))
+		}
 		p.Agent.CopyWeightsFrom(ag)
 		search := p.RunMCTSContext(ctx)
 		final, err := p.FinalizeContext(ctx, search.Anchors)
@@ -431,6 +439,8 @@ func runAgentFiles(ctx context.Context, sp serve.Spec, d *netlist.Design, load, 
 		RLHPWL:       res.RLFinal.HPWL,
 		MacroOverlap: res.Final.MacroOverlap,
 		Explorations: res.Search.Explorations,
+		CacheHits:    res.Search.CacheHits,
+		CacheMisses:  res.Search.CacheMisses,
 		Interrupted:  res.Search.Interrupted || ctx.Err() != nil,
 		Anchors:      res.Final.Anchors,
 		WallSeconds:  time.Since(start).Seconds(),

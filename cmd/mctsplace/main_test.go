@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -165,5 +166,54 @@ func TestConflictingModesRefusedLikeTheDaemon(t *testing.T) {
 	}
 	if _, err := parseSpec(t, "-bench ibm01 -resume"); err == nil || err.Error() != "-resume requires -checkpoint" {
 		t.Errorf("-resume without -checkpoint: error %v", err)
+	}
+}
+
+// agentRun runs cmdline's flow as a -loadagent/-saveagent run does.
+func agentRun(t *testing.T, cmdline, load, save string) (*serve.Result, error) {
+	t.Helper()
+	sp, err := parseSpec(t, cmdline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, _, err := sp.LoadDesignDoc(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := runAgentFiles(context.Background(), sp, d, load, save)
+	return res, err
+}
+
+// TestLoadAgentRefusesOtherShape: a checkpoint whose network shape
+// differs from the run's — a wider tower, or a design with one more
+// macro group and so one more position-embedding row — is an error
+// naming both shapes, not a search on a prefix of every weight slice.
+func TestLoadAgentRefusesOtherShape(t *testing.T) {
+	const budget = " -scale 0.02 -seed 2 -zeta 8 -episodes 4 -gamma 2 -workers 1 -resblocks 1"
+	ckpt := filepath.Join(t.TempDir(), "ibm01.ckpt")
+	if _, err := agentRun(t, "-bench ibm01 -channels 4"+budget, "", ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agentRun(t, "-bench ibm01 -channels 4"+budget, ckpt, ""); err != nil {
+		t.Fatalf("same shape: %v", err)
+	}
+	for _, cmdline := range []string{"-bench ibm01 -channels 8" + budget, "-bench ibm03 -channels 4" + budget} {
+		_, err := agentRun(t, cmdline, ckpt, "")
+		if err == nil || !strings.Contains(err.Error(), "channels=4") || !strings.Contains(err.Error(), "this run needs") {
+			t.Errorf("%s: error %v, want one naming both shapes", cmdline, err)
+		}
+	}
+}
+
+// TestSaveAgentReportsCacheCounters: an agent-file run reports its
+// search's evaluation-cache counters, as a daemon job does.
+func TestSaveAgentReportsCacheCounters(t *testing.T) {
+	res, err := agentRun(t, "-bench ibm01 -scale 0.02 -seed 2 -zeta 8 -episodes 4 -gamma 2 -workers 1 -channels 4 -resblocks 1",
+		"", filepath.Join(t.TempDir(), "a.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheMisses == 0 {
+		t.Errorf("eval cache %d hits / %d misses, want misses > 0", res.CacheHits, res.CacheMisses)
 	}
 }

@@ -172,22 +172,11 @@ func (a *Agent) CopyWeightsFrom(other *Agent) {
 		panic("agent: CopyWeightsFrom across different configurations")
 	}
 	for i, p := range a.params {
+		if len(p.W) != len(other.params[i].W) {
+			panic(fmt.Sprintf("agent: CopyWeightsFrom %s: %d weights into %d", p.Name, len(other.params[i].W), len(p.W)))
+		}
 		copy(p.W, other.params[i].W)
 	}
-	// BatchNorm running statistics are part of the learned state too.
-	ab, ob := a.batchNorms(), other.batchNorms()
-	for i := range ab {
-		copy(ab[i].RunMean, ob[i].RunMean)
-		copy(ab[i].RunVar, ob[i].RunVar)
-	}
-}
-
-func (a *Agent) batchNorms() []*nn.BatchNorm2D {
-	out := []*nn.BatchNorm2D{a.bn1}
-	for _, rb := range a.tower {
-		out = append(out, rb.BN1, rb.BN2)
-	}
-	return append(out, a.bnP, a.bnV)
 }
 
 // NumParams returns the total scalar parameter count.

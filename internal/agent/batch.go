@@ -36,17 +36,16 @@ func (a *Agent) putScratch(sc *inferScratch) { a.infPool.Put(sc) }
 
 // EvaluateBatchInto runs both heads on a batch of states in one pass,
 // writing one Output per input, in order, into out (len(out) must equal
-// len(in)). It is the one inference entry point: search workers and
-// greedy episodes call it with one-state batches and reusable buffers,
-// and only the per-sample Probs slices are freshly allocated — they
-// outlive the call by contract.
+// len(in)). It is the one inference entry point: training rollouts,
+// search workers and greedy episodes call it with one-state batches and
+// reusable buffers, and only the per-sample Probs slices are freshly
+// allocated — they outlive the call by contract.
 //
-// Unlike Forward it is a pure function of the weights: it touches
-// neither the layer caches that Backward consumes nor the BatchNorm
-// running statistics, so it is safe to call concurrently with other
-// EvaluateBatchInto calls (Forward/Backward must still be externally
-// serialized against it only insofar as they mutate weights — searches
-// never do). Per sample the arithmetic matches Forward operation for
+// Unlike Forward it is a pure function of the weights: it does not
+// touch the layer caches that Backward consumes, so it is safe to call
+// concurrently with other EvaluateBatchInto calls and with Forward and
+// Backward, as long as nothing writes the weights (only the optimizer
+// step does). Per sample the arithmetic matches Forward operation for
 // operation, so the outputs are bit-identical to evaluating each state
 // alone; the whole batch flows through single MatMul calls.
 func (a *Agent) EvaluateBatchInto(in []BatchInput, out []Output) {

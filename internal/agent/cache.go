@@ -150,12 +150,11 @@ type fingerprinter interface {
 	Fingerprint() uint64
 }
 
-// Fingerprint hashes the agent's served identity — shape, every
-// parameter's float32 bits, and the BatchNorm running statistics —
-// with FNV-1a: two agents share a fingerprint exactly when their
-// evaluations are interchangeable. CachedEvaluator salts its keys with
-// it; the ECO warm store also uses it to detect that a stored agent
-// was retrained.
+// Fingerprint hashes the agent's served identity — its shape and every
+// parameter's float32 bits — with FNV-1a: two agents share a
+// fingerprint exactly when their evaluations are interchangeable.
+// CachedEvaluator salts its keys with it; the ECO warm store also uses
+// it to detect that a stored agent was retrained.
 func (a *Agent) Fingerprint() uint64 {
 	const (
 		fnvOffset = 14695981039346656037
@@ -172,14 +171,6 @@ func (a *Agent) Fingerprint() uint64 {
 	for _, p := range a.params {
 		word(uint64(len(p.W)))
 		for _, v := range p.W {
-			word(uint64(math.Float32bits(v)))
-		}
-	}
-	for _, bn := range a.batchNorms() {
-		for _, v := range bn.RunMean {
-			word(uint64(math.Float32bits(v)))
-		}
-		for _, v := range bn.RunVar {
 			word(uint64(math.Float32bits(v)))
 		}
 	}

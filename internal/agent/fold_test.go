@@ -9,8 +9,8 @@ import (
 
 // TestFoldMatchesSequentialBackward: steps replayed round-robin on an
 // agent and two of its replicas and folded in step order leave the
-// agent with the gradients and BatchNorm running statistics of one
-// agent replaying every step itself, bit for bit.
+// agent with the gradients of one agent replaying every step itself,
+// bit for bit.
 func TestFoldMatchesSequentialBackward(t *testing.T) {
 	seq := testAgent()
 	ag := seq.Clone()
@@ -35,9 +35,6 @@ func TestFoldMatchesSequentialBackward(t *testing.T) {
 		f.Add(w)
 	}
 	f.Store(ag)
-	if ag.Fingerprint() != seq.Fingerprint() {
-		t.Error("folded running statistics differ from the sequential replay")
-	}
 	for i, p := range ag.Params() {
 		for j, g := range p.G {
 			if want := seq.Params()[i].G[j]; math.Float32bits(g) != math.Float32bits(want) {

@@ -15,7 +15,8 @@ var (
 )
 
 // obsInferLatency is the wall time of every batched forward pass
-// (EvaluateBatchInto), across every agent in the process.
+// (EvaluateBatchInto), across every agent in the process: training
+// rollouts, greedy episodes and search evaluations alike.
 var obsInferLatency = obs.NewHistogram("macroplace_agent_infer_seconds",
-	"EvaluateBatch wall time.",
+	"EvaluateBatchInto wall time: training rollouts, greedy episodes and search evaluations.",
 	[]float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 1})

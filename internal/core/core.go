@@ -39,10 +39,6 @@ type Options struct {
 	RL rl.Config
 	// MCTS tunes the optimization stage.
 	MCTS mcts.Config
-	// MCTSRestarts runs that many independent searches (distinct
-	// seeds) and keeps the best allocation under the fast oracle
-	// (default 1 — the paper runs one search).
-	MCTSRestarts int
 	// Cluster overrides clustering parameters (nil: paper defaults
 	// for the grid area).
 	Cluster *cluster.Params
@@ -65,11 +61,11 @@ type Options struct {
 	CongestionWeight float64
 	// EvalCacheSize bounds the LRU evaluation cache that the MCTS and
 	// greedy-playout stages share: repeated evaluations of the same
-	// placement state (search restarts, transpositions, the greedy
-	// episode's states re-reached by the search) skip the network. 0
-	// selects agent.DefaultCacheSize; negative disables the cache. The
-	// cache is built lazily after pre-training and dropped whenever
-	// training runs again (cached outputs assume frozen weights).
+	// placement state (transpositions, the greedy episode's states
+	// re-reached by the search) skip the network. 0 selects
+	// agent.DefaultCacheSize; negative disables the cache. The cache is
+	// built lazily after pre-training and dropped whenever training
+	// runs again (cached outputs assume frozen weights).
 	EvalCacheSize int
 	// CommittedPathOnly restricts the MCTS result to the committed
 	// search path, exactly as Alg. 1 line 15 traces it. By default the
@@ -80,13 +76,12 @@ type Options struct {
 	CommittedPathOnly bool
 	// Seed drives every random stream in the flow.
 	Seed int64
-	// SearchSnapshot, when set (and MCTSRestarts <= 1 — restarts would
-	// interleave incompatible prefixes), receives a progress snapshot
-	// after every MCTS commit step; pair with mcts.SaveSnapshot for
+	// SearchSnapshot, when set, receives a progress snapshot after
+	// every MCTS commit step; pair with mcts.SaveSnapshot for
 	// crash-safe search checkpoints.
 	SearchSnapshot func(mcts.Snapshot)
-	// SearchResume, when set (and MCTSRestarts <= 1), resumes the MCTS
-	// stage from a previously saved snapshot.
+	// SearchResume, when set, resumes the MCTS stage from a previously
+	// saved snapshot.
 	SearchResume *mcts.Snapshot
 	// Logf receives diagnostic lines from the fault-tolerant layers
 	// (recovered search panics, trainer watchdog actions). Nil
@@ -498,74 +493,23 @@ func (p *Placer) RewardScaler() rl.Scaler {
 
 // RunMCTS runs the optimization stage (Alg. 1 lines 11–15) using the
 // current agent weights and the calibrated reward scaler.
-// With Options.MCTSRestarts > 1 it runs independent searches and
-// returns the one whose committed allocation scores best under the
-// fast oracle (restart statistics are summed).
 func (p *Placer) RunMCTS() mcts.Result {
 	return p.RunMCTSContext(context.Background())
 }
 
-// RunMCTSContext is RunMCTS under a context: each restart's search
-// observes the context (an interrupted search still returns a
-// complete allocation — see mcts.RunContext), and remaining restarts
-// are skipped once the context is cancelled.
+// RunMCTSContext is RunMCTS under a context: an interrupted search
+// still returns a complete allocation (see mcts.RunContext).
 func (p *Placer) RunMCTSContext(ctx context.Context) mcts.Result {
 	start := time.Now()
 	defer p.stageStart("search")()
-	scaler := p.RewardScaler()
-	restarts := p.Opts.MCTSRestarts
-	if restarts < 1 {
-		restarts = 1
-	}
-	var best mcts.Result
-	for k := 0; k < restarts; k++ {
-		cfg := p.Opts.MCTS
-		cfg.Seed = p.Opts.MCTS.Seed + int64(k)*7919
-		s := mcts.New(cfg, p.searchEvaluator(), p.EvalAnchors, scaler)
-		s.Logf = p.Opts.Logf
-		if restarts == 1 {
-			s.OnSnapshot = p.Opts.SearchSnapshot
-			s.Resume = p.Opts.SearchResume
-		}
-		res := s.RunContext(ctx, p.Env)
-		if k == 0 {
-			best = res
-			if ctx.Err() != nil {
-				break
-			}
-			continue
-		}
-		explorations := best.Explorations + res.Explorations
-		evals := best.TerminalEvals + res.TerminalEvals
-		panics := best.WorkerPanics + res.WorkerPanics
-		hits := best.CacheHits + res.CacheHits
-		misses := best.CacheMisses + res.CacheMisses
-		interrupted := best.Interrupted || res.Interrupted
-		if res.Wirelength < best.Wirelength {
-			keepBest := best.BestAnchors
-			keepBestWL := best.BestWirelength
-			best = res
-			if keepBestWL < best.BestWirelength {
-				best.BestAnchors = keepBest
-				best.BestWirelength = keepBestWL
-			}
-		} else if res.BestWirelength < best.BestWirelength {
-			best.BestAnchors = res.BestAnchors
-			best.BestWirelength = res.BestWirelength
-		}
-		best.Explorations = explorations
-		best.TerminalEvals = evals
-		best.WorkerPanics = panics
-		best.CacheHits = hits
-		best.CacheMisses = misses
-		best.Interrupted = interrupted
-		if ctx.Err() != nil {
-			break
-		}
-	}
+	s := mcts.New(p.Opts.MCTS, p.searchEvaluator(), p.EvalAnchors, p.RewardScaler())
+	s.Logf = p.Opts.Logf
+	s.OnSnapshot = p.Opts.SearchSnapshot
+	s.Resume = p.Opts.SearchResume
+	res := s.RunContext(ctx, p.Env)
 	p.times.MCTS = time.Since(start)
 	obsSearch.Observe(time.Since(start))
-	return best
+	return res
 }
 
 // Finalize turns a macro-group allocation into a legal full placement

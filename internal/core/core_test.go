@@ -24,9 +24,8 @@ func testOptions() Options {
 			LR:                  1e-3,
 			Seed:                11,
 		},
-		// Workers pinned to 1: TestFlowDeterminism and
-		// TestMCTSRestartsNotWorse compare runs bit-for-bit, which only
-		// the sequential search guarantees.
+		// Workers pinned to 1: TestFlowDeterminism compares runs
+		// bit-for-bit, which only the sequential search guarantees.
 		MCTS: mcts.Config{Gamma: 8, Seed: 13, Workers: 1},
 		Seed: 5,
 	}
@@ -242,31 +241,6 @@ func TestOraclePenalizesStacking(t *testing.T) {
 	if p.EvalAnchors(stacked) <= p.EvalAnchors(spread)*0.5 {
 		t.Errorf("stacking still drastically cheaper: %v vs %v",
 			p.EvalAnchors(stacked), p.EvalAnchors(spread))
-	}
-}
-
-func TestMCTSRestartsNotWorse(t *testing.T) {
-	d := gen.Generate(gen.Spec{Name: "rst", MovableMacros: 10, Cells: 200, Nets: 350, Seed: 61})
-	run := func(restarts int) float64 {
-		opts := testOptions()
-		opts.MCTSRestarts = restarts
-		p, err := New(d, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Preprocess(); err != nil {
-			t.Fatal(err)
-		}
-		p.Pretrain()
-		res := p.RunMCTS()
-		return p.EvalAnchors(res.Anchors)
-	}
-	one := run(1)
-	four := run(4)
-	// Restart 0 uses the same seed as the single run, so the best of
-	// four can never be worse under the same oracle.
-	if four > one+1e-9 {
-		t.Errorf("4 restarts (%v) worse than 1 (%v)", four, one)
 	}
 }
 

@@ -11,7 +11,7 @@ var (
 	obsPretrain = obs.NewSpan("macroplace_core_pretrain",
 		"RL pre-training stage (Alg. 1 lines 3-10).")
 	obsSearch = obs.NewSpan("macroplace_core_mcts",
-		"MCTS optimization stage (Alg. 1 lines 11-15), restarts included.")
+		"MCTS optimization stage (Alg. 1 lines 11-15).")
 	obsFinalize = obs.NewSpan("macroplace_core_finalize",
 		"Finalization stage: macro legalization plus full-netlist cell placement.")
 )

@@ -8,9 +8,10 @@ import "math"
 // therefore stateful: one goroutine, one sample at a time. The batched
 // kernels below are the inference-only counterparts behind
 // Agent.EvaluateBatchInto: they are pure functions of the layer
-// weights — no caches, no BatchNorm running-statistic updates — so the
-// parallel MCTS workers call them concurrently, one state each, and a
-// multi-state batch flows through single MatMul calls.
+// weights, with no caches, so training rollouts, greedy episodes and
+// the parallel MCTS workers (concurrently, one state each) all read
+// one set of layers, and a multi-state batch flows through single
+// MatMul calls.
 //
 // Batched feature maps are stored channel-major over the batch:
 // element (c, b, i) of a [C, B, H*W] map lives at x[(c*B+b)*hw + i].
@@ -23,29 +24,22 @@ import "math"
 // evaluation is bit-identical to evaluating each sample alone (the
 // MCTS determinism tests rely on this).
 //
-// Every kernel comes in two forms: a WS variant that draws its
-// intermediate buffers from a Workspace arena (zero heap allocations
-// once the arena is warm), and the original allocating form, kept as a
-// thin nil-workspace wrapper. Fused epilogues (the convolution bias,
-// the ReLU after BatchNorm, the residual add+ReLU) sweep the output
-// once instead of once per epilogue; each fused form performs the
-// identical float operations in the identical order, so fusion is
-// invisible at the bit level.
+// Every kernel draws its intermediate buffers from a Workspace arena
+// (zero heap allocations once the arena is warm; a nil Workspace
+// allocates). Fused epilogues (the convolution bias, the ReLU after
+// BatchNorm, the residual add+ReLU) sweep the output once instead of
+// once per epilogue; each fused form performs the identical float
+// operations in the identical order, so fusion is invisible at the bit
+// level.
 
-// ForwardBatch applies the convolution to a batch of [Cin, H, W]
-// feature maps in channel-major batch layout. It is pure: the backward
-// caches of Forward are untouched.
-func (c *Conv2D) ForwardBatch(x []float32, batch, h, w int) []float32 {
-	return c.ForwardBatchWS(nil, x, batch, h, w, false)
-}
-
-// ForwardBatchWS is ForwardBatch with the im2col and output buffers
-// drawn from ws (nil ws allocates) and an optional fused ReLU on the
-// biased output.
+// ForwardBatchWS applies the convolution to a batch of [Cin, H, W]
+// feature maps in channel-major batch layout, with the im2col and
+// output buffers drawn from ws and an optional fused ReLU on the biased
+// output. It is pure: the backward caches of Forward are untouched.
 func (c *Conv2D) ForwardBatchWS(ws *Workspace, x []float32, batch, h, w int, relu bool) []float32 {
 	hw := h * w
 	if len(x) < c.Cin*batch*hw {
-		panic("nn: Conv2D.ForwardBatch input too small")
+		panic("nn: Conv2D.ForwardBatchWS input too small")
 	}
 	ck := c.Cin * c.K * c.K
 	cols := ws.Take(ck * batch * hw)
@@ -91,23 +85,16 @@ func im2colBatch(cols, x []float32, cin, batch, h, w, k, pad int) {
 	}
 }
 
-// ForwardBatch normalises a channel-major batch with the same
-// per-sample spatial statistics the training-mode Forward uses (the
-// batch dimension is 1 throughout the sequential code, so statistics
-// always come from one sample's H×W extent). Unlike Forward it never
-// touches RunMean/RunVar, which keeps it pure and concurrency-safe;
-// the per-sample outputs are identical because training-mode outputs
-// never depend on the running statistics.
-func (bn *BatchNorm2D) ForwardBatch(x []float32, batch, hw int) []float32 {
-	return bn.ForwardBatchWS(nil, x, batch, hw, false)
-}
-
-// ForwardBatchWS is ForwardBatch with the output drawn from ws (nil ws
-// allocates) and an optional fused ReLU: max(0, ·) of the identical
-// normalised value, bit-identical to a separate ReLUBatch sweep.
+// ForwardBatchWS normalises a channel-major batch with the same
+// per-sample spatial statistics Forward uses (the batch dimension is 1
+// throughout the sequential code, so statistics always come from one
+// sample's H×W extent). The output is drawn from ws, and the optional
+// fused ReLU takes max(0, ·) of the identical normalised value. Unlike
+// Forward it records no backward cache, which keeps it pure and
+// concurrency-safe.
 func (bn *BatchNorm2D) ForwardBatchWS(ws *Workspace, x []float32, batch, hw int, relu bool) []float32 {
 	if len(x) < bn.C*batch*hw {
-		panic("nn: BatchNorm2D.ForwardBatch input too small")
+		panic("nn: BatchNorm2D.ForwardBatchWS input too small")
 	}
 	out := ws.Take(bn.C * batch * hw)
 	n := float32(hw)
@@ -144,17 +131,6 @@ func (bn *BatchNorm2D) ForwardBatchWS(ws *Workspace, x []float32, batch, hw int,
 	return out
 }
 
-// ReLUBatch rectifies in place and returns x (pure w.r.t. layer
-// state: no backward mask is recorded).
-func ReLUBatch(x []float32) []float32 {
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
-		}
-	}
-	return x
-}
-
 // AddReLUBatch computes out[i] = max(0, out[i]+x[i]) in place: the
 // residual-block skip connection with its ReLU fused into one sweep.
 func AddReLUBatch(out, x []float32) []float32 {
@@ -168,13 +144,8 @@ func AddReLUBatch(out, x []float32) []float32 {
 	return out
 }
 
-// ForwardBatch applies the residual block to a channel-major batch.
-func (b *ResBlock) ForwardBatch(x []float32, batch, h, w int) []float32 {
-	return b.ForwardBatchWS(nil, x, batch, h, w)
-}
-
-// ForwardBatchWS is ForwardBatch over a Workspace, with the first
-// BN+ReLU and the skip add+ReLU fused.
+// ForwardBatchWS applies the residual block to a channel-major batch
+// over a Workspace, with the first BN+ReLU and the skip add+ReLU fused.
 func (b *ResBlock) ForwardBatchWS(ws *Workspace, x []float32, batch, h, w int) []float32 {
 	hw := h * w
 	out := b.Conv1.ForwardBatchWS(ws, x, batch, h, w, false)
@@ -184,19 +155,14 @@ func (b *ResBlock) ForwardBatchWS(ws *Workspace, x []float32, batch, h, w int) [
 	return AddReLUBatch(out, x)
 }
 
-// Apply computes W·x + b without recording the backward cache: the
-// pure single-sample counterpart of Forward, with the identical
-// accumulation order.
-func (l *Linear) Apply(x []float32) []float32 {
-	return l.ApplyInto(make([]float32, l.Out), x, false)
-}
-
-// ApplyInto is Apply writing into dst (length l.Out), with an optional
-// fused ReLU on each output — max(0, ·) of the identical sum, so the
-// fusion is bit-invisible. Returns dst.
+// ApplyInto computes W·x + b into dst (length l.Out) without recording
+// the backward cache: the pure single-sample counterpart of Forward,
+// with the identical accumulation order and an optional fused ReLU on
+// each output — max(0, ·) of the identical sum, so the fusion is
+// bit-invisible. Returns dst.
 func (l *Linear) ApplyInto(dst, x []float32, relu bool) []float32 {
 	if len(x) != l.In {
-		panic("nn: Linear.Apply input length mismatch")
+		panic("nn: Linear.ApplyInto input length mismatch")
 	}
 	if len(dst) != l.Out {
 		panic("nn: Linear.ApplyInto dst length mismatch")

@@ -423,19 +423,19 @@ func TestWorkspaceVariantsBitIdenticalToAllocating(t *testing.T) {
 		ws.Reset()
 		co := conv.ForwardBatchWS(&ws, x, batch, h, w, false)
 		requireExact(t, "Conv2D.ForwardBatchWS", [3]int{pass, 0, 0},
-			co, conv.ForwardBatch(x, batch, h, w))
+			co, conv.ForwardBatchWS(nil, x, batch, h, w, false))
 
 		bo := bn.ForwardBatchWS(&ws, co, batch, hw, true)
 		requireExact(t, "BatchNorm2D.ForwardBatchWS+ReLU", [3]int{pass, 0, 0},
-			bo, ReLUBatch(bn.ForwardBatch(co, batch, hw)))
+			bo, ReLUBatch(bn.ForwardBatchWS(nil, co, batch, hw, false)))
 
 		ro := rb.ForwardBatchWS(&ws, bo, batch, h, w)
 		requireExact(t, "ResBlock.ForwardBatchWS", [3]int{pass, 0, 0},
-			ro, rb.ForwardBatch(bo, batch, h, w))
+			ro, rb.ForwardBatchWS(nil, bo, batch, h, w))
 
 		li := lin.ApplyInto(ws.Take(7), ro[:hw], true)
 		requireExact(t, "Linear.ApplyInto+ReLU", [3]int{pass, 0, 0},
-			li, ReLUBatch(lin.Apply(ro[:hw])))
+			li, ReLUBatch(lin.ApplyInto(make([]float32, 7), ro[:hw], false)))
 	}
 }
 

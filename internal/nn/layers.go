@@ -133,40 +133,29 @@ func convSpan(kx, pad, w int) (lo, hi int) {
 
 // BatchNorm2D normalises each channel over its spatial extent (the
 // batch dimension is 1 throughout this codebase, so statistics come
-// from the H×W samples of the channel). Running statistics are kept
-// for evaluation mode.
+// from the H×W samples of the channel). Every pass normalises with its
+// own sample's statistics, so the layer's learned state is γ and β
+// alone: no running estimates are kept.
 type BatchNorm2D struct {
-	C        int
-	Eps      float32
-	Momentum float32
-	Training bool
+	C   int
+	Eps float32
 
 	Gamma, Beta *Param
-	RunMean     []float32
-	RunVar      []float32
 
 	// cached for backward
 	xhat   []float32
 	invStd []float32
 	h, w   int
-
-	// per-channel statistics of the most recent training-mode Forward
-	batchMean, batchVar []float32
 }
 
 // NewBatchNorm2D builds a BatchNorm over c channels.
 func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	bn := &BatchNorm2D{
-		C: c, Eps: 1e-5, Momentum: 0.9, Training: true,
-		Gamma:   NewParam(name+".gamma", c),
-		Beta:    NewParam(name+".beta", c),
-		RunMean: make([]float32, c),
-		RunVar:  make([]float32, c),
+		C: c, Eps: 1e-5,
+		Gamma: NewParam(name+".gamma", c),
+		Beta:  NewParam(name+".beta", c),
 	}
 	bn.Gamma.Fill(1)
-	for i := range bn.RunVar {
-		bn.RunVar[i] = 1
-	}
 	return bn
 }
 
@@ -184,8 +173,6 @@ func (bn *BatchNorm2D) Forward(x *Tensor) *Tensor {
 	if cap(bn.xhat) < bn.C*hw {
 		bn.xhat = make([]float32, bn.C*hw)
 		bn.invStd = make([]float32, bn.C)
-		bn.batchMean = make([]float32, bn.C)
-		bn.batchVar = make([]float32, bn.C)
 	}
 	bn.xhat = bn.xhat[:bn.C*hw]
 	out := NewTensor(bn.C, h, w)
@@ -193,20 +180,15 @@ func (bn *BatchNorm2D) Forward(x *Tensor) *Tensor {
 	for c := 0; c < bn.C; c++ {
 		xc := x.Data[c*hw : (c+1)*hw]
 		var mean, varv float32
-		if bn.Training {
-			for _, v := range xc {
-				mean += v
-			}
-			mean /= n
-			for _, v := range xc {
-				d := v - mean
-				varv += d * d
-			}
-			varv /= n
-			bn.batchMean[c], bn.batchVar[c] = mean, varv
-		} else {
-			mean, varv = bn.RunMean[c], bn.RunVar[c]
+		for _, v := range xc {
+			mean += v
 		}
+		mean /= n
+		for _, v := range xc {
+			d := v - mean
+			varv += d * d
+		}
+		varv /= n
 		inv := 1 / float32(math.Sqrt(float64(varv+bn.Eps)))
 		bn.invStd[c] = inv
 		g, b := bn.Gamma.W[c], bn.Beta.W[c]
@@ -217,25 +199,10 @@ func (bn *BatchNorm2D) Forward(x *Tensor) *Tensor {
 			oc[i] = g*xh[i] + b
 		}
 	}
-	if bn.Training {
-		bn.TrackStats(bn.RunMean, bn.RunVar)
-	}
 	return out
 }
 
-// TrackStats applies the batch statistics of bn's most recent
-// training-mode Forward to the running estimates runMean and runVar:
-// the exponential moving average every such Forward applies to
-// bn.RunMean and bn.RunVar. A parallel update calls it on the agent's
-// running statistics, one replayed step at a time in step order.
-func (bn *BatchNorm2D) TrackStats(runMean, runVar []float32) {
-	for c := range runMean {
-		runMean[c] = bn.Momentum*runMean[c] + (1-bn.Momentum)*bn.batchMean[c]
-		runVar[c] = bn.Momentum*runVar[c] + (1-bn.Momentum)*bn.batchVar[c]
-	}
-}
-
-// Backward implements Layer. Assumes Forward ran in training mode.
+// Backward implements Layer.
 func (bn *BatchNorm2D) Backward(dy *Tensor) *Tensor {
 	h, w := bn.h, bn.w
 	hw := h * w

@@ -310,33 +310,6 @@ func TestResBlockGradients(t *testing.T) {
 	checkInputGradient(t, rb, x, 5e-2)
 }
 
-func TestBatchNormRunningStats(t *testing.T) {
-	r := rng.New(11)
-	bn := NewBatchNorm2D("bn", 1)
-	x := randTensor(r, 1, 8, 8)
-	for i := range x.Data {
-		x.Data[i] = x.Data[i]*2 + 3 // mean 3, std 2
-	}
-	for i := 0; i < 60; i++ {
-		bn.Forward(x)
-	}
-	if math.Abs(float64(bn.RunMean[0])-3) > 0.3 {
-		t.Errorf("running mean = %v, want ≈3", bn.RunMean[0])
-	}
-	if math.Abs(math.Sqrt(float64(bn.RunVar[0]))-2) > 0.4 {
-		t.Errorf("running std = %v, want ≈2", math.Sqrt(float64(bn.RunVar[0])))
-	}
-	// Eval mode uses the running stats and is deterministic.
-	bn.Training = false
-	y1 := bn.Forward(x)
-	y2 := bn.Forward(x)
-	for i := range y1.Data {
-		if y1.Data[i] != y2.Data[i] {
-			t.Fatal("eval mode must be deterministic")
-		}
-	}
-}
-
 func TestEmbedding(t *testing.T) {
 	r := rng.New(12)
 	e := NewEmbedding("e", 4, 3, r)
@@ -370,7 +343,7 @@ func TestEmbedding(t *testing.T) {
 
 // quadraticParams builds a parameter holding 8 scalars with loss
 // Σ (w - target)²; gradient = 2(w - target).
-func optimizerConverges(t *testing.T, makeOpt func(p *Param) Optimizer) {
+func optimizerConverges(t *testing.T, makeOpt func(p *Param) *Adam) {
 	t.Helper()
 	p := NewParam("w", 8)
 	target := []float32{1, -2, 3, 0.5, -0.25, 2, -1, 0}
@@ -391,16 +364,8 @@ func optimizerConverges(t *testing.T, makeOpt func(p *Param) Optimizer) {
 	}
 }
 
-func TestSGDConverges(t *testing.T) {
-	optimizerConverges(t, func(p *Param) Optimizer { return NewSGD([]*Param{p}, 0.05, 0) })
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	optimizerConverges(t, func(p *Param) Optimizer { return NewSGD([]*Param{p}, 0.02, 0.9) })
-}
-
 func TestAdamConverges(t *testing.T) {
-	optimizerConverges(t, func(p *Param) Optimizer { return NewAdam([]*Param{p}, 0.05) })
+	optimizerConverges(t, func(p *Param) *Adam { return NewAdam([]*Param{p}, 0.05) })
 }
 
 func TestAdamClipsGradients(t *testing.T) {
@@ -425,14 +390,14 @@ func TestAdamClipsGradients(t *testing.T) {
 
 func TestStepClearsGradients(t *testing.T) {
 	p := NewParam("w", 1)
-	s := NewSGD([]*Param{p}, 0.1, 0.5)
+	a := NewAdam([]*Param{p}, 0.1)
 	p.G[0] = 2
-	s.Step()
+	a.Step()
 	if p.G[0] != 0 {
-		t.Error("SGD.Step must clear gradients")
+		t.Error("Adam.Step must clear gradients")
 	}
 	p.G[0] = 3
-	s.ZeroGrad()
+	p.ZeroGrad()
 	if p.G[0] != 0 {
 		t.Error("ZeroGrad must clear gradients")
 	}

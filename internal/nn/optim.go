@@ -2,59 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and clears the gradients.
-	Step()
-	// ZeroGrad clears gradients without updating.
-	ZeroGrad()
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	Params   []*Param
-	LR       float32
-	Momentum float32
-	vel      [][]float32
-}
-
-// NewSGD builds an SGD optimizer over params.
-func NewSGD(params []*Param, lr, momentum float32) *SGD {
-	s := &SGD{Params: params, LR: lr, Momentum: momentum}
-	if momentum > 0 {
-		s.vel = make([][]float32, len(params))
-		for i, p := range params {
-			s.vel[i] = make([]float32, len(p.W))
-		}
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	for i, p := range s.Params {
-		if s.vel != nil {
-			v := s.vel[i]
-			for j := range p.W {
-				v[j] = s.Momentum*v[j] + p.G[j]
-				p.W[j] -= s.LR * v[j]
-			}
-		} else {
-			for j := range p.W {
-				p.W[j] -= s.LR * p.G[j]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.Params {
-		p.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with gradient clipping.
 type Adam struct {
 	Params []*Param
@@ -86,7 +33,7 @@ func NewAdam(params []*Param, lr float32) *Adam {
 	return a
 }
 
-// Step implements Optimizer.
+// Step applies one update and clears the gradients.
 func (a *Adam) Step() {
 	a.t++
 	if a.ClipNorm > 0 {
@@ -118,13 +65,6 @@ func (a *Adam) Step() {
 			vh := v[j] / bc2
 			p.W[j] -= a.LR * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)
 		}
-		p.ZeroGrad()
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (a *Adam) ZeroGrad() {
-	for _, p := range a.Params {
 		p.ZeroGrad()
 	}
 }

@@ -1,7 +1,7 @@
 // Package nn is a small, dependency-free neural-network library built
 // for the agent of Fig. 2 / Table I of the paper: float32 tensors,
 // im2col Conv2D, spatial BatchNorm, ReLU, Linear, embeddings, residual
-// blocks, hand-wired backpropagation, and SGD/Adam optimizers.
+// blocks, hand-wired backpropagation, and an Adam optimizer.
 //
 // The library deliberately avoids a general autograd graph: the agent
 // architecture is static, so each layer exposes Forward/Backward and
@@ -137,14 +137,4 @@ type Layer interface {
 	Backward(dy *Tensor) *Tensor
 	// Params returns the layer's learnable parameters.
 	Params() []*Param
-}
-
-// SetTraining toggles train/eval behaviour on layers that distinguish
-// them (BatchNorm). It walks the provided layers.
-func SetTraining(training bool, layers ...Layer) {
-	for _, l := range layers {
-		if bn, ok := l.(*BatchNorm2D); ok {
-			bn.Training = training
-		}
-	}
 }

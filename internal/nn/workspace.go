@@ -10,11 +10,9 @@ package nn
 // performs zero heap allocations. Buffers handed out by Take are NOT
 // zeroed — every inference kernel fully overwrites its destination, so
 // recycled garbage can never leak into an output (tests pin the
-// with-workspace results bit-identical to the allocating kernels).
+// results of a warm workspace bit-identical to those of a nil one).
 //
-// A nil *Workspace is valid and degrades every Take to a plain make,
-// which keeps the allocating entry points (ForwardBatch and friends)
-// as thin wrappers over the WS variants.
+// A nil *Workspace is valid and degrades every Take to a plain make.
 type Workspace struct {
 	arena []float32
 	off   int // bump pointer into arena

@@ -1,6 +1,8 @@
 package rl
 
 import (
+	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -194,6 +196,41 @@ func TestTrainerDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(run(), run()) {
 		t.Error("training must be deterministic for a fixed seed")
+	}
+}
+
+// TestPretrainingLeavesAgentUntilFirstUpdate: rollouts only read the
+// weights, so a trainer cancelled after five rollouts and before its
+// first update (UpdateEvery 30) leaves a checkpoint byte-identical to
+// the one saved before it ran.
+func TestPretrainingLeavesAgentUntilFirstUpdate(t *testing.T) {
+	env, wl := testEnv()
+	ag := agent.New(agent.Config{Zeta: 4, Channels: 4, ResBlocks: 1, MaxSteps: 4, Seed: 2})
+	var before bytes.Buffer
+	if err := ag.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const calibration, rollouts = 6, 5
+	calls := 0
+	cancelling := func(anchors []int) float64 {
+		if calls++; calls == calibration+rollouts {
+			cancel()
+		}
+		return wl(anchors)
+	}
+	tr := NewTrainer(Config{Episodes: 50, UpdateEvery: 30, CalibrationEpisodes: calibration, Seed: 6}, ag, env, cancelling)
+	tr.RunContext(ctx)
+	if !tr.Interrupted || len(tr.History) != rollouts {
+		t.Fatalf("interrupted=%v after %d episodes, want a cancel after %d", tr.Interrupted, len(tr.History), rollouts)
+	}
+	var after bytes.Buffer
+	if err := ag.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Error("rollouts changed the agent's checkpoint before its first update")
 	}
 }
 

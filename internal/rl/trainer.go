@@ -272,6 +272,10 @@ func (tr *Trainer) RunContext(ctx context.Context) {
 	}
 	var batch []episodeRecord
 	sampler := tr.rnd.Split("actions")
+	// Rollouts read the weights through the pure inference path; each
+	// step's state is freshly allocated because the update replays it.
+	var in [1]agent.BatchInput
+	var out [1]agent.Output
 
 	for ep := 1; ep <= tr.Cfg.Episodes; ep++ {
 		if ctx.Err() != nil {
@@ -282,13 +286,12 @@ func (tr *Trainer) RunContext(ctx context.Context) {
 		env.Reset()
 		var steps []step
 		for !env.Done() {
-			sp := env.SP()
-			sa := env.Avail()
-			t := env.T()
-			out := tr.Agent.Forward(sp, sa, t)
-			a := sampleAction(out.Probs, env, sampler)
-			steps = append(steps, step{sp: sp, sa: sa, t: t, action: a})
-			if err := env.Step(a); err != nil {
+			st := step{sp: env.SP(), sa: env.Avail(), t: env.T()}
+			in[0] = agent.BatchInput{SP: st.sp, SA: st.sa, T: st.t}
+			tr.Agent.EvaluateBatchInto(in[:], out[:])
+			st.action = sampleAction(out[0].Probs, env, sampler)
+			steps = append(steps, st)
+			if err := env.Step(st.action); err != nil {
 				panic(fmt.Sprintf("rl: training episode produced illegal action: %v", err))
 			}
 		}

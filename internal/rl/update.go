@@ -16,10 +16,10 @@ import (
 // The steps replay on runtime.GOMAXPROCS(0) workers, at most one per
 // step: the trainer's own agent on the calling goroutine, and replicas
 // that share its weights and live only for this update. Steps are
-// handed out in order and folded strictly in step order — gradient,
-// BatchNorm statistics and loss terms — so every sum sees the same adds
-// in the same order at any worker count, and the agent, the gauges and
-// everything trained from them stay bit-identical (DESIGN.md §8).
+// handed out in order and folded strictly in step order — gradient and
+// loss terms — so every sum sees the same adds in the same order at any
+// worker count, and the agent, the gauges and everything trained from
+// them stay bit-identical (DESIGN.md §8).
 func (tr *Trainer) update(batch []episodeRecord) {
 	var steps []replayStep
 	for _, ep := range batch {

@@ -46,21 +46,21 @@ func withProcs(procs int, f func()) {
 // values recorded with the sequential replay the parallel update
 // replaced, at 1, 2 and 4 update workers. Three batches of 7 episodes
 // and a 6-episode tail, with an entropy bonus, exercise partial
-// batches, the entropy gradient and the BatchNorm running statistics
-// across updates.
+// batches and the entropy gradient across updates. Episodes 0 and 5
+// share a fingerprint because no update runs between them.
 func TestUpdateGoldenAcrossGOMAXPROCS(t *testing.T) {
 	const (
-		wantAgent   = 0x38d3366c1530d06e
+		wantAgent   = 0x9d44659d12d489a0
 		wantHistory = 0x2136909cce623a80
 	)
 	wantSnaps := []struct {
 		episode int
 		fp      uint64
 	}{
-		{0, 0xa8ca2dcf286c8a26},
-		{5, 0xdb60e647f7d5b2a8},
-		{10, 0x8944fcf5f0f79ea9},
-		{15, 0xff5526bda0486129},
+		{0, 0x3b13166b6260c716},
+		{5, 0x3b13166b6260c716},
+		{10, 0xfdab27fc435d5105},
+		{15, 0xca3bcbbe68f77e35},
 		{20, wantAgent},
 	}
 	wantGauges := []struct {
@@ -143,7 +143,7 @@ func sequentialUpdate(ag *agent.Agent, opt *nn.Adam, batch []episodeRecord, entr
 // TestUpdateMatchesSequentialOracle replays a recorded ζ=16 batch (4
 // episodes, 20 steps) twice through the parallel update and through
 // the sequential oracle, at 1, 2 and 4 workers, and requires
-// bit-identical weights, running statistics and gauges.
+// bit-identical weights and gauges.
 func TestUpdateMatchesSequentialOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays a 20-step ζ=16 batch four times per worker count")
