@@ -142,7 +142,8 @@ func TestWorkersDefaultIsSequential(t *testing.T) {
 
 // TestConflictingModesRefusedLikeTheDaemon: command lines that combine
 // job classes the daemon refuses fail with the daemon's own message
-// instead of silently running one class and ignoring the other flag.
+// instead of silently running one class and ignoring the other flag;
+// so does a network too large to allocate.
 func TestConflictingModesRefusedLikeTheDaemon(t *testing.T) {
 	dir := t.TempDir()
 	prior := filepath.Join(dir, "p.json")
@@ -154,6 +155,7 @@ func TestConflictingModesRefusedLikeTheDaemon(t *testing.T) {
 			`{"bench":"ibm01","race":["mcts"],"resume":{}}`},
 		{"-bench ibm01 -eco -prior " + prior + " -resume",
 			`{"bench":"ibm01","eco":{"prior":{"m0":[1,2]}},"resume":{}}`},
+		{"-bench ibm01 -zeta 128", `{"bench":"ibm01","zeta":128}`},
 	} {
 		_, err := parseSpec(t, tc.cmdline)
 		want := daemonSpec(t, tc.spec).Validate()

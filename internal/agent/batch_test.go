@@ -9,11 +9,11 @@ func batchTestAgent() *Agent {
 	return New(Config{Zeta: 4, Channels: 6, ResBlocks: 2, MaxSteps: 5, Seed: 17})
 }
 
-// evaluateBatch runs in through EvaluateBatchInto into a fresh output
-// slice.
-func evaluateBatch(a *Agent, in []BatchInput) []Output {
+// evaluateBatch runs in through inf's EvaluateBatchInto into a fresh
+// output slice.
+func evaluateBatch(inf Inferencer, in []BatchInput) []Output {
 	out := make([]Output, len(in))
-	a.EvaluateBatchInto(in, out)
+	inf.EvaluateBatchInto(in, out)
 	return out
 }
 

@@ -3,7 +3,6 @@ package agent
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // Inferencer is the pure batched-inference surface every evaluation
@@ -20,10 +19,10 @@ type Inferencer interface {
 
 // CachedEvaluator wraps an Inferencer (normally an Agent) with an LRU
 // cache over its inference results, so repeated evaluations of the
-// same placement state — the MCTS root re-evaluated across restarts,
-// the greedy-RL episode's states re-reached by the search,
-// transpositions where different action orders produce the same
-// occupancy map — skip the network entirely.
+// same placement state — the greedy-RL episode's states re-reached by
+// the search, transpositions where different action orders produce the
+// same occupancy map, an ECO job's move priors repeated by a warm job —
+// skip the network entirely.
 //
 // Keying is content-addressed: the 128-bit key hashes ⟨t, the float64
 // bit patterns of s_p and s_a⟩. An identical placement prefix always
@@ -40,12 +39,9 @@ type Inferencer interface {
 // exactly what the wrapped Inferencer returned, and
 // Agent.EvaluateBatchInto is pinned bit-identical to Forward.
 //
-// Safe for concurrent use. The table is split into 16 independently
-// locked shards (selected by the low key bits, which the dual hash
-// distributes uniformly), so parallel tree workers hitting the cache
-// contend only when their states land in the same shard; the
-// underlying evaluation runs outside every lock, so parallel cache
-// misses never serialize the network.
+// Safe for concurrent use. One mutex guards the table, its exact LRU
+// order and the counters; the network pass of a miss runs outside it,
+// so parallel cache misses never serialize the network.
 //
 // The cache assumes frozen weights: it must be created after
 // pre-training (or weight loading) and discarded — or Retargeted —
@@ -61,41 +57,20 @@ type CachedEvaluator struct {
 	// fp salts every key with the weight fingerprint of inf (zero when
 	// inf does not expose one — then the structural 1:1 pairing of
 	// cache and evaluator is the only staleness guard, as before).
-	fp     uint64
-	mask   uint64 // shard index mask: nshards-1
-	shards [cacheShards]cacheShard
+	fp uint64
 
-	// Lock-free statistics: every lookup increments exactly one of
-	// hits/misses exactly once (intra-batch duplicates count as hits),
-	// so hits+misses equals the number of lookups — a telemetry scrape
-	// mid-run reads a consistent pair without taking any shard lock.
-	hits, misses, evictions atomic.Uint64
-}
-
-// cacheShards is the maximum shard count (power of two; shard =
-// key.a & mask). 16 shards cut lock contention ~16× at 8 tree workers
-// while keeping the per-shard LRU rings small enough to stay
-// cache-resident. Eviction is per shard, so the global replacement
-// order is only approximately LRU; caches smaller than
-// cacheMinSharded entries therefore stay single-shard, preserving the
-// exact LRU semantics the eviction tests pin (tiny caches have no
-// contention worth sharding away anyway).
-const (
-	cacheShards     = 16
-	cacheMinSharded = 256
-)
-
-type cacheShard struct {
 	mu   sync.Mutex
 	m    map[cacheKey]int32
-	ents []cacheEntry // intrusive LRU: index-linked, allocated once
-	cap  int
-	head int32 // most recently used, -1 when empty
-	tail int32 // least recently used, -1 when empty
+	ents []cacheEntry // intrusive LRU: index-linked, allocated once at capacity
+	head int32        // most recently used, -1 when empty
+	tail int32        // least recently used, -1 when empty
 	// pending holds the keys evalOne is running the network for; done
 	// (on mu) is broadcast whenever one leaves.
 	pending map[cacheKey]struct{}
 	done    sync.Cond
+	// Every lookup counts exactly one hit or one miss, so hits+misses
+	// equals the number of lookups.
+	hits, misses, evictions uint64
 }
 
 type cacheKey struct{ a, b uint64 }
@@ -106,13 +81,13 @@ type cacheEntry struct {
 	prev, next int32
 }
 
-// DefaultCacheSize is the total entry capacity NewCachedEvaluator uses
-// when the caller passes capacity <= 0. One entry holds one ζ²-float32
+// DefaultCacheSize is the entry capacity NewCachedEvaluator uses when
+// the caller passes capacity <= 0. One entry holds one ζ²-float32
 // Probs slice (1 KiB at ζ=16), so the default is a few MiB.
 const DefaultCacheSize = 4096
 
 // NewCachedEvaluator wraps ag with an LRU evaluation cache holding up
-// to capacity entries in total (DefaultCacheSize when capacity <= 0).
+// to capacity entries (DefaultCacheSize when capacity <= 0).
 func NewCachedEvaluator(ag *Agent, capacity int) *CachedEvaluator {
 	return NewCachedEvaluatorFor(ag, capacity)
 }
@@ -124,21 +99,16 @@ func NewCachedEvaluatorFor(inf Inferencer, capacity int) *CachedEvaluator {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
 	}
-	nshards := cacheShards
-	if capacity < cacheMinSharded {
-		nshards = 1
+	c := &CachedEvaluator{
+		inf:     inf,
+		fp:      fingerprintOf(inf),
+		m:       make(map[cacheKey]int32, capacity),
+		ents:    make([]cacheEntry, 0, capacity),
+		head:    -1,
+		tail:    -1,
+		pending: make(map[cacheKey]struct{}),
 	}
-	perShard := (capacity + nshards - 1) / nshards
-	c := &CachedEvaluator{inf: inf, fp: fingerprintOf(inf), mask: uint64(nshards - 1)}
-	for i := 0; i < nshards; i++ {
-		s := &c.shards[i]
-		s.m = make(map[cacheKey]int32, perShard)
-		s.pending = make(map[cacheKey]struct{})
-		s.done.L = &s.mu
-		s.ents = make([]cacheEntry, 0, perShard)
-		s.cap = perShard
-		s.head, s.tail = -1, -1
-	}
+	c.done.L = &c.mu
 	return c
 }
 
@@ -204,10 +174,6 @@ func (c *CachedEvaluator) Retarget(inf Inferencer) {
 	c.fp = fingerprintOf(inf)
 }
 
-func (c *CachedEvaluator) shard(key cacheKey) *cacheShard {
-	return &c.shards[key.a&c.mask]
-}
-
 // stateKey hashes ⟨fp, t, s_p bits, s_a bits⟩ with two structurally
 // different 64-bit word hashes: FNV-1a over words, and an add-fold
 // with splitmix64-style avalanching. Lengths and t are folded in so
@@ -242,262 +208,136 @@ func stateKey(fp uint64, t int, sp, sa []float64) cacheKey {
 	return cacheKey{a: h1, b: h2}
 }
 
-// lookup probes one shard for key, refreshing recency on a hit.
-func (c *CachedEvaluator) lookup(key cacheKey) (Output, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if idx, ok := s.m[key]; ok {
-		s.touch(idx)
-		out := s.ents[idx].out
-		s.mu.Unlock()
-		return out, true
-	}
-	s.mu.Unlock()
-	return Output{}, false
-}
-
-// store inserts key→out into its shard.
-func (c *CachedEvaluator) store(key cacheKey, out Output) {
-	s := c.shard(key)
-	s.mu.Lock()
-	c.insert(s, key, out)
-	s.mu.Unlock()
-}
-
-// count records one lookup as a hit or a miss.
-func (c *CachedEvaluator) count(hit bool) {
-	if hit {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
-	} else {
-		c.misses.Add(1)
-		obsCacheMisses.Inc()
-	}
-}
-
-// evalOne is EvaluateBatchInto for one state — a search worker's leaf
-// or a greedy step — through the caller's buffers: one lookup, counted
-// as one hit or one miss, and on a miss one network pass whose output
-// is stored. A state another call is already running the network for
-// is waited for and counts as a hit: two workers that reach one
-// placement by different moves at the same time run the network once,
-// as a serial evaluator would. If that evaluation panics, a waiter runs
-// it instead.
+// evalOne evaluates one state — a search worker's leaf, a greedy step
+// or one ECO move prior — through the caller's buffers: one lookup,
+// counted as one hit or one miss, and on a miss one network pass whose
+// output is stored. A state another call is already running the
+// network for is waited for and counts as a hit: two workers that
+// reach one placement by different moves at the same time run the
+// network once, as a serial evaluator would. If that evaluation
+// panics, a waiter runs it instead.
 func (c *CachedEvaluator) evalOne(in []BatchInput, out []Output) {
 	key := stateKey(c.fp, in[0].T, in[0].SP, in[0].SA)
-	s := c.shard(key)
-	s.mu.Lock()
+	c.mu.Lock()
 	for {
-		if idx, ok := s.m[key]; ok {
-			s.touch(idx)
-			out[0] = s.ents[idx].out
-			s.mu.Unlock()
-			c.count(true)
+		if idx, ok := c.m[key]; ok {
+			c.touch(idx)
+			out[0] = c.ents[idx].out
+			c.hits++
+			c.mu.Unlock()
+			obsCacheHits.Inc()
 			return
 		}
-		if _, busy := s.pending[key]; !busy {
+		if _, busy := c.pending[key]; !busy {
 			break
 		}
-		s.done.Wait()
+		c.done.Wait()
 	}
-	s.pending[key] = struct{}{}
-	s.mu.Unlock()
-	c.count(false)
+	c.pending[key] = struct{}{}
+	c.misses++
+	c.mu.Unlock()
+	obsCacheMisses.Inc()
+	evaluated := false
 	defer func() {
-		s.mu.Lock()
-		delete(s.pending, key)
-		s.done.Broadcast()
-		s.mu.Unlock()
+		c.mu.Lock()
+		if evaluated {
+			c.insert(key, out[0])
+		}
+		delete(c.pending, key)
+		c.done.Broadcast()
+		c.mu.Unlock()
 	}()
 	c.inf.EvaluateBatchInto(in, out)
-	c.store(key, out[0])
+	evaluated = true
 }
 
-// EvaluateBatch is EvaluateBatchInto into a fresh output slice: the
-// ECO move-prior batch (internal/eco) evaluates through it.
-func (c *CachedEvaluator) EvaluateBatch(in []BatchInput) []Output {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make([]Output, len(in))
-	c.EvaluateBatchInto(in, out)
-	return out
-}
-
-// EvaluateBatchInto resolves each input against the cache and runs the
-// network once over the misses only. Duplicate states inside one batch
-// are evaluated once. Keys are hashed and shard locks taken per
-// element, so concurrent batches on different shards proceed in
-// parallel.
+// EvaluateBatchInto looks each state up in turn. A state repeated
+// within one batch is one miss followed by hits.
 func (c *CachedEvaluator) EvaluateBatchInto(in []BatchInput, out []Output) {
 	if len(out) != len(in) {
 		panic("agent: CachedEvaluator.EvaluateBatchInto length mismatch")
 	}
-	if len(in) == 1 {
-		c.evalOne(in, out)
-		return
-	}
-	sc := c.getBatchScratch(len(in))
-	defer c.putBatchScratch(sc)
-
-	var hits, misses uint64
 	for i := range in {
-		sc.keys[i] = stateKey(c.fp, in[i].T, in[i].SP, in[i].SA)
-		if o, ok := c.lookup(sc.keys[i]); ok {
-			hits++
-			out[i] = o
-			continue
-		}
-		if first, dup := sc.seen[sc.keys[i]]; dup {
-			// Intra-batch duplicate: the first occurrence's evaluation
-			// will serve both. Counted as a hit — the network runs once.
-			hits++
-			sc.dups = append(sc.dups, [2]int32{int32(i), first})
-			continue
-		}
-		misses++
-		sc.seen[sc.keys[i]] = int32(i)
-		sc.miss = append(sc.miss, int32(i))
-		sc.sub = append(sc.sub, in[i])
-	}
-	c.hits.Add(hits)
-	c.misses.Add(misses)
-	obsCacheHits.Add(hits)
-	obsCacheMisses.Add(misses)
-
-	if len(sc.sub) > 0 {
-		sc.subOut = sc.subOut[:len(sc.sub)]
-		c.inf.EvaluateBatchInto(sc.sub, sc.subOut)
-		for j, i := range sc.miss {
-			out[i] = sc.subOut[j]
-			c.store(sc.keys[i], sc.subOut[j])
-		}
-	}
-	for _, d := range sc.dups {
-		out[d[0]] = out[d[1]]
+		c.evalOne(in[i:i+1], out[i:i+1])
 	}
 }
 
-// Stats returns the cumulative hit/miss counters. Lock-free: safe to
-// call from a telemetry scrape while searches hammer the cache.
+// Stats returns the cumulative hit/miss counters.
 func (c *CachedEvaluator) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
 }
 
 // Evictions returns the cumulative count of LRU entries recycled at
 // capacity.
-func (c *CachedEvaluator) Evictions() uint64 { return c.evictions.Load() }
-
-// Len returns the current number of cached entries across all shards.
-func (c *CachedEvaluator) Len() int {
-	n := 0
-	for i := 0; i <= int(c.mask); i++ {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
+func (c *CachedEvaluator) Evictions() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.evictions
 }
 
-// touch moves entry idx to the shard's LRU head. Caller holds s.mu.
-func (s *cacheShard) touch(idx int32) {
-	if s.head == idx {
+// Len returns the current number of cached entries.
+func (c *CachedEvaluator) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}
+
+// touch moves entry idx to the LRU head. Caller holds c.mu.
+func (c *CachedEvaluator) touch(idx int32) {
+	if c.head == idx {
 		return
 	}
-	e := &s.ents[idx]
+	e := &c.ents[idx]
 	if e.prev >= 0 {
-		s.ents[e.prev].next = e.next
+		c.ents[e.prev].next = e.next
 	}
 	if e.next >= 0 {
-		s.ents[e.next].prev = e.prev
+		c.ents[e.next].prev = e.prev
 	}
-	if s.tail == idx {
-		s.tail = e.prev
+	if c.tail == idx {
+		c.tail = e.prev
 	}
 	e.prev = -1
-	e.next = s.head
-	if s.head >= 0 {
-		s.ents[s.head].prev = idx
+	e.next = c.head
+	if c.head >= 0 {
+		c.ents[c.head].prev = idx
 	}
-	s.head = idx
-	if s.tail < 0 {
-		s.tail = idx
+	c.head = idx
+	if c.tail < 0 {
+		c.tail = idx
 	}
 }
 
-// insert adds (or refreshes) a cache entry in shard s, evicting the
-// shard's LRU tail at capacity. Caller holds s.mu.
-func (c *CachedEvaluator) insert(s *cacheShard, key cacheKey, out Output) {
-	if idx, ok := s.m[key]; ok {
-		// A concurrent miss on the same state got here first; keep the
-		// stored Output (bit-identical anyway) and refresh recency.
-		s.touch(idx)
-		return
-	}
+// insert adds key, which evalOne's pending set keeps absent from the
+// table, evicting the LRU tail at capacity. Caller holds c.mu.
+func (c *CachedEvaluator) insert(key cacheKey, out Output) {
 	var idx int32
-	if len(s.ents) < s.cap {
-		s.ents = append(s.ents, cacheEntry{})
-		idx = int32(len(s.ents) - 1)
+	if len(c.ents) < cap(c.ents) {
+		c.ents = append(c.ents, cacheEntry{})
+		idx = int32(len(c.ents) - 1)
 	} else {
-		// Recycle the shard's least recently used entry.
-		c.evictions.Add(1)
+		// Recycle the least recently used entry.
+		c.evictions++
 		obsCacheEvictions.Inc()
-		idx = s.tail
-		e := &s.ents[idx]
-		delete(s.m, e.key)
-		s.tail = e.prev
-		if s.tail >= 0 {
-			s.ents[s.tail].next = -1
+		idx = c.tail
+		e := &c.ents[idx]
+		delete(c.m, e.key)
+		c.tail = e.prev
+		if c.tail >= 0 {
+			c.ents[c.tail].next = -1
 		} else {
-			s.head = -1
+			c.head = -1
 		}
 	}
-	s.ents[idx] = cacheEntry{key: key, out: out, prev: -1, next: s.head}
-	if s.head >= 0 {
-		s.ents[s.head].prev = idx
+	c.ents[idx] = cacheEntry{key: key, out: out, prev: -1, next: c.head}
+	if c.head >= 0 {
+		c.ents[c.head].prev = idx
 	}
-	s.head = idx
-	if s.tail < 0 {
-		s.tail = idx
+	c.head = idx
+	if c.tail < 0 {
+		c.tail = idx
 	}
-	s.m[key] = idx
-}
-
-// batchScratch carries the per-call buffers of EvaluateBatchInto.
-type batchScratch struct {
-	keys   []cacheKey
-	miss   []int32
-	dups   [][2]int32
-	sub    []BatchInput
-	subOut []Output
-	seen   map[cacheKey]int32
-}
-
-var batchScratchPool = sync.Pool{New: func() any {
-	return &batchScratch{seen: make(map[cacheKey]int32, 16)}
-}}
-
-func (c *CachedEvaluator) getBatchScratch(n int) *batchScratch {
-	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.keys) < n {
-		sc.keys = make([]cacheKey, n)
-		sc.subOut = make([]Output, n)
-	}
-	sc.keys = sc.keys[:n]
-	sc.miss = sc.miss[:0]
-	sc.dups = sc.dups[:0]
-	sc.sub = sc.sub[:0]
-	sc.subOut = sc.subOut[:0]
-	for k := range sc.seen {
-		delete(sc.seen, k)
-	}
-	return sc
-}
-
-func (c *CachedEvaluator) putBatchScratch(sc *batchScratch) {
-	for i := range sc.sub {
-		sc.sub[i] = BatchInput{} // drop references to caller state
-	}
-	batchScratchPool.Put(sc)
+	c.m[key] = idx
 }

@@ -84,7 +84,7 @@ func TestCacheBatchMixedHitsAndDuplicates(t *testing.T) {
 
 	// Batch: [cached, new, duplicate-of-new, new].
 	batch := []BatchInput{states[0], states[1], states[1], states[2]}
-	outs := ce.EvaluateBatch(batch)
+	outs := evaluateBatch(ce, batch)
 	requireSameOutput(t, "batch cached element", outs[0], first)
 	requireSameOutput(t, "batch duplicate element", outs[2], outs[1])
 	requireSameOutput(t, "batch vs direct", outs[3], evalState(ag, states[2].SP, states[2].SA, states[2].T))
@@ -93,7 +93,7 @@ func TestCacheBatchMixedHitsAndDuplicates(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want 2/3", h, m)
 	}
 	// Same batch again: all hits, bit-identical.
-	again := ce.EvaluateBatch(batch)
+	again := evaluateBatch(ce, batch)
 	for i := range again {
 		requireSameOutput(t, "rebatch", again[i], outs[i])
 	}
@@ -122,6 +122,21 @@ func TestCacheEvictsLRU(t *testing.T) {
 	evalState(ce, states[2].SP, states[2].SA, states[2].T)
 	if h2, _ := ce.Stats(); h2 != 2 {
 		t.Fatalf("expected state 2 to survive eviction")
+	}
+
+	// The order is exact at any capacity: one state past 300 evicts
+	// exactly one entry, the least recently used.
+	ce = NewCachedEvaluator(ag, 300)
+	states = testStates(16, 301, 14)
+	for _, in := range states {
+		evalState(ce, in.SP, in.SA, in.T)
+	}
+	if n, ev := ce.Len(), ce.Evictions(); n != 300 || ev != 1 {
+		t.Fatalf("capacity 300 after 301 states: %d entries, %d evictions, want 300/1", n, ev)
+	}
+	evalState(ce, states[0].SP, states[0].SA, states[0].T)
+	if h, m := ce.Stats(); h != 0 || m != 302 {
+		t.Fatalf("hits=%d misses=%d, want 0/302: the least recently used state survived", h, m)
 	}
 }
 
@@ -181,7 +196,7 @@ func TestCacheNoCrossFingerprintHits(t *testing.T) {
 		got := evalState(ce, in.SP, in.SA, in.T)
 		requireSameOutput(t, "post-retrain", got, evalState(agB, in.SP, in.SA, in.T))
 	}
-	outs := ce.EvaluateBatch(states)
+	outs := evaluateBatch(ce, states)
 	for i, in := range states {
 		requireSameOutput(t, "post-retrain batch", outs[i], evalState(agB, in.SP, in.SA, in.T))
 	}
@@ -210,7 +225,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				i := (w + rep) % len(states)
 				got := evalState(ce, states[i].SP, states[i].SA, states[i].T)
 				requireSameOutput(t, "concurrent", got, want[i])
-				outs := ce.EvaluateBatch(states[i : i+1])
+				outs := evaluateBatch(ce, states[i:i+1])
 				requireSameOutput(t, "concurrent batch", outs[0], want[i])
 			}
 		}(w)

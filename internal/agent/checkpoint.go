@@ -132,12 +132,26 @@ func validateShape(cfg [5]int64) (params, slices int64, err error) {
 			return 0, 0, fmt.Errorf("agent: checkpoint %s=%d outside [%d, %d] (corrupt header?)", f.what, f.v, f.lo, f.hi)
 		}
 	}
-	params, slices = paramCount(cfg[0], cfg[1], cfg[2], cfg[3])
-	if params > maxCheckpointParams {
-		return 0, 0, fmt.Errorf("agent: checkpoint shape zeta=%d channels=%d resblocks=%d maxsteps=%d has %d parameters, above %d (corrupt header?)",
-			cfg[0], cfg[1], cfg[2], cfg[3], params, maxCheckpointParams)
+	shape := Config{Zeta: int(cfg[0]), Channels: int(cfg[1]), ResBlocks: int(cfg[2]), MaxSteps: int(cfg[3])}
+	if err := CheckParams(shape); err != nil {
+		return 0, 0, fmt.Errorf("%w (corrupt header?)", err)
 	}
+	params, slices = paramCount(cfg[0], cfg[1], cfg[2], cfg[3])
 	return params, slices, nil
+}
+
+// CheckParams refuses a network whose shape has more parameters than
+// a checkpoint may hold (maxCheckpointParams), naming the shape and the
+// bound, so a network it admits is one whose checkpoint Load accepts.
+// The daemon checks a job's network with it before admission. Each
+// field must be positive and within Load's header limits.
+func CheckParams(cfg Config) error {
+	n, _ := paramCount(int64(cfg.Zeta), int64(cfg.Channels), int64(cfg.ResBlocks), int64(cfg.MaxSteps))
+	if n > maxCheckpointParams {
+		return fmt.Errorf("agent: network shape zeta=%d channels=%d resblocks=%d maxsteps=%d has %d parameters, above %d",
+			cfg.Zeta, cfg.Channels, cfg.ResBlocks, cfg.MaxSteps, n, maxCheckpointParams)
+	}
+	return nil
 }
 
 // paramCount returns the number of scalar parameters New builds for

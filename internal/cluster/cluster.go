@@ -90,9 +90,6 @@ type Clustering struct {
 	GroupOf []int
 }
 
-// NumGroups returns the total group count.
-func (c *Clustering) NumGroups() int { return len(c.MacroGroups) + len(c.CellGroups) }
-
 // ReorderMacroGroups permutes the macro groups so that new position i
 // holds old group perm[i], fixing the GroupOf mapping. It panics if
 // perm is not a permutation of the macro-group indices. Used by the
@@ -180,10 +177,9 @@ func (h pairHeap) Less(i, j int) bool {
 	}
 	return h[i].sequence < h[j].sequence
 }
-func (h pairHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x any)        { *h = append(*h, x.(pairItem)) }
-func (h *pairHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-func (h pairHeap) worstCaseSize() int { return cap(h) }
+func (h pairHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *pairHeap) Push(x any)   { *h = append(*h, x.(pairItem)) }
+func (h *pairHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
 func newWorkGroup(d *netlist.Design, node int, nodeNets [][]int, id int) *workGroup {
 	n := &d.Nodes[node]

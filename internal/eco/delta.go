@@ -3,7 +3,7 @@
 // netlist delta, a short budgeted local-move search re-optimises the
 // macro allocation starting from the prior instead of re-running the
 // full train-and-search flow. Warm per-design state (trained agent
-// weights, evaluation-cache shards, the calibrated reward scaler)
+// weights, the evaluation cache, the calibrated reward scaler)
 // persists across jobs in a WarmStore keyed by the post-delta
 // netlist's content hash, so the second ECO on a design skips training
 // entirely and replays cached network evaluations.

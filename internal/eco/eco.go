@@ -424,10 +424,10 @@ func enumerateMoves(p *core.Placer, cur []int, out []move) []move {
 
 // movePriors derives PUCT priors for the move menu from the policy
 // network: one evaluation per group — state ⟨s_p without group g,
-// availability of g's shape, t = g⟩ — batched through the shared
-// cache (deterministic states, so a warm repeat of the same delta
-// replays these as hits). A shift move's prior is the policy mass at
-// its target anchor; a swap averages the two groups' masses at each
+// availability of g's shape, t = g⟩ — looked up in the shared cache
+// (deterministic states, so a warm repeat of the same delta replays
+// these as hits). A shift move's prior is the policy mass at its
+// target anchor; a swap averages the two groups' masses at each
 // other's anchors. Floored and normalised to a distribution.
 func movePriors(p *core.Placer, evaluator *agent.CachedEvaluator, cur []int, moves []move, out []float64) []float64 {
 	in := make([]agent.BatchInput, len(cur))
@@ -436,7 +436,8 @@ func movePriors(p *core.Placer, evaluator *agent.CachedEvaluator, cur []int, mov
 		sa := availFor(p, sp, gi)
 		in[gi] = agent.BatchInput{SP: sp, SA: sa, T: gi}
 	}
-	outs := evaluator.EvaluateBatch(in)
+	outs := make([]agent.Output, len(in))
+	evaluator.EvaluateBatchInto(in, outs)
 
 	const floor = 1e-6
 	var sum float64

@@ -201,13 +201,6 @@ func (r *registry) state(w *Worker) WorkerState {
 	return w.state
 }
 
-// draining reports the worker's last-advertised drain flag.
-func (r *registry) isDraining(w *Worker) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return w.draining
-}
-
 // live counts healthy workers (the workers_live gauge).
 func (r *registry) live() int {
 	r.mu.Lock()

@@ -200,9 +200,6 @@ func (b *BBox) Add(x, y float64) {
 	b.n++
 }
 
-// AddPoint extends the box to include p.
-func (b *BBox) AddPoint(p Point) { b.Add(p.X, p.Y) }
-
 // Count returns how many points have been accumulated.
 func (b *BBox) Count() int { return b.n }
 

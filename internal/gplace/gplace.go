@@ -141,9 +141,6 @@ func New(d *netlist.Design, cfg Config) *Placer {
 	return p
 }
 
-// NumMovable returns the size of the movable set.
-func (p *Placer) NumMovable() int { return len(p.movable) }
-
 // Place runs the full global-placement loop and writes final positions
 // into the design.
 func (p *Placer) Place() Result {

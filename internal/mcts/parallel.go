@@ -344,7 +344,7 @@ func (s *Search) expandLeaf(n *node, wk *workerState) float64 {
 // evalLeaf evaluates the state in sc.sp/sc.sa on the calling worker,
 // through EvaluateBatchInto with the worker's one-state buffers.
 // Nothing here serializes workers — CachedEvaluator runs the network
-// outside its shard locks. An evaluator fault surfaces as a panic,
+// outside its lock. An evaluator fault surfaces as a panic,
 // unwinding to explorePass's recover.
 func (s *Search) evalLeaf(sc *passScratch, t int) agent.Output {
 	sc.in[0] = agent.BatchInput{SP: sc.sp, SA: sc.sa, T: t}

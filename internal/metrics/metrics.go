@@ -145,38 +145,6 @@ func clampI(x, lo, hi int) int {
 	return x
 }
 
-// Displacement summarises how far nodes moved between two position
-// snapshots of the same design.
-type Displacement struct {
-	Total float64
-	Max   float64
-	Mean  float64
-	Moved int
-}
-
-// MeasureDisplacement compares two snapshots taken with
-// Design.Positions.
-func MeasureDisplacement(before, after []geom.Point) Displacement {
-	if len(before) != len(after) {
-		panic("metrics: displacement snapshot length mismatch")
-	}
-	var disp Displacement
-	for i := range before {
-		d := before[i].Manhattan(after[i])
-		if d > 0 {
-			disp.Moved++
-		}
-		disp.Total += d
-		if d > disp.Max {
-			disp.Max = d
-		}
-	}
-	if len(before) > 0 {
-		disp.Mean = disp.Total / float64(len(before))
-	}
-	return disp
-}
-
 // Report is a consolidated quality snapshot of one placement.
 type Report struct {
 	HPWL           float64

@@ -60,27 +60,6 @@ func TestCongestionOverflowRatio(t *testing.T) {
 	}
 }
 
-func TestMeasureDisplacement(t *testing.T) {
-	before := []geom.Point{{X: 0, Y: 0}, {X: 5, Y: 5}, {X: 1, Y: 1}}
-	after := []geom.Point{{X: 3, Y: 4}, {X: 5, Y: 5}, {X: 0, Y: 1}}
-	disp := MeasureDisplacement(before, after)
-	if disp.Total != 8 || disp.Max != 7 || disp.Moved != 2 {
-		t.Errorf("displacement = %+v", disp)
-	}
-	if math.Abs(disp.Mean-8.0/3) > 1e-12 {
-		t.Errorf("mean = %v", disp.Mean)
-	}
-}
-
-func TestMeasureDisplacementMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch should panic")
-		}
-	}()
-	MeasureDisplacement(make([]geom.Point, 2), make([]geom.Point, 3))
-}
-
 func TestMeasureReport(t *testing.T) {
 	d, err := gen.IBM("ibm01", 0.02, 3)
 	if err != nil {

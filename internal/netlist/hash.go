@@ -10,7 +10,7 @@ import "math"
 //
 // This is the warm-store key of the ECO workload (internal/eco): an
 // incremental re-placement job reuses per-design state — trained agent
-// weights, evaluation-cache shards — exactly when the netlist it is
+// weights, the evaluation cache — exactly when the netlist it is
 // about to re-place is structurally the netlist that state was built
 // for. A delta that adds, drops, or reweights a net changes the hash,
 // as does any geometry change that alters the placement problem.

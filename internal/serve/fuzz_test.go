@@ -3,9 +3,50 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+
+	"macroplace/internal/agent"
 )
+
+// TestValidateBoundsNetworkParams: each network field within its own
+// cap can still multiply into a network the daemon cannot allocate.
+// Validate counts the parameters of the normalized shape, with one
+// position-embedding row, against the bound agent.Load puts on a
+// checkpoint, and its error names the shape and the bound.
+func TestValidateBoundsNetworkParams(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		params int64 // 0: admitted
+	}{
+		{`{"bench":"ibm01","zeta":128}`, 537_470_412},
+		{`{"bench":"ibm01","zeta":80}`, 82_160_076},
+		{`{"bench":"ibm01","channels":4096,"resblocks":64}`, 19_329_127_452},
+		{`{"bench":"ibm01","channels":1024,"resblocks":4}`, 75_677_724},
+		{`{"bench":"ibm01","zeta":64}`, 0},                     // 33,711,564 parameters
+		{`{"bench":"ibm01","channels":128,"resblocks":10}`, 0}, // the paper's Table I tower
+	} {
+		var sp Spec
+		if err := json.Unmarshal([]byte(tc.spec), &sp); err != nil {
+			t.Fatal(err)
+		}
+		err := sp.Validate()
+		if tc.params == 0 {
+			if err != nil {
+				t.Errorf("%s refused: %v", tc.spec, err)
+			}
+			continue
+		}
+		n := sp.normalize()
+		shape := fmt.Sprintf("zeta=%d channels=%d resblocks=%d maxsteps=1", n.Zeta, n.Channels, n.ResBlocks)
+		want := fmt.Sprintf("%s has %d parameters, above %d", shape, tc.params, 1<<26)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.spec, err, want)
+		}
+	}
+}
 
 // FuzzSpecJSON throws arbitrary bytes at the submission path's decoder
 // and validator — the daemon's untrusted input surface. The contract:
@@ -28,6 +69,8 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"bench":"ibm01","race_deadline_ms":99999999999}`))
 	f.Add([]byte(`{"bench":"ibm01","effort":-0.5}`))
 	f.Add([]byte(`{"bench":"ibm01","race":["nope"]}`))
+	f.Add([]byte(`{"bench":"ibm01","zeta":128}`))
+	f.Add([]byte(`{"bench":"ibm01","channels":4096,"resblocks":64}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := json.NewDecoder(bytes.NewReader(data))
@@ -54,6 +97,9 @@ func FuzzSpecJSON(f *testing.F) {
 		}
 		if n.Scale <= 0 || n.Scale > 100 || math.IsNaN(n.Scale) || math.IsInf(n.Scale, 0) {
 			t.Fatalf("normalized scale = %v", n.Scale)
+		}
+		if err := agent.CheckParams(agent.Config{Zeta: n.Zeta, Channels: n.Channels, ResBlocks: n.ResBlocks, MaxSteps: 1}); err != nil {
+			t.Fatalf("admitted network is over the parameter bound: %v", err)
 		}
 
 		opts := sp.Options()

@@ -243,6 +243,13 @@ func (sp Spec) Validate() error {
 			return fmt.Errorf("serve: %s %d out of range [0, %d]", f.name, f.val, f.max)
 		}
 	}
+	// The per-field caps do not bound their product. One
+	// position-embedding row is a lower bound: the real count is the
+	// design's group count, unknown until the design is clustered.
+	n := sp.normalize()
+	if err := agent.CheckParams(agent.Config{Zeta: n.Zeta, Channels: n.Channels, ResBlocks: n.ResBlocks, MaxSteps: 1}); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
 
 	if sp.Snap && sp.DEF == "" {
 		return fmt.Errorf("serve: snap needs an inline DEF design to derive the lattice from")

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Runs the concurrency tests under the race detector at GOMAXPROCS=2,
-# so goroutines actually interleave: the sharded evaluation cache, the
-# parallel tree search (whose workers call the evaluator, and the fault
-# injector wrapping it, concurrently), the RL update's replay workers
-# (whose replicas share the agent's weights), and the daemon's worker
-# pool.
+# so goroutines actually interleave: the evaluation cache (one mutex
+# and one condition variable), the parallel tree search (whose workers
+# call the evaluator, and the fault injector wrapping it,
+# concurrently), the RL update's replay workers (whose replicas share
+# the agent's weights), and the daemon's worker pool. The cache tests
+# run ten times each, since one interleaving proves little about
+# shared state; the rest run once.
 #
 #   scripts/race_multicore.sh
 #
@@ -13,7 +15,13 @@
 # deleted test fails the script instead.
 set -euo pipefail
 
+# run [-count=N] PKG TEST...
 run() {
+	local count=-count=1
+	if [[ $1 == -count=* ]]; then
+		count=$1
+		shift
+	fi
 	local pkg=$1
 	shift
 	local filter
@@ -29,14 +37,15 @@ run() {
 			exit 1
 		fi
 	done
-	echo "race_multicore: $pkg: $# tests at GOMAXPROCS=2"
-	GOMAXPROCS=2 go test -race -count=1 -run "$filter" "$pkg"
+	echo "race_multicore: $pkg: $# tests at GOMAXPROCS=2, $count"
+	GOMAXPROCS=2 go test -race "$count" -run "$filter" "$pkg"
 }
 
-run ./internal/agent/ TestCacheConcurrentAccess TestEvaluateBatchConcurrent \
+run -count=10 ./internal/agent/ TestCacheConcurrentAccess TestEvaluateBatchConcurrent \
 	TestCacheEvaluatesConcurrentDuplicatesOnce
-run ./internal/mcts/ TestCacheCountersExactUnderConcurrency TestParallelStress \
-	TestParallelSearchSharedCacheRace TestDeterminism TestParallelLeafEvaluationsOverlap
+run -count=10 ./internal/mcts/ TestCacheCountersExactUnderConcurrency
+run ./internal/mcts/ TestParallelStress TestParallelSearchSharedCacheRace TestDeterminism \
+	TestParallelLeafEvaluationsOverlap
 run ./internal/faults/ TestPanickingWorkersKeepTreeConsistent
 run ./internal/rl/ TestUpdateGoldenAcrossGOMAXPROCS TestUpdatePanicResurfaces
 run ./internal/serve/ TestDaemonE2E TestDaemonBitIdenticalToDirectRun \
