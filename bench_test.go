@@ -174,58 +174,65 @@ func BenchmarkClusterMacros(b *testing.B) {
 	}
 }
 
-// BenchmarkPolicyForward measures one agent inference at the default
-// experiment tower size (ζ=16).
-func BenchmarkPolicyForward(b *testing.B) {
-	ag := agent.New(agent.Config{Zeta: 16, Channels: 16, ResBlocks: 2, MaxSteps: 64, Seed: 1})
-	r := rng.New(2)
-	sp := make([]float64, 256)
-	sa := make([]float64, 256)
+// benchState returns a random state on the ζ=16 grid.
+func benchState(seed int64) (sp, sa []float64) {
+	r := rng.New(seed)
+	sp = make([]float64, 256)
+	sa = make([]float64, 256)
 	for i := range sp {
 		sp[i] = r.Float64()
 		sa[i] = r.Float64()
 	}
+	return sp, sa
+}
+
+// benchInfer runs one-state inferences, the way a search worker or a
+// rollout step does.
+func benchInfer(b *testing.B, ag *agent.Agent, seed int64) {
+	sp, sa := benchState(seed)
+	in := []agent.BatchInput{{SP: sp, SA: sa}}
+	out := make([]agent.Output, 1)
+	ag.EvaluateBatchInto(in, out) // the first pass sizes the pooled arena
+	ag.EvaluateBatchInto(in, out) // and the second allocates it
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ag.Forward(sp, sa, i%32)
+		in[0].T = i % 32
+		ag.EvaluateBatchInto(in, out)
 	}
 }
 
-// BenchmarkPolicyForwardPaperSize measures inference at the exact
-// Table I shape (128 channels, 10 ResBlocks).
+// BenchmarkPolicyForward measures one agent inference at the daemon
+// tower (ζ=16, 16 channels, 2 residual blocks).
+func BenchmarkPolicyForward(b *testing.B) {
+	benchInfer(b, agent.New(agent.Config{Zeta: 16, Channels: 16, ResBlocks: 2, MaxSteps: 64, Seed: 1}), 2)
+}
+
+// BenchmarkPolicyForwardPaperSize measures one agent inference at the
+// exact Table I shape (128 channels, 10 ResBlocks).
 func BenchmarkPolicyForwardPaperSize(b *testing.B) {
 	if testing.Short() {
 		b.Skip("paper-sized tower")
 	}
-	ag := agent.New(agent.Paper(64, 1))
-	r := rng.New(3)
-	sp := make([]float64, 256)
-	sa := make([]float64, 256)
-	for i := range sp {
-		sp[i] = r.Float64()
-		sa[i] = r.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ag.Forward(sp, sa, i%32)
-	}
+	benchInfer(b, agent.New(agent.Paper(64, 1)), 3)
 }
 
-// BenchmarkAgentBackward measures one training step (forward+backward).
+// BenchmarkAgentBackward measures one training step (forward+backward)
+// on a warm tape.
 func BenchmarkAgentBackward(b *testing.B) {
 	ag := agent.New(agent.Config{Zeta: 16, Channels: 16, ResBlocks: 2, MaxSteps: 64, Seed: 4})
-	r := rng.New(5)
-	sp := make([]float64, 256)
-	sa := make([]float64, 256)
-	for i := range sp {
-		sp[i] = r.Float64()
-		sa[i] = r.Float64()
+	sp, sa := benchState(5)
+	var tp agent.Tape
+	step := func(i int) {
+		ag.Forward(&tp, sp, sa, i%32)
+		ag.Backward(&tp, i%256, 0.5, 1, 0)
 	}
+	step(0) // the first step sizes the tape's arena
+	step(1) // and the second allocates it
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ag.Forward(sp, sa, i%32)
-		ag.Backward(i%256, 0.5, 1, 0)
+		step(i)
 	}
 }
 

@@ -68,46 +68,40 @@ type Output struct {
 	Value float32
 }
 
-// Agent is the Actor–Critic network. It is not safe for concurrent
-// use; clone per goroutine if needed (Replica for the workers of a
-// parallel update).
+// Agent is the Actor–Critic network: its configuration, its
+// parameters (weights and gradients) and a pool of inference
+// workspaces. EvaluateBatchInto is safe for concurrent use, also with
+// Forward and Backward, as long as nothing writes the weights (only an
+// optimizer step does). Forward and Backward accumulate into the
+// agent's gradients, so one goroutine at a time trains an agent; a
+// parallel update trains Replicas, one per worker, each on its own
+// Tape.
 type Agent struct {
 	Cfg Config
 
 	// trunk
 	conv1 *nn.Conv2D
 	bn1   *nn.BatchNorm2D
-	act1  *nn.ReLU
 	tower []*nn.ResBlock
 
 	// policy head
 	convP *nn.Conv2D
 	bnP   *nn.BatchNorm2D
-	actP  *nn.ReLU
 	fcP   *nn.Linear
 
 	// value head
 	posEmb *nn.Embedding
 	convV  *nn.Conv2D
 	bnV    *nn.BatchNorm2D
-	actV   *nn.ReLU
 	fc1V   *nn.Linear
-	act1V  *nn.ReLU
 	fc2V   *nn.Linear
-	act2V  *nn.ReLU
 	fc3V   *nn.Linear
 
 	params []*nn.Param
 
-	// infPool recycles the inference workspaces of the pure batched
-	// path (see batch.go); the zero value is ready to use.
+	// infPool recycles the *nn.Workspace of EvaluateBatchInto, one per
+	// in-flight call; the zero value is ready to use.
 	infPool sync.Pool
-
-	// forward caches for Backward
-	lastSA     []float32
-	lastProbs  []float32
-	lastVal    float32
-	haveCaches bool
 }
 
 // New builds an agent with freshly initialised weights.
@@ -118,40 +112,33 @@ func New(cfg Config) *Agent {
 	a := &Agent{Cfg: cfg}
 	a.conv1 = nn.NewConv2D("conv1", 1, c, 3, r)
 	a.bn1 = nn.NewBatchNorm2D("bn1", c)
-	a.act1 = nn.NewReLU()
 	for i := 0; i < cfg.ResBlocks; i++ {
 		a.tower = append(a.tower, nn.NewResBlock(fmt.Sprintf("res%d", i), c, r))
 	}
 	a.convP = nn.NewConv2D("convP", c, 2, 1, r)
 	a.bnP = nn.NewBatchNorm2D("bnP", 2)
-	a.actP = nn.NewReLU()
 	a.fcP = nn.NewLinear("fcP", 2*z*z, z*z, r)
 
 	a.posEmb = nn.NewEmbedding("pos", cfg.MaxSteps, z*z, r)
 	a.convV = nn.NewConv2D("convV", c+2, 1, 1, r)
 	a.bnV = nn.NewBatchNorm2D("bnV", 1)
-	a.actV = nn.NewReLU()
 	a.fc1V = nn.NewLinear("fc1V", z*z, 16, r)
-	a.act1V = nn.NewReLU()
 	a.fc2V = nn.NewLinear("fc2V", 16, z*z, r)
-	a.act2V = nn.NewReLU()
 	a.fc3V = nn.NewLinear("fc3V", z*z, 1, r)
 
-	for _, l := range a.layers() {
-		a.params = append(a.params, l.Params()...)
-	}
-	a.params = append(a.params, a.posEmb.Params()...)
-	return a
-}
-
-func (a *Agent) layers() []nn.Layer {
-	ls := []nn.Layer{a.conv1, a.bn1, a.act1}
+	// Parameter order is the checkpoint layout and the fingerprint's.
+	a.params = append(a.conv1.Params(), a.bn1.Params()...)
 	for _, rb := range a.tower {
-		ls = append(ls, rb)
+		a.params = append(a.params, rb.Params()...)
 	}
-	ls = append(ls, a.convP, a.bnP, a.actP, a.fcP,
-		a.convV, a.bnV, a.actV, a.fc1V, a.act1V, a.fc2V, a.act2V, a.fc3V)
-	return ls
+	for _, ps := range [][]*nn.Param{
+		a.convP.Params(), a.bnP.Params(), a.fcP.Params(),
+		a.convV.Params(), a.bnV.Params(), a.fc1V.Params(), a.fc2V.Params(), a.fc3V.Params(),
+		a.posEmb.Params(),
+	} {
+		a.params = append(a.params, ps...)
+	}
+	return a
 }
 
 // Params returns every learnable parameter.
@@ -188,103 +175,130 @@ func (a *Agent) NumParams() int {
 	return n
 }
 
-// Forward runs both heads on state ⟨s_p, s_a, t⟩. sp and sa must have
-// length ζ². The returned distribution is the availability-gated
-// softmax: p_i ∝ s_a(i)·exp(logit_i), which zeroes unavailable grids
-// and biases toward roomier ones (the paper multiplies the policy
-// features by s_a before its softmax; the gated form keeps infeasible
-// grids at exactly zero probability).
-func (a *Agent) Forward(sp, sa []float64, t int) Output {
+// Tape is one training step: the workspace a step's Forward and
+// Backward draw their buffers from, and the activations of the last
+// Forward, which Backward reads. It belongs to the goroutine that
+// trains, never to an agent, so an agent that has stopped training
+// holds no step's buffers. A warm tape makes a step allocation-free
+// except for the returned Probs. The zero value is ready to use.
+type Tape struct {
+	ws    nn.Workspace
+	tower []nn.ResActs
+	ready bool
+
+	t                    int
+	sp, sa, c1, trunk    []float32
+	cP, pin, probs       []float32
+	comb, cV, hv, v1, v2 []float32
+	value                float32
+}
+
+// Forward runs both heads on state ⟨s_p, s_a, t⟩ and records on tp
+// what Backward reads. sp and sa must have length ζ². The returned
+// distribution is the availability-gated softmax: p_i ∝
+// s_a(i)·exp(logit_i), which zeroes unavailable grids and biases
+// toward roomier ones (the paper multiplies the policy features by s_a
+// before its softmax; the gated form keeps infeasible grids at exactly
+// zero probability). The outputs are those of EvaluateBatchInto on the
+// same state, bit for bit: both run one pass.
+func (a *Agent) Forward(tp *Tape, sp, sa []float64, t int) Output {
+	tp.ready = false
+	tp.ws.Reset()
+	if len(tp.tower) != len(a.tower) {
+		tp.tower = make([]nn.ResActs, len(a.tower))
+	}
+	return a.pass(&tp.ws, BatchInput{SP: sp, SA: sa, T: t}, tp)
+}
+
+// pass runs both heads on one state with every buffer drawn from ws.
+// When tp is not nil it records there the activations Backward reads.
+func (a *Agent) pass(ws *nn.Workspace, in BatchInput, tp *Tape) Output {
 	z := a.Cfg.Zeta
 	n := z * z
-	if len(sp) != n || len(sa) != n {
-		panic(fmt.Sprintf("agent: state length %d/%d, want %d", len(sp), len(sa), n))
+	if len(in.SP) != n || len(in.SA) != n {
+		panic(fmt.Sprintf("agent: state length %d/%d, want %d", len(in.SP), len(in.SA), n))
 	}
-	spT := nn.NewTensor(1, z, z)
-	for i, v := range sp {
-		spT.Data[i] = float32(v)
+	sp := ws.Take(n)
+	for i, v := range in.SP {
+		sp[i] = float32(v)
 	}
-	saF := make([]float32, n)
-	for i, v := range sa {
-		saF[i] = float32(v)
+	sa := ws.Take(n)
+	for i, v := range in.SA {
+		sa[i] = float32(v)
 	}
 
-	h := a.conv1.Forward(spT)
-	h = a.bn1.Forward(h)
-	h = a.act1.Forward(h)
-	for _, rb := range a.tower {
-		h = rb.Forward(h)
+	c1 := a.conv1.Forward(ws, sp, z, z)
+	h := a.bn1.Forward(ws, c1, n, true)
+	for i, rb := range a.tower {
+		var acts *nn.ResActs
+		if tp != nil {
+			acts = &tp.tower[i]
+		}
+		h = rb.Forward(ws, h, z, z, acts)
 	}
 	trunk := h
 
 	// Policy head.
-	hp := a.convP.Forward(trunk)
-	hp = a.bnP.Forward(hp)
-	hp = a.actP.Forward(hp)
-	pFlat := nn.FromSlice(hp.Data, hp.Len())
-	logits := a.fcP.Forward(pFlat)
-	probs := nn.MaskedSoftmax(nil, logits.Data, saF)
+	cP := a.convP.Forward(ws, trunk, z, z)
+	pin := a.bnP.Forward(ws, cP, n, true)
+	probs := nn.MaskedSoftmax(nil, a.fcP.Forward(ws, pin, false), sa)
 
 	// Value head: concat [trunk, s_p, posEmb(t)] channels.
-	pos := a.posEmb.Lookup(t)
-	comb := nn.NewTensor(a.Cfg.Channels+2, z, z)
-	copy(comb.Data, trunk.Data)
-	copy(comb.Data[a.Cfg.Channels*n:], spT.Data)
-	copy(comb.Data[(a.Cfg.Channels+1)*n:], pos.Data)
-	hv := a.convV.Forward(comb)
-	hv = a.bnV.Forward(hv)
-	hv = a.actV.Forward(hv)
-	vFlat := nn.FromSlice(hv.Data, hv.Len())
-	v := a.fc1V.Forward(vFlat)
-	v = a.act1V.Forward(v)
-	v = a.fc2V.Forward(v)
-	v = a.act2V.Forward(v)
-	v = a.fc3V.Forward(v)
-
-	val := v.Data[0]
+	c := a.Cfg.Channels
+	comb := ws.Take((c + 2) * n)
+	copy(comb, trunk)
+	copy(comb[c*n:], sp)
+	copy(comb[(c+1)*n:], a.posEmb.At(in.T))
+	cV := a.convV.Forward(ws, comb, z, z)
+	hv := a.bnV.Forward(ws, cV, n, true)
+	v1 := a.fc1V.Forward(ws, hv, true)
+	v2 := a.fc2V.Forward(ws, v1, true)
+	val := a.fc3V.Forward(ws, v2, false)[0]
 	if math.IsNaN(float64(val)) {
 		val = 0
 	}
-	a.lastSA = saF
-	a.lastProbs = probs
-	a.lastVal = val
-	a.haveCaches = true
-	_ = pFlat
-	_ = vFlat
+	if tp != nil {
+		tp.t, tp.sp, tp.sa, tp.c1, tp.trunk = in.T, sp, sa, c1, trunk
+		tp.cP, tp.pin, tp.probs = cP, pin, probs
+		tp.comb, tp.cV, tp.hv, tp.v1, tp.v2, tp.value = comb, cV, hv, v1, v2, val
+		tp.ready = true
+	}
 	return Output{Probs: probs, Value: val}
 }
 
 // Backward accumulates gradients for the combined Actor–Critic loss of
-// Eqs. (5)–(8) for the state of the immediately preceding Forward
-// call:
+// Eqs. (5)–(8) for the state of the Forward last run on tp:
 //
 //	L = −log p(action)·advantage  +  (R − v)²  −  entropyCoef·H(p)
 //
 // action is the taken action, advantage is A_t = R_t − v_θ,t (treated
 // as a constant, per Eq. 5), and target is R_t for the value head.
-func (a *Agent) Backward(action int, advantage, target float32, entropyCoef float32) {
-	if !a.haveCaches {
+func (a *Agent) Backward(tp *Tape, action int, advantage, target float32, entropyCoef float32) {
+	if !tp.ready {
 		panic("agent: Backward without a preceding Forward")
 	}
-	a.haveCaches = false
+	tp.ready = false
+	ws := &tp.ws
 	z := a.Cfg.Zeta
 	n := z * z
+	c := a.Cfg.Channels
 
 	// --- Policy head gradient w.r.t. logits.
 	var entropy float32
 	if entropyCoef > 0 {
-		for _, p := range a.lastProbs {
+		for _, p := range tp.probs {
 			if p > 1e-12 {
 				entropy -= p * logf(p)
 			}
 		}
 	}
-	dLogits := nn.NewTensor(n)
-	for i := 0; i < n; i++ {
-		if a.lastSA[i] <= 0 {
+	dLogits := ws.Take(n)
+	for i := range dLogits {
+		dLogits[i] = 0
+		if tp.sa[i] <= 0 {
 			continue
 		}
-		p := a.lastProbs[i]
+		p := tp.probs[i]
 		g := advantage * p
 		if i == action {
 			g -= advantage
@@ -293,43 +307,34 @@ func (a *Agent) Backward(action int, advantage, target float32, entropyCoef floa
 			// Maximizing H adds −c·dH/dlogit_i = c·p_i(log p_i + H).
 			g += entropyCoef * p * (logf(p) + entropy)
 		}
-		dLogits.Data[i] = g
+		dLogits[i] = g
 	}
-	dpFlat := a.fcP.Backward(dLogits)
-	dhp := nn.FromSlice(dpFlat.Data, 2, z, z)
-	dhp = a.actP.Backward(dhp)
-	dhp = a.bnP.Backward(dhp)
-	dTrunkP := a.convP.Backward(dhp)
+	d := a.fcP.Backward(ws, tp.pin, dLogits, false)
+	d = a.bnP.Backward(ws, tp.cP, d, n, true)
+	dTrunk := a.convP.Backward(ws, tp.trunk, d, z, z)
 
 	// --- Value head gradient: d/dv (R − v)² = 2(v − R).
-	dv := nn.NewTensor(1)
-	dv.Data[0] = 2 * (a.lastVal - target)
-	dvv := a.fc3V.Backward(dv)
-	dvv = a.act2V.Backward(dvv)
-	dvv = a.fc2V.Backward(dvv)
-	dvv = a.act1V.Backward(dvv)
-	dvv = a.fc1V.Backward(dvv)
-	dhv := nn.FromSlice(dvv.Data, 1, z, z)
-	dhv = a.actV.Backward(dhv)
-	dhv = a.bnV.Backward(dhv)
-	dComb := a.convV.Backward(dhv)
+	dv := ws.Take(1)
+	dv[0] = 2 * (tp.value - target)
+	d = a.fc3V.Backward(ws, tp.v2, dv, false)
+	d = a.fc2V.Backward(ws, tp.v1, d, true)
+	d = a.fc1V.Backward(ws, tp.hv, d, true)
+	d = a.bnV.Backward(ws, tp.cV, d, n, true)
+	dComb := a.convV.Backward(ws, tp.comb, d, z, z)
 
-	// Split combined gradient: trunk channels, s_p (input, no grad),
-	// position embedding.
-	dTrunkV := nn.NewTensor(a.Cfg.Channels, z, z)
-	copy(dTrunkV.Data, dComb.Data[:a.Cfg.Channels*n])
-	dPos := nn.FromSlice(dComb.Data[(a.Cfg.Channels+1)*n:], n)
-	a.posEmb.Accumulate(dPos)
+	// The combined gradient splits into the trunk channels, s_p (an
+	// input: no gradient) and the position embedding.
+	a.posEmb.Accumulate(tp.t, dComb[(c+1)*n:])
 
 	// --- Trunk: sum of both heads' gradients.
-	dTrunk := dTrunkP
-	dTrunk.AddInPlace(dTrunkV)
-	for i := len(a.tower) - 1; i >= 0; i-- {
-		dTrunk = a.tower[i].Backward(dTrunk)
+	for i, v := range dComb[:c*n] {
+		dTrunk[i] += v
 	}
-	dTrunk = a.act1.Backward(dTrunk)
-	dTrunk = a.bn1.Backward(dTrunk)
-	a.conv1.Backward(dTrunk)
+	for i := len(a.tower) - 1; i >= 0; i-- {
+		dTrunk = a.tower[i].Backward(ws, &tp.tower[i], dTrunk, z, z)
+	}
+	d = a.bn1.Backward(ws, tp.c1, dTrunk, n, true)
+	a.conv1.Backward(ws, tp.sp, d, z, z)
 }
 
 func logf(x float32) float32 { return float32(math.Log(float64(x))) }

@@ -30,7 +30,8 @@ func TestForwardShapes(t *testing.T) {
 	a := testAgent()
 	r := rng.New(1)
 	sp, sa := randState(r, 36, 5)
-	out := a.Forward(sp, sa, 2)
+	var tp Tape
+	out := a.Forward(&tp, sp, sa, 2)
 	if len(out.Probs) != 36 {
 		t.Fatalf("probs len = %d, want 36", len(out.Probs))
 	}
@@ -56,8 +57,9 @@ func TestForwardDeterministic(t *testing.T) {
 	a := testAgent()
 	r := rng.New(2)
 	sp, sa := randState(r, 36, 3)
-	o1 := a.Forward(sp, sa, 1)
-	o2 := a.Forward(sp, sa, 1)
+	var tp Tape
+	o1 := a.Forward(&tp, sp, sa, 1)
+	o2 := a.Forward(&tp, sp, sa, 1)
 	if o1.Value != o2.Value {
 		t.Error("value must be deterministic")
 	}
@@ -73,8 +75,8 @@ func TestCloneMatchesOriginal(t *testing.T) {
 	r := rng.New(3)
 	sp, sa := randState(r, 36, 4)
 	cp := a.Clone()
-	o1 := a.Forward(sp, sa, 0)
-	o2 := cp.Forward(sp, sa, 0)
+	o1 := evalState(a, sp, sa, 0)
+	o2 := evalState(cp, sp, sa, 0)
 	if o1.Value != o2.Value {
 		t.Errorf("clone value %v != original %v", o2.Value, o1.Value)
 	}
@@ -84,11 +86,12 @@ func TestCloneMatchesOriginal(t *testing.T) {
 		}
 	}
 	// Training the clone must not change the original.
-	cp.Forward(sp, sa, 0)
-	cp.Backward(0, 1, 1, 0)
+	var tp Tape
+	cp.Forward(&tp, sp, sa, 0)
+	cp.Backward(&tp, 0, 1, 1, 0)
 	opt := nn.NewAdam(cp.Params(), 0.01)
 	opt.Step()
-	o3 := a.Forward(sp, sa, 0)
+	o3 := evalState(a, sp, sa, 0)
 	if o3.Value != o1.Value {
 		t.Error("training the clone leaked into the original")
 	}
@@ -118,8 +121,9 @@ func TestBackwardAccumulatesGradients(t *testing.T) {
 	a := testAgent()
 	r := rng.New(4)
 	sp, sa := randState(r, 36, 0)
-	a.Forward(sp, sa, 0)
-	a.Backward(3, 0.5, 1, 0)
+	var tp Tape
+	a.Forward(&tp, sp, sa, 0)
+	a.Backward(&tp, 3, 0.5, 1, 0)
 	nonzero := 0
 	for _, p := range a.Params() {
 		for _, g := range p.G {
@@ -140,7 +144,7 @@ func TestBackwardWithoutForwardPanics(t *testing.T) {
 			t.Error("Backward without Forward should panic")
 		}
 	}()
-	a.Backward(0, 1, 1, 0)
+	a.Backward(&Tape{}, 0, 1, 1, 0)
 }
 
 func TestForwardWrongStateLengthPanics(t *testing.T) {
@@ -150,7 +154,7 @@ func TestForwardWrongStateLengthPanics(t *testing.T) {
 			t.Error("short state should panic")
 		}
 	}()
-	a.Forward(make([]float64, 5), make([]float64, 5), 0)
+	a.Forward(&Tape{}, make([]float64, 5), make([]float64, 5), 0)
 }
 
 // TestPolicyLearnsPreferredAction trains the agent to prefer a single
@@ -162,16 +166,17 @@ func TestPolicyLearnsPreferredAction(t *testing.T) {
 	sp, sa := randState(r, 16, 0)
 	const target = 7
 	opt := nn.NewAdam(a.Params(), 5e-3)
-	before := a.Forward(sp, sa, 0).Probs[target]
+	var tp Tape
+	before := evalState(a, sp, sa, 0).Probs[target]
 	for step := 0; step < 120; step++ {
-		out := a.Forward(sp, sa, 0)
+		out := a.Forward(&tp, sp, sa, 0)
 		// Constant positive advantage on the target action; value
 		// target equals the current estimate so the critic loss stays
 		// zero and only the policy moves.
-		a.Backward(target, 1, out.Value, 0)
+		a.Backward(&tp, target, 1, out.Value, 0)
 		opt.Step()
 	}
-	after := a.Forward(sp, sa, 0).Probs[target]
+	after := evalState(a, sp, sa, 0).Probs[target]
 	if after <= before {
 		t.Errorf("policy did not move toward rewarded action: %v -> %v", before, after)
 	}
@@ -188,14 +193,14 @@ func TestValueLearnsTarget(t *testing.T) {
 	sp, sa := randState(r, 16, 0)
 	opt := nn.NewAdam(a.Params(), 5e-3)
 	const target = 0.8
+	var tp Tape
 	for step := 0; step < 80; step++ {
-		out := a.Forward(sp, sa, 1)
-		_ = out
+		a.Forward(&tp, sp, sa, 1)
 		// Zero advantage: only the value loss is active.
-		a.Backward(0, 0, target, 0)
+		a.Backward(&tp, 0, 0, target, 0)
 		opt.Step()
 	}
-	got := a.Forward(sp, sa, 1).Value
+	got := evalState(a, sp, sa, 1).Value
 	if math.Abs(float64(got)-target) > 0.15 {
 		t.Errorf("value = %v, want ≈%v", got, target)
 	}
@@ -220,7 +225,7 @@ func TestPaperConfigBuilds(t *testing.T) {
 	for i := range sa {
 		sa[i] = 1
 	}
-	out := a.Forward(sp, sa, 0)
+	out := evalState(a, sp, sa, 0)
 	if len(out.Probs) != 256 {
 		t.Errorf("probs len = %d", len(out.Probs))
 	}
@@ -233,13 +238,14 @@ func TestEntropyBonusFlattensPolicy(t *testing.T) {
 	r := rng.New(10)
 	sp, sa := randState(r, 16, 0)
 	opt := nn.NewAdam(a.Params(), 1e-2)
-	entBefore := entropy(a.Forward(sp, sa, 0).Probs)
+	entBefore := entropy(evalState(a, sp, sa, 0).Probs)
+	var tp Tape
 	for step := 0; step < 40; step++ {
-		a.Forward(sp, sa, 0)
-		a.Backward(0, 0, 0, 1.0)
+		a.Forward(&tp, sp, sa, 0)
+		a.Backward(&tp, 0, 0, 0, 1.0)
 		opt.Step()
 	}
-	entAfter := entropy(a.Forward(sp, sa, 0).Probs)
+	entAfter := entropy(evalState(a, sp, sa, 0).Probs)
 	if entAfter < entBefore {
 		t.Errorf("entropy decreased under entropy bonus: %v -> %v", entBefore, entAfter)
 	}
@@ -259,7 +265,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	a := testAgent()
 	r := rng.New(30)
 	sp, sa := randState(r, 36, 4)
-	want := a.Forward(sp, sa, 2)
+	want := evalState(a, sp, sa, 2)
 
 	path := t.TempDir() + "/agent.ckpt"
 	if err := a.SaveFile(path); err != nil {
@@ -269,7 +275,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}
-	got := loaded.Forward(sp, sa, 2)
+	got := evalState(loaded, sp, sa, 2)
 	if got.Value != want.Value {
 		t.Errorf("loaded value %v != original %v", got.Value, want.Value)
 	}

@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -43,13 +45,15 @@ func batchStates(n, cells int) []BatchInput {
 	return in
 }
 
-// TestEvaluateBatchMatchesForward: each batched output must be
-// bit-identical to a sequential Forward of that state alone. This is
-// the contract the parallel MCTS determinism story rests on: batching
-// may regroup work but never change a single result.
+// TestEvaluateBatchMatchesForward: a multi-state call resolves its
+// states in order, and each output is bit-identical to a training
+// Forward of that state alone, which runs the same pass and records
+// its activations on a tape. The parallel MCTS determinism story rests
+// on this: batching may regroup work but never change a single result.
 func TestEvaluateBatchMatchesForward(t *testing.T) {
 	ag := batchTestAgent()
 	cells := ag.Cfg.Zeta * ag.Cfg.Zeta
+	var tp Tape
 	for _, batch := range []int{1, 2, 5} {
 		in := batchStates(batch, cells)
 		outs := evaluateBatch(ag, in)
@@ -57,32 +61,133 @@ func TestEvaluateBatchMatchesForward(t *testing.T) {
 			t.Fatalf("batch %d: got %d outputs", batch, len(outs))
 		}
 		for b, o := range outs {
-			want := ag.Forward(in[b].SP, in[b].SA, in[b].T)
-			if o.Value != want.Value {
-				t.Fatalf("batch %d sample %d: value %v != %v", batch, b, o.Value, want.Value)
-			}
-			for i := range want.Probs {
-				if o.Probs[i] != want.Probs[i] {
-					t.Fatalf("batch %d sample %d prob %d: %v != %v",
-						batch, b, i, o.Probs[i], want.Probs[i])
-				}
-			}
+			requireSameOutput(t, fmt.Sprintf("batch %d state %d", batch, b), o,
+				ag.Forward(&tp, in[b].SP, in[b].SA, in[b].T))
 		}
 	}
 }
 
-// TestEvaluateBatchIsPure: the batched path must leave the stateful
-// training machinery untouched — Forward results before and after are
-// identical.
+// TestEvaluateBatchIsPure: inference between a Forward and its
+// Backward leaves the step alone — the tape holds the step, not the
+// agent — so the gradients match an uninterrupted step bit for bit.
 func TestEvaluateBatchIsPure(t *testing.T) {
+	in := batchStates(3, 16)
+	grads := func(interrupt bool) []float32 {
+		ag := batchTestAgent()
+		var tp Tape
+		ag.Forward(&tp, in[0].SP, in[0].SA, in[0].T)
+		if interrupt {
+			evaluateBatch(ag, in[1:])
+		}
+		ag.Backward(&tp, 2, 0.5, 1, 0.01)
+		var g []float32
+		for _, p := range ag.Params() {
+			g = append(g, p.G...)
+		}
+		return g
+	}
+	want, got := grads(false), grads(true)
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("gradient %d = %v after an inference, %v without", i, got[i], want[i])
+		}
+	}
+}
+
+// TestInferenceConcurrentWithTraining: one goroutine trains the agent
+// (Forward and Backward on its own tape) while four call
+// EvaluateBatchInto on the same agent. Training writes only
+// gradients, so every inference must equal the serial result — the
+// contract that lets rollouts overlap a replay.
+func TestInferenceConcurrentWithTraining(t *testing.T) {
 	ag := batchTestAgent()
-	cells := ag.Cfg.Zeta * ag.Cfg.Zeta
-	in := batchStates(3, cells)
-	before := ag.Forward(in[0].SP, in[0].SA, in[0].T)
-	evaluateBatch(ag, in)
-	after := ag.Forward(in[0].SP, in[0].SA, in[0].T)
-	if before.Value != after.Value {
-		t.Fatal("EvaluateBatchInto changed subsequent Forward results")
+	in := batchStates(4, 16)
+	want := evaluateBatch(ag, in)
+
+	stop, started, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		var tp Tape
+		for step := 0; ; step++ {
+			st := in[step%len(in)]
+			out := ag.Forward(&tp, st.SP, st.SA, st.T)
+			ag.Backward(&tp, step%16, 0.5-out.Value, 0.5, 0.01)
+			if step == 0 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-started // training is under way before the first inference
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iter := 0; iter < 20; iter++ {
+				for b, o := range evaluateBatch(ag, in) {
+					if !sameOutput(o, want[b]) {
+						errs <- fmt.Sprintf("iteration %d state %d differs from the serial result", iter, b)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-done
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatal(msg)
+	}
+}
+
+func sameOutput(a, b Output) bool {
+	if math.Float32bits(a.Value) != math.Float32bits(b.Value) || len(a.Probs) != len(b.Probs) {
+		return false
+	}
+	for i := range a.Probs {
+		if math.Float32bits(a.Probs[i]) != math.Float32bits(b.Probs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWarmPassesAllocateOnlyProbs: at the daemon tower, a warm
+// inference pass and a warm tape's Forward and Backward each allocate
+// once, for the returned Probs, which outlive the call.
+func TestWarmPassesAllocateOnlyProbs(t *testing.T) {
+	ag := New(Config{Zeta: 16, Channels: 16, ResBlocks: 2, MaxSteps: 64, Seed: 1})
+	st := batchStates(1, 256)[0]
+	in, out := []BatchInput{st}, make([]Output, 1)
+	var tp Tape
+	type pass struct {
+		name string
+		run  func()
+	}
+	passes := []pass{{"training step", func() {
+		ag.Forward(&tp, st.SP, st.SA, st.T)
+		ag.Backward(&tp, 3, 0.5, 1, 0.01)
+	}}}
+	// Inference draws its workspace from a sync.Pool, which the race
+	// detector empties at random.
+	if !raceEnabled {
+		passes = append(passes, pass{"inference", func() { ag.EvaluateBatchInto(in, out) }})
+	}
+	for _, c := range passes {
+		c.run() // the first pass grows the arena
+		c.run() // the second allocates it
+		if allocs := testing.AllocsPerRun(10, c.run); allocs > 1 {
+			t.Errorf("warm %s allocates %v times, want at most 1", c.name, allocs)
+		}
 	}
 }
 

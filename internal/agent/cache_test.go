@@ -40,20 +40,8 @@ func requireSameOutput(t *testing.T, what string, got, want Output) {
 	}
 }
 
-// A one-state EvaluateBatchInto is the inference path the search and
-// the cache fill themselves from; its contract is bit-identity with the
-// training-path Forward.
-func TestEvalStateBitIdenticalToForward(t *testing.T) {
-	ag := New(Config{Zeta: 6, Channels: 8, ResBlocks: 2, MaxSteps: 9, Seed: 3})
-	for _, in := range testStates(36, 5, 11) {
-		want := ag.Forward(in.SP, in.SA, in.T)
-		got := evalState(ag, in.SP, in.SA, in.T)
-		requireSameOutput(t, "one-state EvaluateBatchInto vs Forward", got, want)
-	}
-}
-
 // A cache hit must return bit-identical policy and value to the miss
-// that populated it — and to the uncached Forward path.
+// that populated it — and to the uncached agent.
 func TestCacheHitBitIdenticalToMiss(t *testing.T) {
 	ag := New(Config{Zeta: 6, Channels: 8, ResBlocks: 2, MaxSteps: 9, Seed: 4})
 	ce := NewCachedEvaluator(ag, 64)
@@ -68,7 +56,7 @@ func TestCacheHitBitIdenticalToMiss(t *testing.T) {
 	for i, in := range states {
 		hit := evalState(ce, in.SP, in.SA, in.T)
 		requireSameOutput(t, "hit vs miss", hit, miss[i])
-		requireSameOutput(t, "hit vs uncached Forward", hit, ag.Forward(in.SP, in.SA, in.T))
+		requireSameOutput(t, "hit vs uncached", hit, evalState(ag, in.SP, in.SA, in.T))
 	}
 	if h, m := ce.Stats(); h != uint64(len(states)) || m != uint64(len(states)) {
 		t.Fatalf("warm cache: hits=%d misses=%d", h, m)

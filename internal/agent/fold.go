@@ -1,9 +1,9 @@
 package agent
 
 // Replica returns a training worker for one parallel update: an agent
-// that shares a's weight slices but owns its gradients and its layer
-// caches, so a and its replicas can each run Forward and Backward on
-// their own goroutine. The weights must not change while a replica is
+// that shares a's weight slices but owns its gradients, so a and its
+// replicas can each run Forward and Backward, on their own tapes, on
+// their own goroutines. The weights must not change while a replica is
 // in use, and a replica should not outlive the update it serves.
 func (a *Agent) Replica() *Agent {
 	r := New(a.Cfg)

@@ -22,16 +22,19 @@ func TestFoldMatchesSequentialBackward(t *testing.T) {
 	if &workers[1].Params()[0].G[0] == &ag.Params()[0].G[0] {
 		t.Fatal("replica shares the agent's gradients")
 	}
+	var seqTape Tape
+	tapes := make([]Tape, len(workers))
 	r := rng.New(5)
 	for i := 0; i < 9; i++ {
 		sp, sa := randState(r, 36, 4)
 		step, action := i%8, r.Intn(36)
 		adv, target := float32(r.Range(-1, 1)), float32(r.Float64())
-		seq.Forward(sp, sa, step)
-		seq.Backward(action, adv, target, 0.01)
-		w := workers[i%len(workers)]
-		w.Forward(sp, sa, step)
-		w.Backward(action, adv, target, 0.01)
+		seq.Forward(&seqTape, sp, sa, step)
+		seq.Backward(&seqTape, action, adv, target, 0.01)
+		k := i % len(workers)
+		w := workers[k]
+		w.Forward(&tapes[k], sp, sa, step)
+		w.Backward(&tapes[k], action, adv, target, 0.01)
 		f.Add(w)
 	}
 	f.Store(ag)

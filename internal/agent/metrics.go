@@ -14,9 +14,9 @@ var (
 		"LRU entries recycled to make room at capacity.")
 )
 
-// obsInferLatency is the wall time of every batched forward pass
-// (EvaluateBatchInto), across every agent in the process: training
-// rollouts, greedy episodes and search evaluations alike.
+// obsInferLatency is the wall time of every EvaluateBatchInto call,
+// across every agent in the process: training rollouts, greedy
+// episodes and search evaluations alike.
 var obsInferLatency = obs.NewHistogram("macroplace_agent_infer_seconds",
 	"EvaluateBatchInto wall time: training rollouts, greedy episodes and search evaluations.",
 	[]float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 1})

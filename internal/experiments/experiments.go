@@ -10,7 +10,9 @@
 // plus the ablations DESIGN.md calls out (grouping, rollout-vs-value,
 // PUCT constant, placement order). Every driver takes a Config whose
 // Scale field shrinks the benchmarks; Scale=1 reproduces paper-sized
-// instances (hours of CPU time), the Quick preset finishes in minutes.
+// instances (on a 2-CPU host, one ibm01 flow at the standard budget
+// took about 40 s, and Table III on ibm01 and ibm06 about 10 min), the
+// Quick preset finishes in minutes.
 package experiments
 
 import (

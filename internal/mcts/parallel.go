@@ -33,9 +33,10 @@ import (
 //     that wakes to find the node back at nodeNew (the claimer
 //     panicked and unclaimed it) claims the expansion itself.
 //   - Each worker evaluates the leaf it claimed itself, through the
-//     evaluator's pure batched entry point with a one-state batch, so
-//     two workers run two network passes on two cores at once.
-//     Agent.Forward, the stateful training path, is never called.
+//     evaluator's pure entry point with a one-state batch, so two
+//     workers run two network passes on two cores at once.
+//     Agent.Forward, the training path that records on a tape, is
+//     never called.
 //   - The wirelength oracle is serialized behind wlMu
 //     (WirelengthFunc is documented single-goroutine), and the shared
 //     Result fields behind resMu. Lock order: node.mu → wlMu → resMu.

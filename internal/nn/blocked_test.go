@@ -103,22 +103,16 @@ func TestMatMulBiasExactlyMatchesSeparateEpilogues(t *testing.T) {
 			fillNorm(r, a)
 			fillNorm(r, b)
 			fillNorm(r, bias)
-			for _, relu := range []bool{false, true} {
-				got := make([]float32, m*n)
-				MatMulBias(got, a, b, bias, m, k, n, relu)
-				want := make([]float32, m*n)
-				naiveMatMul(want, a, b, m, k, n)
-				for i := 0; i < m; i++ {
-					for j := 0; j < n; j++ {
-						v := want[i*n+j] + bias[i]
-						if relu && v < 0 {
-							v = 0
-						}
-						want[i*n+j] = v
-					}
+			got := make([]float32, m*n)
+			MatMulBias(got, a, b, bias, m, k, n)
+			want := make([]float32, m*n)
+			naiveMatMul(want, a, b, m, k, n)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					want[i*n+j] += bias[i]
 				}
-				requireExact(t, "MatMulBias", sh, got, want)
 			}
+			requireExact(t, "MatMulBias", sh, got, want)
 		}
 	})
 }
@@ -252,30 +246,27 @@ func TestMatMulZeroTimesNonFiniteIsNaN(t *testing.T) {
 	check("MatMulABTAcc", got, want)
 }
 
-// naiveIm2colBatch is the element-by-element lowering: every column
-// element tests its own input coordinate.
-func naiveIm2colBatch(cols, x []float32, cin, batch, h, w, k, pad int) {
+// naiveIm2col is the element-by-element lowering: every column element
+// tests its own input coordinate.
+func naiveIm2col(cols, x []float32, cin, h, w, k, pad int) {
 	hw := h * w
-	bhw := batch * hw
 	row := 0
 	for ci := 0; ci < cin; ci++ {
+		xc := x[ci*hw : (ci+1)*hw]
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				for b := 0; b < batch; b++ {
-					xc := x[(ci*batch+b)*hw : (ci*batch+b+1)*hw]
-					dst := cols[row*bhw+b*hw : row*bhw+(b+1)*hw]
-					for oy := 0; oy < h; oy++ {
-						for ox := 0; ox < w; ox++ {
-							iy, ix := oy+ky-pad, ox+kx-pad
-							if iy < 0 || iy >= h || ix < 0 || ix >= w {
-								dst[oy*w+ox] = 0
-							} else {
-								dst[oy*w+ox] = xc[iy*w+ix]
-							}
+				dst := cols[row*hw : (row+1)*hw]
+				row++
+				for oy := 0; oy < h; oy++ {
+					for ox := 0; ox < w; ox++ {
+						iy, ix := oy+ky-pad, ox+kx-pad
+						if iy < 0 || iy >= h || ix < 0 || ix >= w {
+							dst[oy*w+ox] = 0
+						} else {
+							dst[oy*w+ox] = xc[iy*w+ix]
 						}
 					}
 				}
-				row++
 			}
 		}
 	}
@@ -309,26 +300,24 @@ func naiveCol2im(dx, dcols []float32, cin, h, w, k, pad int) {
 // ragged, and narrower or shorter than a 5×5 kernel.
 var lowerShapes = [][2]int{{1, 1}, {1, 4}, {4, 1}, {2, 3}, {3, 2}, {2, 6}, {5, 7}, {6, 6}}
 
-func TestIm2colBatchExactlyMatchesNaive(t *testing.T) {
+func TestIm2colExactlyMatchesNaive(t *testing.T) {
 	r := rng.New(28)
 	const cin = 2
 	for _, k := range []int{1, 3, 5} {
 		for _, hw := range lowerShapes {
-			for _, batch := range []int{1, 3} {
-				h, w := hw[0], hw[1]
-				x := make([]float32, cin*batch*h*w)
-				fillNorm(r, x)
-				got := make([]float32, cin*k*k*batch*h*w)
-				want := make([]float32, len(got))
-				// Workspace buffers are not zeroed: every element of
-				// the destination must be written.
-				for i := range got {
-					got[i] = float32(math.NaN())
-				}
-				im2colBatch(got, x, cin, batch, h, w, k, k/2)
-				naiveIm2colBatch(want, x, cin, batch, h, w, k, k/2)
-				requireExact(t, fmt.Sprintf("im2colBatch k=%d batch=%d", k, batch), [3]int{cin, h, w}, got, want)
+			h, w := hw[0], hw[1]
+			x := make([]float32, cin*h*w)
+			fillNorm(r, x)
+			got := make([]float32, cin*k*k*h*w)
+			want := make([]float32, len(got))
+			// Workspace buffers are not zeroed: every element of the
+			// destination must be written.
+			for i := range got {
+				got[i] = float32(math.NaN())
 			}
+			im2col(got, x, cin, h, w, k, k/2)
+			naiveIm2col(want, x, cin, h, w, k, k/2)
+			requireExact(t, fmt.Sprintf("im2col k=%d", k), [3]int{cin, h, w}, got, want)
 		}
 	}
 }
@@ -378,7 +367,7 @@ func BenchmarkConvKernels(b *testing.B) {
 		step func()
 	}{
 		{"blocked", func() {
-			im2colBatch(cols, x, c, 1, h, w, k, k/2)
+			im2col(cols, x, c, h, w, k, k/2)
 			MatMul(out, wt, cols, c, ck, hw)
 			MatMulABTAcc(grad, dy, cols, c, hw, ck)
 			MatMulATB(cols, wt, dy, ck, c, hw)
@@ -386,7 +375,7 @@ func BenchmarkConvKernels(b *testing.B) {
 			col2im(dx, cols, c, h, w, k, k/2)
 		}},
 		{"oracle", func() {
-			naiveIm2colBatch(cols, x, c, 1, h, w, k, k/2)
+			naiveIm2col(cols, x, c, h, w, k, k/2)
 			naiveMatMul(out, wt, cols, c, ck, hw)
 			naiveABTAcc(grad, dy, cols, c, hw, ck)
 			naiveATB(cols, wt, dy, ck, c, hw)
@@ -403,8 +392,13 @@ func BenchmarkConvKernels(b *testing.B) {
 	}
 }
 
+// TestWorkspaceVariantsBitIdenticalToAllocating: a recycled arena
+// holds the previous pass's values, and every kernel must overwrite or
+// clear what it takes. Forward and Backward of every layer through a
+// warm workspace must match a nil workspace bit for bit, gradients
+// included.
 func TestWorkspaceVariantsBitIdenticalToAllocating(t *testing.T) {
-	const cin, cout, kk, h, w, batch = 3, 4, 3, 5, 5, 3
+	const cin, cout, kk, h, w = 3, 4, 3, 5, 5
 	hw := h * w
 	r := rng.New(25)
 	conv := NewConv2D("c", cin, cout, kk, r)
@@ -413,47 +407,60 @@ func TestWorkspaceVariantsBitIdenticalToAllocating(t *testing.T) {
 	fillNorm(r, bn.Gamma.W)
 	fillNorm(r, bn.Beta.W)
 	rb := NewResBlock("r", cout, r)
-	lin := NewLinear("l", hw, 7, r)
+	lin := NewLinear("l", cout*hw, 7, r)
+	params := append(append(append(conv.Params(), bn.Params()...), rb.Params()...), lin.Params()...)
 
-	x := make([]float32, cin*batch*hw)
-	fillNorm(r, x)
+	// step runs every layer forward and backward through ws and returns
+	// the outputs, the input gradient and the parameter gradients.
+	step := func(ws *Workspace, x []float32) [][]float32 {
+		ws.Reset()
+		for _, p := range params {
+			p.ZeroGrad()
+		}
+		co := conv.Forward(ws, x, h, w)
+		bo := bn.Forward(ws, co, hw, true)
+		var acts ResActs
+		ro := rb.Forward(ws, bo, h, w, &acts)
+		li := lin.Forward(ws, ro, true)
+		dli := lin.Backward(ws, ro, li, true)
+		dro := rb.Backward(ws, &acts, dli, h, w)
+		dbo := bn.Backward(ws, co, dro, hw, true)
+		dx := conv.Backward(ws, x, dbo, h, w)
+		got := [][]float32{co, bo, ro, li, dx}
+		for _, p := range params {
+			got = append(got, append([]float32(nil), p.G...))
+		}
+		return got
+	}
 
 	var ws Workspace
 	for pass := 0; pass < 3; pass++ { // pass 0 warms the arena
-		ws.Reset()
-		co := conv.ForwardBatchWS(&ws, x, batch, h, w, false)
-		requireExact(t, "Conv2D.ForwardBatchWS", [3]int{pass, 0, 0},
-			co, conv.ForwardBatchWS(nil, x, batch, h, w, false))
-
-		bo := bn.ForwardBatchWS(&ws, co, batch, hw, true)
-		requireExact(t, "BatchNorm2D.ForwardBatchWS+ReLU", [3]int{pass, 0, 0},
-			bo, ReLUBatch(bn.ForwardBatchWS(nil, co, batch, hw, false)))
-
-		ro := rb.ForwardBatchWS(&ws, bo, batch, h, w)
-		requireExact(t, "ResBlock.ForwardBatchWS", [3]int{pass, 0, 0},
-			ro, rb.ForwardBatchWS(nil, bo, batch, h, w))
-
-		li := lin.ApplyInto(ws.Take(7), ro[:hw], true)
-		requireExact(t, "Linear.ApplyInto+ReLU", [3]int{pass, 0, 0},
-			li, ReLUBatch(lin.ApplyInto(make([]float32, 7), ro[:hw], false)))
+		x := randSlice(r, cin*hw)
+		got := step(&ws, x)
+		want := step(nil, x)
+		for i := range want {
+			requireExact(t, fmt.Sprintf("pass %d buffer %d", pass, i), [3]int{cin, h, w}, got[i], want[i])
+		}
 	}
 }
 
+// TestWorkspaceZeroAllocationsAfterWarmup: one convolution's forward
+// and backward through a warm workspace allocate nothing.
 func TestWorkspaceZeroAllocationsAfterWarmup(t *testing.T) {
-	const cin, cout, h, w, batch = 2, 3, 6, 6, 4
+	const cin, cout, h, w = 2, 3, 6, 6
 	r := rng.New(26)
 	conv := NewConv2D("c", cin, cout, 3, r)
-	x := make([]float32, cin*batch*h*w)
-	fillNorm(r, x)
+	x := randSlice(r, cin*h*w)
+	dy := randSlice(r, cout*h*w)
 
 	var ws Workspace
-	ws.Reset()
-	conv.ForwardBatchWS(&ws, x, batch, h, w, true) // warm-up pass
-	allocs := testing.AllocsPerRun(20, func() {
+	pass := func() {
 		ws.Reset()
-		conv.ForwardBatchWS(&ws, x, batch, h, w, true)
-	})
-	if allocs != 0 {
+		conv.Forward(&ws, x, h, w)
+		conv.Backward(&ws, x, dy, h, w)
+	}
+	pass() // warm-up pass
+	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
 		t.Fatalf("warm workspace pass allocates %v times, want 0", allocs)
 	}
 }

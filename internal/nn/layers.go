@@ -17,10 +17,6 @@ type Conv2D struct {
 	Pad          int
 	Weight       *Param // [Cout][Cin*K*K]
 	Bias         *Param // [Cout]
-
-	// cached for backward
-	h, w int
-	cols []float32 // [Cin*K*K][H*W]
 }
 
 // NewConv2D builds a K×K convolution with same padding (pad = K/2).
@@ -34,62 +30,90 @@ func NewConv2D(name string, cin, cout, k int, r *rng.RNG) *Conv2D {
 	return c
 }
 
-// Params implements Layer.
+// Params returns the kernel and the bias.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
-// Forward implements Layer. Input must be [Cin, H, W].
-func (c *Conv2D) Forward(x *Tensor) *Tensor {
-	if len(x.Shape) != 3 || x.Shape[0] != c.Cin {
-		panic(fmt.Sprintf("nn: Conv2D expects [%d,H,W], got %v", c.Cin, x.Shape))
-	}
-	h, w := x.Shape[1], x.Shape[2]
-	c.h, c.w = h, w
-	ck := c.Cin * c.K * c.K
-	hw := h * w
-	if cap(c.cols) < ck*hw {
-		c.cols = make([]float32, ck*hw)
-	}
-	cols := c.cols[:ck*hw]
-	im2colBatch(cols, x.Data, c.Cin, 1, h, w, c.K, c.Pad)
-
-	out := NewTensor(c.Cout, h, w)
-	MatMulBias(out.Data, c.Weight.W, cols, c.Bias.W, c.Cout, ck, hw, false)
+// Forward convolves x, a [Cin, H, W] map, into a [Cout, H, W] map
+// drawn from ws.
+func (c *Conv2D) Forward(ws *Workspace, x []float32, h, w int) []float32 {
+	cols := c.lower(ws, x, h, w)
+	out := ws.Take(c.Cout * h * w)
+	MatMulBias(out, c.Weight.W, cols, c.Bias.W, c.Cout, c.Cin*c.K*c.K, h*w)
 	return out
 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(dy *Tensor) *Tensor {
-	h, w := c.h, c.w
-	ck := c.Cin * c.K * c.K
+// Backward accumulates the kernel and bias gradients for the output
+// gradient dy of Forward(x) and returns the input gradient, drawn from
+// ws.
+func (c *Conv2D) Backward(ws *Workspace, x, dy []float32, h, w int) []float32 {
 	hw := h * w
-	cols := c.cols[:ck*hw]
+	ck := c.Cin * c.K * c.K
+	cols := c.lower(ws, x, h, w)
 
 	// dW += dy · colsᵀ ; db += Σ dy
-	MatMulABTAcc(c.Weight.G, dy.Data, cols, c.Cout, hw, ck)
+	MatMulABTAcc(c.Weight.G, dy, cols, c.Cout, hw, ck)
 	for co := 0; co < c.Cout; co++ {
 		var s float32
-		row := dy.Data[co*hw : (co+1)*hw]
-		for _, v := range row {
+		for _, v := range dy[co*hw : (co+1)*hw] {
 			s += v
 		}
 		c.Bias.G[co] += s
 	}
 
 	// dcols = Wᵀ · dy ; dx = col2im(dcols). The columns are spent once
-	// dW has them, so dcols reuses their buffer: Backward consumes the
-	// cache its Forward filled, and a step allocates no second
-	// columns-sized matrix per convolution.
+	// dW has them, so dcols reuses their buffer.
 	dcols := cols
-	MatMulATB(dcols, c.Weight.W, dy.Data, ck, c.Cout, hw)
-	dx := NewTensor(c.Cin, h, w)
-	col2im(dx.Data, dcols, c.Cin, h, w, c.K, c.Pad)
+	MatMulATB(dcols, c.Weight.W, dy, ck, c.Cout, hw)
+	dx := ws.Take(c.Cin * hw)
+	clear(dx)
+	col2im(dx, dcols, c.Cin, h, w, c.K, c.Pad)
 	return dx
 }
 
-// col2im is the adjoint of im2colBatch at batch 1: it scatters column
-// gradients back into the input gradient, adding the in-bounds span of
-// each column row. Every dx element receives its adds in the same
-// (ci, ky, kx, oy, ox) order as an element-by-element scatter.
+// lower checks x's shape and returns its im2col columns, drawn from ws.
+func (c *Conv2D) lower(ws *Workspace, x []float32, h, w int) []float32 {
+	if len(x) != c.Cin*h*w {
+		panic(fmt.Sprintf("nn: Conv2D expects [%d,%d,%d], got %d values", c.Cin, h, w, len(x)))
+	}
+	cols := ws.Take(c.Cin * c.K * c.K * h * w)
+	im2col(cols, x, c.Cin, h, w, c.K, c.Pad)
+	return cols
+}
+
+// im2col lowers x, a [Cin, H, W] map, into cols[Cin*K*K, H*W] for a
+// stride-1 convolution with the given padding. Each output row copies
+// its in-bounds span and zeroes the rest; every element of cols is
+// written, so cols may hold garbage on entry.
+func im2col(cols, x []float32, cin, h, w, k, pad int) {
+	hw := h * w
+	row := 0
+	for ci := 0; ci < cin; ci++ {
+		xc := x[ci*hw : (ci+1)*hw]
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				lo, hi := convSpan(kx, pad, w)
+				dst := cols[row*hw : (row+1)*hw]
+				row++
+				for oy := 0; oy < h; oy++ {
+					d := dst[oy*w : oy*w+w]
+					iy := oy + ky - pad
+					if iy < 0 || iy >= h || lo == hi {
+						clear(d)
+						continue
+					}
+					clear(d[:lo])
+					copy(d[lo:hi], xc[iy*w+lo+kx-pad:])
+					clear(d[hi:])
+				}
+			}
+		}
+	}
+}
+
+// col2im is the adjoint of im2col: it scatters column gradients back
+// into the input gradient, adding the in-bounds span of each column
+// row. Every dx element receives its adds in the same (ci, ky, kx, oy,
+// ox) order as an element-by-element scatter.
 func col2im(dx, dcols []float32, cin, h, w, k, pad int) {
 	hw := h * w
 	row := 0
@@ -141,11 +165,6 @@ type BatchNorm2D struct {
 	Eps float32
 
 	Gamma, Beta *Param
-
-	// cached for backward
-	xhat   []float32
-	invStd []float32
-	h, w   int
 }
 
 // NewBatchNorm2D builds a BatchNorm over c channels.
@@ -159,116 +178,87 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	return bn
 }
 
-// Params implements Layer.
+// Params returns γ and β.
 func (bn *BatchNorm2D) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
 
-// Forward implements Layer.
-func (bn *BatchNorm2D) Forward(x *Tensor) *Tensor {
-	if len(x.Shape) != 3 || x.Shape[0] != bn.C {
-		panic(fmt.Sprintf("nn: BatchNorm2D expects [%d,H,W], got %v", bn.C, x.Shape))
-	}
-	h, w := x.Shape[1], x.Shape[2]
-	bn.h, bn.w = h, w
-	hw := h * w
-	if cap(bn.xhat) < bn.C*hw {
-		bn.xhat = make([]float32, bn.C*hw)
-		bn.invStd = make([]float32, bn.C)
-	}
-	bn.xhat = bn.xhat[:bn.C*hw]
-	out := NewTensor(bn.C, h, w)
-	n := float32(hw)
+// Forward normalises x, C maps of hw values each, into a map drawn
+// from ws, rectified when relu is set.
+func (bn *BatchNorm2D) Forward(ws *Workspace, x []float32, hw int, relu bool) []float32 {
+	bn.check(x, hw)
+	out := ws.Take(bn.C * hw)
 	for c := 0; c < bn.C; c++ {
-		xc := x.Data[c*hw : (c+1)*hw]
-		var mean, varv float32
-		for _, v := range xc {
-			mean += v
-		}
-		mean /= n
-		for _, v := range xc {
-			d := v - mean
-			varv += d * d
-		}
-		varv /= n
-		inv := 1 / float32(math.Sqrt(float64(varv+bn.Eps)))
-		bn.invStd[c] = inv
+		xc := x[c*hw : (c+1)*hw]
+		mean, inv := bn.stats(xc)
 		g, b := bn.Gamma.W[c], bn.Beta.W[c]
-		xh := bn.xhat[c*hw : (c+1)*hw]
-		oc := out.Data[c*hw : (c+1)*hw]
+		oc := out[c*hw : (c+1)*hw]
 		for i, v := range xc {
-			xh[i] = (v - mean) * inv
-			oc[i] = g*xh[i] + b
+			o := g*((v-mean)*inv) + b
+			if relu && o < 0 {
+				o = 0
+			}
+			oc[i] = o
 		}
 	}
 	return out
 }
 
-// Backward implements Layer.
-func (bn *BatchNorm2D) Backward(dy *Tensor) *Tensor {
-	h, w := bn.h, bn.w
-	hw := h * w
+// Backward accumulates the γ and β gradients for the output gradient
+// dy of Forward(x, relu) and returns the input gradient, drawn from
+// ws. A rectified output passes its gradient where the normalised
+// value is not negative — zero included, which the rectified output
+// itself cannot tell from a negative value — so the gate is the
+// recomputed value, not the output.
+func (bn *BatchNorm2D) Backward(ws *Workspace, x, dy []float32, hw int, relu bool) []float32 {
+	bn.check(x, hw)
 	n := float32(hw)
-	dx := NewTensor(bn.C, h, w)
+	dx := ws.Take(bn.C * hw)
 	for c := 0; c < bn.C; c++ {
-		dyc := dy.Data[c*hw : (c+1)*hw]
-		xh := bn.xhat[c*hw : (c+1)*hw]
+		xc := x[c*hw : (c+1)*hw]
+		mean, inv := bn.stats(xc)
+		g, b := bn.Gamma.W[c], bn.Beta.W[c]
+		dxc := dx[c*hw : (c+1)*hw]
 		var sumDy, sumDyXh float32
-		for i := range dyc {
-			sumDy += dyc[i]
-			sumDyXh += dyc[i] * xh[i]
+		for i, v := range xc {
+			xh := (v - mean) * inv
+			d := dy[c*hw+i]
+			if relu && g*xh+b < 0 {
+				d = 0
+			}
+			dxc[i] = d
+			sumDy += d
+			sumDyXh += d * xh
 		}
 		bn.Beta.G[c] += sumDy
 		bn.Gamma.G[c] += sumDyXh
-		g := bn.Gamma.W[c]
-		inv := bn.invStd[c]
-		dxc := dx.Data[c*hw : (c+1)*hw]
-		for i := range dyc {
-			dxc[i] = g * inv * (dyc[i] - sumDy/n - xh[i]*sumDyXh/n)
+		for i, v := range xc {
+			xh := (v - mean) * inv
+			dxc[i] = g * inv * (dxc[i] - sumDy/n - xh*sumDyXh/n)
 		}
 	}
 	return dx
 }
 
-// ---------------------------------------------------------------------------
-// ReLU
-
-// ReLU is an elementwise rectifier.
-type ReLU struct {
-	mask []bool
+func (bn *BatchNorm2D) check(x []float32, hw int) {
+	if len(x) != bn.C*hw {
+		panic(fmt.Sprintf("nn: BatchNorm2D expects %d maps of %d, got %d values", bn.C, hw, len(x)))
+	}
 }
 
-// NewReLU returns a ReLU layer.
-func NewReLU() *ReLU { return &ReLU{} }
-
-// Params implements Layer.
-func (r *ReLU) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x *Tensor) *Tensor {
-	out := x.Clone()
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
+// stats returns the mean of one channel's map and the inverse of its
+// standard deviation.
+func (bn *BatchNorm2D) stats(xc []float32) (mean, inv float32) {
+	n := float32(len(xc))
+	for _, v := range xc {
+		mean += v
 	}
-	r.mask = r.mask[:len(x.Data)]
-	for i, v := range out.Data {
-		if v < 0 {
-			out.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
-		}
+	mean /= n
+	var varv float32
+	for _, v := range xc {
+		d := v - mean
+		varv += d * d
 	}
-	return out
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(dy *Tensor) *Tensor {
-	dx := dy.Clone()
-	for i := range dx.Data {
-		if !r.mask[i] {
-			dx.Data[i] = 0
-		}
-	}
-	return dx
+	varv /= n
+	return mean, 1 / float32(math.Sqrt(float64(varv+bn.Eps)))
 }
 
 // ---------------------------------------------------------------------------
@@ -279,8 +269,6 @@ type Linear struct {
 	In, Out int
 	Weight  *Param // [Out][In]
 	Bias    *Param // [Out]
-
-	x []float32 // cached input
 }
 
 // NewLinear builds a fully-connected layer.
@@ -294,36 +282,37 @@ func NewLinear(name string, in, out int, r *rng.RNG) *Linear {
 	return l
 }
 
-// Params implements Layer.
+// Params returns the weights and the bias.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
-// Forward implements Layer; any input shape with In elements works.
-func (l *Linear) Forward(x *Tensor) *Tensor {
-	if x.Len() != l.In {
-		panic(fmt.Sprintf("nn: Linear expects %d inputs, got %d", l.In, x.Len()))
-	}
-	if cap(l.x) < l.In {
-		l.x = make([]float32, l.In)
-	}
-	l.x = l.x[:l.In]
-	copy(l.x, x.Data)
-	out := NewTensor(l.Out)
-	for o := 0; o < l.Out; o++ {
-		row := l.Weight.W[o*l.In : (o+1)*l.In]
-		s := l.Bias.W[o]
-		for i, v := range x.Data {
-			s += row[i] * v
+// Forward computes W·x + b into a buffer drawn from ws, rectified when
+// relu is set; any input shape with In elements works.
+func (l *Linear) Forward(ws *Workspace, x []float32, relu bool) []float32 {
+	l.check(x)
+	out := ws.Take(l.Out)
+	for o := range out {
+		s := l.pre(x, o)
+		if relu && s < 0 {
+			s = 0
 		}
-		out.Data[o] = s
+		out[o] = s
 	}
 	return out
 }
 
-// Backward implements Layer.
-func (l *Linear) Backward(dy *Tensor) *Tensor {
-	dx := NewTensor(l.In)
+// Backward accumulates the weight and bias gradients for the output
+// gradient dy of Forward(x, relu) and returns the input gradient,
+// drawn from ws. A rectified output passes its gradient where the
+// recomputed pre-activation is not negative.
+func (l *Linear) Backward(ws *Workspace, x, dy []float32, relu bool) []float32 {
+	l.check(x)
+	dx := ws.Take(l.In)
+	clear(dx)
 	for o := 0; o < l.Out; o++ {
-		g := dy.Data[o]
+		g := dy[o]
+		if relu && l.pre(x, o) < 0 {
+			g = 0
+		}
 		l.Bias.G[o] += g
 		if g == 0 {
 			continue
@@ -334,22 +323,38 @@ func (l *Linear) Backward(dy *Tensor) *Tensor {
 			// The conversion rounds the product before the add, so no
 			// platform fuses the two: a step's contribution reaches the
 			// gradient unchanged however the steps are summed (agent.Fold).
-			grow[i] += float32(g * l.x[i])
-			dx.Data[i] += g * wrow[i]
+			grow[i] += float32(g * x[i])
+			dx[i] += g * wrow[i]
 		}
 	}
 	return dx
+}
+
+func (l *Linear) check(x []float32) {
+	if len(x) != l.In {
+		panic(fmt.Sprintf("nn: Linear expects %d inputs, got %d", l.In, len(x)))
+	}
+}
+
+// pre returns output o before any rectifier: b_o + Σ W_oi·x_i.
+func (l *Linear) pre(x []float32, o int) float32 {
+	row := l.Weight.W[o*l.In : (o+1)*l.In]
+	s := l.Bias.W[o]
+	for i, v := range x {
+		s += row[i] * v
+	}
+	return s
 }
 
 // ---------------------------------------------------------------------------
 // Embedding
 
 // Embedding maps an integer id to a learnable D-vector; the paper uses
-// it as the position embedding of the sequence number t.
+// it as the position embedding of the sequence number t. Ids outside
+// [0, N) clamp to the nearest row.
 type Embedding struct {
 	N, D   int
 	Weight *Param // [N][D]
-	last   int
 }
 
 // NewEmbedding builds an embedding table with n rows of d dims.
@@ -362,27 +367,23 @@ func NewEmbedding(name string, n, d int, r *rng.RNG) *Embedding {
 // Params returns the learnable table.
 func (e *Embedding) Params() []*Param { return []*Param{e.Weight} }
 
-// Lookup returns row id as a tensor (data aliases the table).
-func (e *Embedding) Lookup(id int) *Tensor {
-	if id < 0 {
-		id = 0
-	}
-	if id >= e.N {
-		id = e.N - 1
-	}
-	e.last = id
-	out := NewTensor(e.D)
-	copy(out.Data, e.Weight.W[id*e.D:(id+1)*e.D])
-	return out
+// At returns the row of id. The slice aliases the weights: it is
+// read-only.
+func (e *Embedding) At(id int) []float32 {
+	id = e.row(id)
+	return e.Weight.W[id*e.D : (id+1)*e.D]
 }
 
-// Accumulate adds the gradient for the most recent Lookup.
-func (e *Embedding) Accumulate(dy *Tensor) {
-	row := e.Weight.G[e.last*e.D : (e.last+1)*e.D]
+// Accumulate adds dy to the gradient of the row At(id) returns.
+func (e *Embedding) Accumulate(id int, dy []float32) {
+	id = e.row(id)
+	row := e.Weight.G[id*e.D : (id+1)*e.D]
 	for i := range row {
-		row[i] += dy.Data[i]
+		row[i] += dy[i]
 	}
 }
+
+func (e *Embedding) row(id int) int { return min(max(id, 0), e.N-1) }
 
 // ---------------------------------------------------------------------------
 // Softmax helpers

@@ -49,29 +49,15 @@ func MatMul(c, a, b []float32, m, k, n int) {
 	matmulRows(c, a, b, k, n, 0, m)
 }
 
-// MatMulBias computes C = A·B + bias (bias[i] added to every element
-// of output row i) with an optional fused ReLU epilogue — the Conv2D
-// writeback, folded into the kernel so the output is swept once
-// instead of once per epilogue. Bias is added after the full k sum of
-// an element and ReLU is max(0, ·) of the biased value, so the result
-// is bit-identical to running the epilogues as separate passes.
-func MatMulBias(c, a, b, bias []float32, m, k, n int, relu bool) {
+// MatMulBias computes C = A·B + bias, bias[i] added to every element of
+// output row i after the element's full k sum: the Conv2D writeback.
+func MatMulBias(c, a, b, bias []float32, m, k, n int) {
 	MatMul(c, a, b, m, k, n)
 	for i := 0; i < m; i++ {
 		bi := bias[i]
 		ci := c[i*n : i*n+n]
-		if relu {
-			for j, v := range ci {
-				v += bi
-				if v < 0 {
-					v = 0
-				}
-				ci[j] = v
-			}
-		} else {
-			for j := range ci {
-				ci[j] += bi
-			}
+		for j := range ci {
+			ci[j] += bi
 		}
 	}
 }

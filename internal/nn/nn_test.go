@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,43 +10,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Tensor and matmul
-
-func TestTensorBasics(t *testing.T) {
-	x := NewTensor(2, 3)
-	if x.Len() != 6 {
-		t.Fatalf("Len = %d", x.Len())
-	}
-	x.Data[0] = 1
-	c := x.Clone()
-	c.Data[0] = 5
-	if x.Data[0] != 1 {
-		t.Error("Clone must copy data")
-	}
-	x.AddInPlace(c)
-	if x.Data[0] != 6 {
-		t.Error("AddInPlace wrong")
-	}
-	x.Scale(0.5)
-	if x.Data[0] != 3 {
-		t.Error("Scale wrong")
-	}
-	x.Zero()
-	for _, v := range x.Data {
-		if v != 0 {
-			t.Error("Zero failed")
-		}
-	}
-}
-
-func TestFromSliceShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("FromSlice with wrong size should panic")
-		}
-	}()
-	FromSlice(make([]float32, 5), 2, 3)
-}
+// Matmul
 
 // naiveMatMul is the definition of C = A·B: each element sums its
 // products from +0 in increasing p, each product rounded to float32.
@@ -163,39 +128,75 @@ func TestMaskedSoftmax(t *testing.T) {
 
 // lossOf computes 0.5 Σ y². Its gradient w.r.t. y is y itself, which
 // makes analytic/numeric comparison simple for any layer.
-func lossOf(y *Tensor) float64 {
+func lossOf(y []float32) float64 {
 	var s float64
-	for _, v := range y.Data {
+	for _, v := range y {
 		s += 0.5 * float64(v) * float64(v)
 	}
 	return s
 }
 
-func lossGrad(y *Tensor) *Tensor { return y.Clone() }
+// layer is one layer under a gradient check: its parameters, its
+// Forward, and its Backward for the output gradient dy of Forward(x).
+type layer struct {
+	params   []*Param
+	forward  func(x []float32) []float32
+	backward func(x, dy []float32) []float32
+}
 
-// checkParamGradients verifies analytic parameter gradients against
-// central differences for an arbitrary layer under the quadratic loss.
-func checkParamGradients(t *testing.T, layer Layer, x *Tensor, tol float64) {
-	t.Helper()
-	forward := func() float64 { return lossOf(layer.Forward(x.Clone())) }
+func convLayer(c *Conv2D, h, w int) layer {
+	return layer{c.Params(),
+		func(x []float32) []float32 { return c.Forward(nil, x, h, w) },
+		func(x, dy []float32) []float32 { return c.Backward(nil, x, dy, h, w) }}
+}
 
-	// Analytic pass.
-	for _, p := range layer.Params() {
+func bnLayer(bn *BatchNorm2D, hw int, relu bool) layer {
+	return layer{bn.Params(),
+		func(x []float32) []float32 { return bn.Forward(nil, x, hw, relu) },
+		func(x, dy []float32) []float32 { return bn.Backward(nil, x, dy, hw, relu) }}
+}
+
+func linearLayer(l *Linear, relu bool) layer {
+	return layer{l.Params(),
+		func(x []float32) []float32 { return l.Forward(nil, x, relu) },
+		func(x, dy []float32) []float32 { return l.Backward(nil, x, dy, relu) }}
+}
+
+func resLayer(rb *ResBlock, h, w int) layer {
+	return layer{rb.Params(),
+		func(x []float32) []float32 { return rb.Forward(nil, x, h, w, nil) },
+		func(x, dy []float32) []float32 {
+			var acts ResActs
+			rb.Forward(nil, x, h, w, &acts)
+			return rb.Backward(nil, &acts, dy, h, w)
+		}}
+}
+
+// analytic zeroes l's gradients, runs Forward and Backward on x under
+// the quadratic loss, and returns the input gradient.
+func (l layer) analytic(x []float32) []float32 {
+	for _, p := range l.params {
 		p.ZeroGrad()
 	}
-	y := layer.Forward(x.Clone())
-	layer.Backward(lossGrad(y))
+	y := l.forward(x)
+	return l.backward(x, append([]float32(nil), y...))
+}
 
+// checkParamGradients verifies analytic parameter gradients against
+// central differences for a layer under the quadratic loss.
+func checkParamGradients(t *testing.T, l layer, x []float32, tol float64) {
+	t.Helper()
+	l.analytic(x)
 	const eps = 1e-3
-	for _, p := range layer.Params() {
+	for _, p := range l.params {
 		// Probe a handful of weights per parameter.
 		stride := len(p.W)/7 + 1
 		for i := 0; i < len(p.W); i += stride {
 			orig := p.W[i]
 			p.W[i] = orig + eps
-			lp := forward()
+			lp := lossOf(l.forward(x))
 			p.W[i] = orig - eps
-			lm := forward()
+			lm := lossOf(l.forward(x))
 			p.W[i] = orig
 			numeric := (lp - lm) / (2 * eps)
 			analytic := float64(p.G[i])
@@ -207,51 +208,44 @@ func checkParamGradients(t *testing.T, layer Layer, x *Tensor, tol float64) {
 }
 
 // checkInputGradient verifies dL/dx against central differences.
-func checkInputGradient(t *testing.T, layer Layer, x *Tensor, tol float64) {
+func checkInputGradient(t *testing.T, l layer, x []float32, tol float64) {
 	t.Helper()
-	for _, p := range layer.Params() {
-		p.ZeroGrad()
-	}
-	y := layer.Forward(x.Clone())
-	dx := layer.Backward(lossGrad(y))
-
+	dx := l.analytic(x)
 	const eps = 1e-3
-	stride := len(x.Data)/7 + 1
-	for i := 0; i < len(x.Data); i += stride {
-		orig := x.Data[i]
-		x.Data[i] = orig + eps
-		lp := lossOf(layer.Forward(x.Clone()))
-		x.Data[i] = orig - eps
-		lm := lossOf(layer.Forward(x.Clone()))
-		x.Data[i] = orig
+	stride := len(x)/7 + 1
+	for i := 0; i < len(x); i += stride {
+		orig := x[i]
+		x[i] = orig + eps
+		lp := lossOf(l.forward(x))
+		x[i] = orig - eps
+		lm := lossOf(l.forward(x))
+		x[i] = orig
 		numeric := (lp - lm) / (2 * eps)
-		analytic := float64(dx.Data[i])
+		analytic := float64(dx[i])
 		if math.Abs(numeric-analytic) > tol*(1+math.Abs(numeric)) {
 			t.Errorf("dx[%d]: analytic %v vs numeric %v", i, analytic, numeric)
 		}
 	}
 }
 
-func randTensor(r *rng.RNG, shape ...int) *Tensor {
-	x := NewTensor(shape...)
-	for i := range x.Data {
-		x.Data[i] = float32(r.NormFloat64())
-	}
+func randSlice(r *rng.RNG, n int) []float32 {
+	x := make([]float32, n)
+	fillNorm(r, x)
 	return x
 }
 
 func TestConv2DGradients(t *testing.T) {
 	r := rng.New(5)
-	conv := NewConv2D("c", 2, 3, 3, r)
-	x := randTensor(r, 2, 5, 5)
+	conv := convLayer(NewConv2D("c", 2, 3, 3, r), 5, 5)
+	x := randSlice(r, 2*5*5)
 	checkParamGradients(t, conv, x, 2e-2)
 	checkInputGradient(t, conv, x, 2e-2)
 }
 
 func TestConv1x1Gradients(t *testing.T) {
 	r := rng.New(6)
-	conv := NewConv2D("c", 3, 2, 1, r)
-	x := randTensor(r, 3, 4, 4)
+	conv := convLayer(NewConv2D("c", 3, 2, 1, r), 4, 4)
+	x := randSlice(r, 3*4*4)
 	checkParamGradients(t, conv, x, 2e-2)
 	checkInputGradient(t, conv, x, 2e-2)
 }
@@ -259,9 +253,11 @@ func TestConv1x1Gradients(t *testing.T) {
 func TestLinearGradients(t *testing.T) {
 	r := rng.New(7)
 	lin := NewLinear("l", 10, 6, r)
-	x := randTensor(r, 10)
-	checkParamGradients(t, lin, x, 1e-2)
-	checkInputGradient(t, lin, x, 1e-2)
+	x := randSlice(r, 10)
+	for _, relu := range []bool{false, true} {
+		checkParamGradients(t, linearLayer(lin, relu), x, 1e-2)
+		checkInputGradient(t, linearLayer(lin, relu), x, 1e-2)
+	}
 }
 
 func TestBatchNormGradients(t *testing.T) {
@@ -270,42 +266,100 @@ func TestBatchNormGradients(t *testing.T) {
 	// Scale/offset away from identity so gradients are non-trivial.
 	bn.Gamma.W[0], bn.Gamma.W[1] = 1.5, 0.7
 	bn.Beta.W[0], bn.Beta.W[1] = 0.2, -0.4
-	x := randTensor(r, 2, 4, 4)
-	checkParamGradients(t, bn, x, 3e-2)
-	checkInputGradient(t, bn, x, 3e-2)
+	x := randSlice(r, 2*4*4)
+	for _, relu := range []bool{false, true} {
+		checkParamGradients(t, bnLayer(bn, 16, relu), x, 3e-2)
+		checkInputGradient(t, bnLayer(bn, 16, relu), x, 3e-2)
+	}
 }
 
+// TestReLUGradient: a fused rectifier zeroes exactly the outputs whose
+// pre-activation is negative, and Backward passes the gradient of
+// every other output unchanged.
 func TestReLUGradient(t *testing.T) {
 	r := rng.New(9)
-	relu := NewReLU()
-	x := randTensor(r, 20)
-	y := relu.Forward(x)
-	dy := NewTensor(20)
-	for i := range dy.Data {
-		dy.Data[i] = 1
+	lin := NewLinear("l", 6, 20, r)
+	fillNorm(r, lin.Bias.W)
+	x := randSlice(r, 6)
+	pre := lin.Forward(nil, x, false)
+	y := lin.Forward(nil, x, true)
+	requireExact(t, "fused rectifier", [3]int{6, 20, 0}, y, ReLUBatch(append([]float32(nil), pre...)))
+	dy := make([]float32, 20)
+	for i := range dy {
+		dy[i] = 1
 	}
-	dx := relu.Backward(dy)
-	for i := range x.Data {
+	lin.Backward(nil, x, dy, true)
+	for o, v := range pre {
 		want := float32(0)
-		if x.Data[i] >= 0 {
+		if v >= 0 {
 			want = 1
 		}
-		if dx.Data[i] != want {
-			t.Errorf("dx[%d] = %v for x=%v", i, dx.Data[i], x.Data[i])
+		if lin.Bias.G[o] != want {
+			t.Errorf("bias grad[%d] = %v for pre-activation %v", o, lin.Bias.G[o], v)
 		}
-		if x.Data[i] > 0 && y.Data[i] != x.Data[i] {
-			t.Errorf("forward pass wrong at %d", i)
+	}
+}
+
+// TestFusedReLUPassesGradientAtZero: a BatchNorm channel that is
+// constant over its map normalises to exactly β. With β = 0 the
+// rectified output is exactly 0, and the rectifier passes the gradient
+// there (the value is not negative): β's gradient is Σdy. With β < 0
+// the gradient stops and β's gradient is 0.
+func TestFusedReLUPassesGradientAtZero(t *testing.T) {
+	const hw = 9
+	x := make([]float32, hw)
+	for i := range x {
+		x[i] = 0.75
+	}
+	dy := make([]float32, hw)
+	var sum float32
+	for i := range dy {
+		dy[i] = float32(i+1) / 8
+		sum += dy[i]
+	}
+	for _, tc := range []struct {
+		beta, wantGrad float32
+	}{{0, sum}, {-0.5, 0}} {
+		bn := NewBatchNorm2D("bn", 1)
+		bn.Beta.W[0] = tc.beta
+		for i, v := range bn.Forward(nil, x, hw, true) {
+			if math.Float32bits(v) != 0 {
+				t.Fatalf("β=%v: output[%d] = %v, want +0", tc.beta, i, v)
+			}
 		}
-		if x.Data[i] < 0 && y.Data[i] != 0 {
-			t.Errorf("negative input not clamped at %d", i)
+		bn.Backward(nil, x, dy, hw, true)
+		if got := bn.Beta.G[0]; got != tc.wantGrad {
+			t.Errorf("β=%v: β gradient %v, want %v", tc.beta, got, tc.wantGrad)
+		}
+	}
+}
+
+// ReLUBatch rectifies x in place and returns it: the separate ReLU
+// sweep the fused rectifiers are checked against.
+func ReLUBatch(x []float32) []float32 {
+	for i, v := range x {
+		if v < 0 {
+			x[i] = 0
+		}
+	}
+	return x
+}
+
+func TestReLUBatch(t *testing.T) {
+	x := []float32{-1, 0, 2.5, -0.001, 7}
+	ReLUBatch(x)
+	want := []float32{0, 0, 2.5, 0, 7}
+	for i := range want {
+		if x[i] != want[i] {
+			t.Fatalf("elem %d: %v != %v", i, x[i], want[i])
 		}
 	}
 }
 
 func TestResBlockGradients(t *testing.T) {
 	r := rng.New(10)
-	rb := NewResBlock("rb", 2, r)
-	x := randTensor(r, 2, 4, 4)
+	rb := resLayer(NewResBlock("rb", 2, r), 4, 4)
+	x := randSlice(r, 2*4*4)
 	checkParamGradients(t, rb, x, 5e-2)
 	checkInputGradient(t, rb, x, 5e-2)
 }
@@ -313,28 +367,28 @@ func TestResBlockGradients(t *testing.T) {
 func TestEmbedding(t *testing.T) {
 	r := rng.New(12)
 	e := NewEmbedding("e", 4, 3, r)
-	v := e.Lookup(2)
-	if v.Len() != 3 {
-		t.Fatalf("lookup dim = %d", v.Len())
+	if v := e.At(2); len(v) != 3 || &v[0] != &e.Weight.W[6] {
+		t.Fatalf("At(2) is not row 2 of the table")
 	}
-	// Out-of-range ids clamp.
-	lo := e.Lookup(-5)
-	hi := e.Lookup(99)
-	for i := 0; i < 3; i++ {
-		if lo.Data[i] != e.Weight.W[i] {
-			t.Error("negative id should clamp to row 0")
-		}
-		if hi.Data[i] != e.Weight.W[3*3+i] {
-			t.Error("large id should clamp to last row")
-		}
-	}
-	// Gradient accumulates into the looked-up row.
-	e.Lookup(1)
-	g := NewTensor(3)
-	g.Data[0], g.Data[1], g.Data[2] = 1, 2, 3
-	e.Accumulate(g)
+	// Gradient accumulates into the row At reads, clamped the same way.
+	e.Accumulate(1, []float32{1, 2, 3})
+	e.Accumulate(99, []float32{4, 5, 6})
 	if e.Weight.G[3] != 1 || e.Weight.G[4] != 2 || e.Weight.G[5] != 3 {
-		t.Errorf("grad row = %v", e.Weight.G[3:6])
+		t.Errorf("grad row 1 = %v", e.Weight.G[3:6])
+	}
+	if e.Weight.G[9] != 4 || e.Weight.G[10] != 5 || e.Weight.G[11] != 6 {
+		t.Errorf("grad row 3 = %v", e.Weight.G[9:12])
+	}
+}
+
+// TestEmbeddingAtClampsAndMatchesLookup: At, the embedding lookup,
+// clamps every id into the table and returns exactly the row the
+// clamped id names.
+func TestEmbeddingAtClampsAndMatchesLookup(t *testing.T) {
+	e := NewEmbedding("e", 4, 6, rng.New(4))
+	for _, tc := range []struct{ id, row int }{{-2, 0}, {0, 0}, {3, 3}, {9, 3}} {
+		requireExact(t, fmt.Sprintf("At(%d)", tc.id), [3]int{tc.id, tc.row, 0},
+			e.At(tc.id), e.Weight.W[tc.row*6:(tc.row+1)*6])
 	}
 }
 
@@ -407,7 +461,7 @@ func TestStepClearsGradients(t *testing.T) {
 // Properties
 
 func TestIm2colCol2imAdjointProperty(t *testing.T) {
-	// ⟨im2colBatch(x), y⟩ == ⟨x, col2im(y)⟩ at batch 1 — the defining adjoint identity
+	// ⟨im2col(x), y⟩ == ⟨x, col2im(y)⟩ — the defining adjoint identity
 	// that conv backward relies on.
 	r := rng.New(21)
 	f := func(seed int64) bool {
@@ -419,7 +473,7 @@ func TestIm2colCol2imAdjointProperty(t *testing.T) {
 		}
 		ck := cin * k * k
 		cols := make([]float32, ck*h*w)
-		im2colBatch(cols, x, cin, 1, h, w, k, k/2)
+		im2col(cols, x, cin, h, w, k, k/2)
 		y := make([]float32, ck*h*w)
 		for i := range y {
 			y[i] = float32(rr.NormFloat64())

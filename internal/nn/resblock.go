@@ -7,10 +7,16 @@ import "macroplace/internal/rng"
 type ResBlock struct {
 	Conv1 *Conv2D
 	BN1   *BatchNorm2D
-	Act1  *ReLU
 	Conv2 *Conv2D
 	BN2   *BatchNorm2D
-	Out   *ReLU
+}
+
+// ResActs are the activations of one ResBlock.Forward that its
+// Backward reads: the block's input, the first convolution's output,
+// the first BatchNorm's rectified output, the second convolution's
+// output and the second BatchNorm's output.
+type ResActs struct {
+	X, C1, A1, C2, B2 []float32
 }
 
 // NewResBlock builds a residual block over c channels.
@@ -18,14 +24,12 @@ func NewResBlock(name string, c int, r *rng.RNG) *ResBlock {
 	return &ResBlock{
 		Conv1: NewConv2D(name+".conv1", c, c, 3, r),
 		BN1:   NewBatchNorm2D(name+".bn1", c),
-		Act1:  NewReLU(),
 		Conv2: NewConv2D(name+".conv2", c, c, 3, r),
 		BN2:   NewBatchNorm2D(name+".bn2", c),
-		Out:   NewReLU(),
 	}
 }
 
-// Params implements Layer.
+// Params returns both convolutions' and both BatchNorms' parameters.
 func (b *ResBlock) Params() []*Param {
 	var out []*Param
 	out = append(out, b.Conv1.Params()...)
@@ -35,26 +39,49 @@ func (b *ResBlock) Params() []*Param {
 	return out
 }
 
-// Forward implements Layer.
-func (b *ResBlock) Forward(x *Tensor) *Tensor {
-	h := b.Conv1.Forward(x)
-	h = b.BN1.Forward(h)
-	h = b.Act1.Forward(h)
-	h = b.Conv2.Forward(h)
-	h = b.BN2.Forward(h)
-	h.AddInPlace(x)
-	return b.Out.Forward(h)
+// Forward applies the block to x, a [C, H, W] map, with every buffer
+// drawn from ws, and records its activations in acts when acts is not
+// nil.
+func (b *ResBlock) Forward(ws *Workspace, x []float32, h, w int, acts *ResActs) []float32 {
+	hw := h * w
+	c1 := b.Conv1.Forward(ws, x, h, w)
+	a1 := b.BN1.Forward(ws, c1, hw, true)
+	c2 := b.Conv2.Forward(ws, a1, h, w)
+	b2 := b.BN2.Forward(ws, c2, hw, false)
+	out := ws.Take(len(x))
+	for i, v := range b2 {
+		v += x[i]
+		if v < 0 {
+			v = 0
+		}
+		out[i] = v
+	}
+	if acts != nil {
+		*acts = ResActs{X: x, C1: c1, A1: a1, C2: c2, B2: b2}
+	}
+	return out
 }
 
-// Backward implements Layer.
-func (b *ResBlock) Backward(dy *Tensor) *Tensor {
-	d := b.Out.Backward(dy)
-	// d flows both into the residual branch and the identity skip.
-	db := b.BN2.Backward(d)
-	db = b.Conv2.Backward(db)
-	db = b.Act1.Backward(db)
-	db = b.BN1.Backward(db)
-	db = b.Conv1.Backward(db)
-	db.AddInPlace(d) // skip path
+// Backward accumulates the block's parameter gradients for the output
+// gradient dy of the Forward that recorded acts, and returns the input
+// gradient, drawn from ws.
+func (b *ResBlock) Backward(ws *Workspace, acts *ResActs, dy []float32, h, w int) []float32 {
+	hw := h * w
+	// The output rectifier gates on the recomputed sum; d flows both
+	// into the residual branch and the identity skip.
+	d := ws.Take(len(dy))
+	for i, v := range dy {
+		if acts.B2[i]+acts.X[i] < 0 {
+			v = 0
+		}
+		d[i] = v
+	}
+	db := b.BN2.Backward(ws, acts.C2, d, hw, false)
+	db = b.Conv2.Backward(ws, acts.A1, db, h, w)
+	db = b.BN1.Backward(ws, acts.C1, db, hw, true)
+	db = b.Conv1.Backward(ws, acts.X, db, h, w)
+	for i, v := range d { // skip path
+		db[i] += v
+	}
 	return db
 }

@@ -1,16 +1,19 @@
 package nn
 
-// Workspace is a bump-pointer float32 arena for the pure inference
-// kernels: a forward pass Takes every intermediate buffer from it in a
-// deterministic order, and the caller Resets it before the next pass.
+// Workspace is a bump-pointer float32 arena for the layer kernels: a
+// pass Takes every buffer it needs from it in a deterministic order,
+// and the caller Resets it before the next pass. An inference pass
+// Resets before each state; a training step Resets before its Forward
+// and keeps taking through its Backward, so the forward's activations
+// stay valid until the step ends.
 //
 // The arena grows to the high-water mark of the previous pass: the
 // first pass over a new shape allocates (every Take that misses falls
 // back to make), and every following pass of the same or smaller shape
 // performs zero heap allocations. Buffers handed out by Take are NOT
-// zeroed — every inference kernel fully overwrites its destination, so
-// recycled garbage can never leak into an output (tests pin the
-// results of a warm workspace bit-identical to those of a nil one).
+// zeroed — every kernel fully overwrites its destination or clears it
+// first, so recycled garbage can never leak into an output (tests pin
+// the results of a warm workspace bit-identical to those of a nil one).
 //
 // A nil *Workspace is valid and degrades every Take to a plain make.
 type Workspace struct {

@@ -9,7 +9,7 @@ import (
 	"macroplace/internal/agent"
 )
 
-// update replays each recorded step to populate layer caches, then
+// update replays each recorded step forward onto a tape, then
 // backpropagates the Actor–Critic loss of Eqs. (5)–(8) and applies one
 // optimizer step over the whole batch.
 //
@@ -115,8 +115,10 @@ func (rp *replay) catch() {
 	}
 }
 
-// work replays steps on w until none are left or a worker panicked.
+// work replays steps on w until none are left or a worker panicked,
+// every step on one tape that lives as long as the update.
 func (rp *replay) work(w *agent.Agent) {
+	var tp agent.Tape
 	for {
 		rp.mu.Lock()
 		i := rp.next
@@ -128,9 +130,9 @@ func (rp *replay) work(w *agent.Agent) {
 		rp.mu.Unlock()
 
 		st := rp.steps[i]
-		out := w.Forward(st.sp, st.sa, st.t)
+		out := w.Forward(&tp, st.sp, st.sa, st.t)
 		adv := st.reward - out.Value // Eq. (6)
-		w.Backward(st.action, adv, st.reward, rp.entropyCoef)
+		w.Backward(&tp, st.action, adv, st.reward, rp.entropyCoef)
 
 		rp.mu.Lock()
 		for rp.folded < i && rp.panicVal == nil {

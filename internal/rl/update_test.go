@@ -109,12 +109,13 @@ func TestUpdateGoldenAcrossGOMAXPROCS(t *testing.T) {
 // straight into the agent's. It returns the gauge values.
 func sequentialUpdate(ag *agent.Agent, opt *nn.Adam, batch []episodeRecord, entropyCoef float64) (policyLoss, valueLoss, entropy, gradNorm float64) {
 	count := 0
+	var tp agent.Tape
 	for _, ep := range batch {
 		r := float32(ep.reward)
 		for _, st := range ep.steps {
-			out := ag.Forward(st.sp, st.sa, st.t)
+			out := ag.Forward(&tp, st.sp, st.sa, st.t)
 			adv := r - out.Value
-			ag.Backward(st.action, adv, r, float32(entropyCoef))
+			ag.Backward(&tp, st.action, adv, r, float32(entropyCoef))
 			if p := float64(out.Probs[st.action]); p > 0 {
 				policyLoss += -math.Log(p) * float64(adv)
 			}

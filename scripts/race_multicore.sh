@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Runs the concurrency tests under the race detector at GOMAXPROCS=2,
 # so goroutines actually interleave: the evaluation cache (one mutex
-# and one condition variable), the parallel tree search (whose workers
-# call the evaluator, and the fault injector wrapping it,
-# concurrently), the RL update's replay workers (whose replicas share
-# the agent's weights), and the daemon's worker pool. The cache tests
-# run ten times each, since one interleaving proves little about
-# shared state; the rest run once.
+# and one condition variable), inference on an agent while it trains
+# on its own tape, the parallel tree search (whose workers call the
+# evaluator, and the fault injector wrapping it, concurrently), the RL
+# update's replay workers (whose replicas share the agent's weights),
+# and the daemon's worker pool. The cache and agent tests run ten
+# times each, since one interleaving proves little about shared state;
+# the rest run once.
 #
 #   scripts/race_multicore.sh
 #
@@ -42,7 +43,7 @@ run() {
 }
 
 run -count=10 ./internal/agent/ TestCacheConcurrentAccess TestEvaluateBatchConcurrent \
-	TestCacheEvaluatesConcurrentDuplicatesOnce
+	TestCacheEvaluatesConcurrentDuplicatesOnce TestInferenceConcurrentWithTraining
 run -count=10 ./internal/mcts/ TestCacheCountersExactUnderConcurrency
 run ./internal/mcts/ TestParallelStress TestParallelSearchSharedCacheRace TestDeterminism \
 	TestParallelLeafEvaluationsOverlap
