@@ -23,7 +23,7 @@ race:
 race-multicore: ## concurrency tests under -race at GOMAXPROCS=2 (same script CI runs)
 	scripts/race_multicore.sh
 
-bench: ## search hot-path + serving + portfolio + fleet + eco + lefdef + RL update + conv kernel + cold search benchmarks, recorded as BENCH_pr{3,5,6,7,8,9,10,14,16,17,21}.json
+bench: ## search hot-path + serving + portfolio + fleet + eco + lefdef + RL update + conv kernel + cold search benchmarks, recorded as BENCH_pr{3,5,6,7,8,9,10,14,16,17,22}.json
 	$(GO) test -run '^$$' -bench BenchmarkMCTSWorkers -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_pr3.json
 	( GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkMCTSWorkers -benchmem . ; \
@@ -44,7 +44,7 @@ bench: ## search hot-path + serving + portfolio + fleet + eco + lefdef + RL upda
 		./internal/portfolio ./internal/fleet ./internal/eco ./internal/lefdef ) \
 		| $(GO) run ./cmd/benchjson -o BENCH_pr14.json
 	GOMAXPROCS=2 $(GO) test -run '^$$' -bench 'BenchmarkTrainUpdate$$' -benchmem -count=3 ./internal/rl \
-		| $(GO) run ./cmd/benchjson -o BENCH_pr21.json
+		| $(GO) run ./cmd/benchjson -o BENCH_pr22.json
 	GOMAXPROCS=2 $(GO) test -run '^$$' -bench 'BenchmarkConvKernels$$' -benchmem -benchtime=100x -count=3 ./internal/nn \
 		| $(GO) run ./cmd/benchjson -o BENCH_pr16.json
 	GOMAXPROCS=2 $(GO) test -run '^$$' -bench 'BenchmarkMCTSColdWorkers$$' -benchmem . \

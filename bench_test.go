@@ -225,7 +225,7 @@ func BenchmarkAgentBackward(b *testing.B) {
 	var tp agent.Tape
 	step := func(i int) {
 		ag.Forward(&tp, sp, sa, i%32)
-		ag.Backward(&tp, i%256, 0.5, 1, 0)
+		ag.Backward(&tp, &tp, i%256, 0.5, 1, 0)
 	}
 	step(0) // the first step sizes the tape's arena
 	step(1) // and the second allocates it

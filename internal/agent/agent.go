@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"macroplace/internal/nn"
 	"macroplace/internal/rng"
@@ -70,12 +71,14 @@ type Output struct {
 
 // Agent is the Actor–Critic network: its configuration, its
 // parameters (weights and gradients) and a pool of inference
-// workspaces. EvaluateBatchInto is safe for concurrent use, also with
-// Forward and Backward, as long as nothing writes the weights (only an
-// optimizer step does). Forward and Backward accumulate into the
-// agent's gradients, so one goroutine at a time trains an agent; a
-// parallel update trains Replicas, one per worker, each on its own
-// Tape.
+// workspaces. EvaluateBatchInto and Forward only read the agent (each
+// pass runs on a pooled workspace or the caller's Tape), so both are
+// safe for concurrent use, with each other and with Backward, as long
+// as nothing writes the weights (only an optimizer step does): the
+// trainer's rollout workers run Forward on the agent and on its
+// Replicas, which share its weights. Backward accumulates into the
+// agent's gradients, so one goroutine at a time runs it on an agent; a
+// parallel update runs it on Replicas, one per worker.
 type Agent struct {
 	Cfg Config
 
@@ -181,6 +184,12 @@ func (a *Agent) NumParams() int {
 // trains, never to an agent, so an agent that has stopped training
 // holds no step's buffers. A warm tape makes a step allocation-free
 // except for the returned Probs. The zero value is ready to use.
+//
+// A step can also be kept for a later Backward: KeepInto copies what
+// Backward reads into another Tape, whose storage then holds only that
+// (KeptBytes), and Backward replays the kept step on another tape's
+// workspace. The trainer keeps rollout steps so, up to a byte budget,
+// and its update replays those without running Forward again.
 type Tape struct {
 	ws    nn.Workspace
 	tower []nn.ResActs
@@ -200,14 +209,18 @@ type Tape struct {
 // toward roomier ones (the paper multiplies the policy features by s_a
 // before its softmax; the gated form keeps infeasible grids at exactly
 // zero probability). The outputs are those of EvaluateBatchInto on the
-// same state, bit for bit: both run one pass.
+// same state, bit for bit: both run one pass. Forward only reads the
+// agent, so goroutines may run it concurrently, each on its own tape.
 func (a *Agent) Forward(tp *Tape, sp, sa []float64, t int) Output {
+	t0 := time.Now()
 	tp.ready = false
 	tp.ws.Reset()
 	if len(tp.tower) != len(a.tower) {
 		tp.tower = make([]nn.ResActs, len(a.tower))
 	}
-	return a.pass(&tp.ws, BatchInput{SP: sp, SA: sa, T: t}, tp)
+	out := a.pass(&tp.ws, BatchInput{SP: sp, SA: sa, T: t}, tp)
+	obsInferLatency.Observe(time.Since(t0).Seconds())
+	return out
 }
 
 // pass runs both heads on one state with every buffer drawn from ws.
@@ -266,22 +279,84 @@ func (a *Agent) pass(ws *nn.Workspace, in BatchInput, tp *Tape) Output {
 	return Output{Probs: probs, Value: val}
 }
 
+// Output returns the outputs of the Forward recorded on tp, or kept
+// there by KeepInto.
+func (tp *Tape) Output() Output { return Output{Probs: tp.probs, Value: tp.value} }
+
+// KeepInto copies what Backward reads of the Forward last run on tp
+// into dst, which owns the copy: dst's storage grows to KeptBytes, and
+// a warm dst takes the next copy without allocating. The returned
+// Probs are shared, not copied. tp itself is left as it was.
+func (tp *Tape) KeepInto(dst *Tape) {
+	if !tp.ready {
+		panic("agent: KeepInto without a preceding Forward")
+	}
+	ws := &dst.ws
+	ws.Reset()
+	keep := func(s []float32) []float32 {
+		d := ws.Take(len(s))
+		copy(d, s)
+		return d
+	}
+	if len(dst.tower) != len(tp.tower) {
+		dst.tower = make([]nn.ResActs, len(tp.tower))
+	}
+	for i, r := range tp.tower {
+		dst.tower[i] = nn.ResActs{X: keep(r.X), C1: keep(r.C1), C2: keep(r.C2)}
+	}
+	dst.t, dst.probs, dst.value = tp.t, tp.probs, tp.value
+	dst.sa, dst.c1, dst.cP, dst.pin = keep(tp.sa), keep(tp.c1), keep(tp.cP), keep(tp.pin)
+	dst.comb, dst.cV, dst.hv, dst.v1, dst.v2 = keep(tp.comb), keep(tp.cV), keep(tp.hv), keep(tp.v1), keep(tp.v2)
+	// comb is [trunk | s_p | posEmb(t)], copied bit for bit.
+	nt := len(tp.trunk)
+	dst.trunk, dst.sp = dst.comb[:nt], dst.comb[nt:nt+len(tp.sp)]
+	dst.ready = true
+}
+
+// KeptBytes returns the storage KeepInto gives each of a's steps: 138
+// KiB at the daemon tower (ζ=16, 16 channels, 2 blocks), 274 KiB at
+// Default(16, …) and 4.0 MiB at Paper.
+func (a *Agent) KeptBytes() int {
+	n, c := a.Cfg.Zeta*a.Cfg.Zeta, a.Cfg.Channels
+	floats := 3 * c * n * len(a.tower) // each block's X, C1 and C2
+	floats += n + c*n + 2*n + 2*n      // sa, c1, cP, pin
+	floats += (c+2)*n + n + n          // comb, cV, hv
+	floats += a.fc1V.Out + a.fc2V.Out  // v1, v2
+	return 4 * floats
+}
+
 // Backward accumulates gradients for the combined Actor–Critic loss of
-// Eqs. (5)–(8) for the state of the Forward last run on tp:
+// Eqs. (5)–(8) for the state of the Forward last run on tp, or kept on
+// tp by KeepInto:
 //
 //	L = −log p(action)·advantage  +  (R − v)²  −  entropyCoef·H(p)
 //
 // action is the taken action, advantage is A_t = R_t − v_θ,t (treated
 // as a constant, per Eq. 5), and target is R_t for the value head.
-func (a *Agent) Backward(tp *Tape, action int, advantage, target float32, entropyCoef float32) {
+//
+// The backward draws its buffers from scratch's workspace. A step
+// trained in place passes its own tape as scratch, so the buffers
+// follow its Forward's; a kept step passes another tape, whose
+// recorded Forward is discarded, so the kept step's storage never
+// grows by a backward's buffers. The gradients are the same bits
+// either way.
+func (a *Agent) Backward(tp, scratch *Tape, action int, advantage, target float32, entropyCoef float32) {
 	if !tp.ready {
 		panic("agent: Backward without a preceding Forward")
 	}
-	tp.ready = false
-	ws := &tp.ws
 	z := a.Cfg.Zeta
 	n := z * z
 	c := a.Cfg.Channels
+	if len(tp.sa) != n {
+		panic(fmt.Sprintf("agent: Backward on a step of state length %d, want %d", len(tp.sa), n))
+	}
+	tp.ready = false
+	ws := &tp.ws
+	if scratch != tp {
+		scratch.ready = false
+		ws = &scratch.ws
+		ws.Reset()
+	}
 
 	// --- Policy head gradient w.r.t. logits.
 	var entropy float32

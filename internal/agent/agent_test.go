@@ -88,7 +88,7 @@ func TestCloneMatchesOriginal(t *testing.T) {
 	// Training the clone must not change the original.
 	var tp Tape
 	cp.Forward(&tp, sp, sa, 0)
-	cp.Backward(&tp, 0, 1, 1, 0)
+	cp.Backward(&tp, &tp, 0, 1, 1, 0)
 	opt := nn.NewAdam(cp.Params(), 0.01)
 	opt.Step()
 	o3 := evalState(a, sp, sa, 0)
@@ -123,7 +123,7 @@ func TestBackwardAccumulatesGradients(t *testing.T) {
 	sp, sa := randState(r, 36, 0)
 	var tp Tape
 	a.Forward(&tp, sp, sa, 0)
-	a.Backward(&tp, 3, 0.5, 1, 0)
+	a.Backward(&tp, &tp, 3, 0.5, 1, 0)
 	nonzero := 0
 	for _, p := range a.Params() {
 		for _, g := range p.G {
@@ -144,7 +144,8 @@ func TestBackwardWithoutForwardPanics(t *testing.T) {
 			t.Error("Backward without Forward should panic")
 		}
 	}()
-	a.Backward(&Tape{}, 0, 1, 1, 0)
+	var tp Tape
+	a.Backward(&tp, &tp, 0, 1, 1, 0)
 }
 
 func TestForwardWrongStateLengthPanics(t *testing.T) {
@@ -173,7 +174,7 @@ func TestPolicyLearnsPreferredAction(t *testing.T) {
 		// Constant positive advantage on the target action; value
 		// target equals the current estimate so the critic loss stays
 		// zero and only the policy moves.
-		a.Backward(&tp, target, 1, out.Value, 0)
+		a.Backward(&tp, &tp, target, 1, out.Value, 0)
 		opt.Step()
 	}
 	after := evalState(a, sp, sa, 0).Probs[target]
@@ -197,7 +198,7 @@ func TestValueLearnsTarget(t *testing.T) {
 	for step := 0; step < 80; step++ {
 		a.Forward(&tp, sp, sa, 1)
 		// Zero advantage: only the value loss is active.
-		a.Backward(&tp, 0, 0, target, 0)
+		a.Backward(&tp, &tp, 0, 0, target, 0)
 		opt.Step()
 	}
 	got := evalState(a, sp, sa, 1).Value
@@ -242,7 +243,7 @@ func TestEntropyBonusFlattensPolicy(t *testing.T) {
 	var tp Tape
 	for step := 0; step < 40; step++ {
 		a.Forward(&tp, sp, sa, 0)
-		a.Backward(&tp, 0, 0, 0, 1.0)
+		a.Backward(&tp, &tp, 0, 0, 0, 1.0)
 		opt.Step()
 	}
 	entAfter := entropy(evalState(a, sp, sa, 0).Probs)

@@ -79,7 +79,7 @@ func TestEvaluateBatchIsPure(t *testing.T) {
 		if interrupt {
 			evaluateBatch(ag, in[1:])
 		}
-		ag.Backward(&tp, 2, 0.5, 1, 0.01)
+		ag.Backward(&tp, &tp, 2, 0.5, 1, 0.01)
 		var g []float32
 		for _, p := range ag.Params() {
 			g = append(g, p.G...)
@@ -111,7 +111,7 @@ func TestInferenceConcurrentWithTraining(t *testing.T) {
 		for step := 0; ; step++ {
 			st := in[step%len(in)]
 			out := ag.Forward(&tp, st.SP, st.SA, st.T)
-			ag.Backward(&tp, step%16, 0.5-out.Value, 0.5, 0.01)
+			ag.Backward(&tp, &tp, step%16, 0.5-out.Value, 0.5, 0.01)
 			if step == 0 {
 				close(started)
 			}
@@ -162,20 +162,25 @@ func sameOutput(a, b Output) bool {
 }
 
 // TestWarmPassesAllocateOnlyProbs: at the daemon tower, a warm
-// inference pass and a warm tape's Forward and Backward each allocate
+// inference pass, a warm tape's Forward and Backward, and a Forward
+// kept into a warm tape and replayed on the first each allocate
 // once, for the returned Probs, which outlive the call.
 func TestWarmPassesAllocateOnlyProbs(t *testing.T) {
 	ag := New(Config{Zeta: 16, Channels: 16, ResBlocks: 2, MaxSteps: 64, Seed: 1})
 	st := batchStates(1, 256)[0]
 	in, out := []BatchInput{st}, make([]Output, 1)
-	var tp Tape
+	var tp, kept Tape
 	type pass struct {
 		name string
 		run  func()
 	}
 	passes := []pass{{"training step", func() {
 		ag.Forward(&tp, st.SP, st.SA, st.T)
-		ag.Backward(&tp, 3, 0.5, 1, 0.01)
+		ag.Backward(&tp, &tp, 3, 0.5, 1, 0.01)
+	}}, {"kept step", func() {
+		ag.Forward(&tp, st.SP, st.SA, st.T)
+		tp.KeepInto(&kept)
+		ag.Backward(&kept, &tp, 3, 0.5, 1, 0.01)
 	}}}
 	// Inference draws its workspace from a sync.Pool, which the race
 	// detector empties at random.

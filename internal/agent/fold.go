@@ -1,10 +1,12 @@
 package agent
 
-// Replica returns a training worker for one parallel update: an agent
-// that shares a's weight slices but owns its gradients, so a and its
-// replicas can each run Forward and Backward, on their own tapes, on
-// their own goroutines. The weights must not change while a replica is
-// in use, and a replica should not outlive the update it serves.
+// Replica returns a training worker for one parallel training run: an
+// agent that shares a's weight slices but owns its gradients, so a and
+// its replicas can each run Forward and Backward, on their own tapes,
+// on their own goroutines. The weights must not change while a replica
+// is in use — only an optimizer step or a restore between rounds,
+// writing them in place, may — and a replica should not outlive the
+// run it serves.
 func (a *Agent) Replica() *Agent {
 	r := New(a.Cfg)
 	for i, p := range r.params {

@@ -81,7 +81,7 @@ func TestNetworkGolden(t *testing.T) {
 			for _, in := range states {
 				out := ag.Forward(&tp, in.SP, in.SA, in.T)
 				target := float32(r.Range(-1, 1))
-				ag.Backward(&tp, r.Intn(n), target-out.Value, target, 0.05)
+				ag.Backward(&tp, &tp, r.Intn(n), target-out.Value, target, 0.05)
 			}
 			for _, p := range ag.Params() {
 				addBits(gradH, p.G...)

@@ -14,9 +14,11 @@ var (
 		"LRU entries recycled to make room at capacity.")
 )
 
-// obsInferLatency is the wall time of every EvaluateBatchInto call,
-// across every agent in the process: training rollouts, greedy
-// episodes and search evaluations alike.
+// obsInferLatency is the wall time of every forward pass across every
+// agent in the process: each training Forward (a rollout step, and an
+// update step past the trainer's kept budget) and every
+// EvaluateBatchInto call of greedy episodes and search evaluations
+// alike.
 var obsInferLatency = obs.NewHistogram("macroplace_agent_infer_seconds",
-	"EvaluateBatchInto wall time: training rollouts, greedy episodes and search evaluations.",
+	"Forward-pass wall time: training (Forward), greedy episodes and search evaluations (EvaluateBatchInto).",
 	[]float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 1})

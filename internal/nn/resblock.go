@@ -12,11 +12,10 @@ type ResBlock struct {
 }
 
 // ResActs are the activations of one ResBlock.Forward that its
-// Backward reads: the block's input, the first convolution's output,
-// the first BatchNorm's rectified output, the second convolution's
-// output and the second BatchNorm's output.
+// Backward reads: the block's input and both convolutions' outputs.
+// Backward recomputes the BatchNorm outputs from the latter.
 type ResActs struct {
-	X, C1, A1, C2, B2 []float32
+	X, C1, C2 []float32
 }
 
 // NewResBlock builds a residual block over c channels.
@@ -57,7 +56,7 @@ func (b *ResBlock) Forward(ws *Workspace, x []float32, h, w int, acts *ResActs) 
 		out[i] = v
 	}
 	if acts != nil {
-		*acts = ResActs{X: x, C1: c1, A1: a1, C2: c2, B2: b2}
+		*acts = ResActs{X: x, C1: c1, C2: c2}
 	}
 	return out
 }
@@ -67,17 +66,21 @@ func (b *ResBlock) Forward(ws *Workspace, x []float32, h, w int, acts *ResActs) 
 // gradient, drawn from ws.
 func (b *ResBlock) Backward(ws *Workspace, acts *ResActs, dy []float32, h, w int) []float32 {
 	hw := h * w
+	// BatchNorm is a pure function of its input and weights, so these
+	// are the Forward's outputs bit for bit, and acts need not hold them.
+	a1 := b.BN1.Forward(ws, acts.C1, hw, true)
+	b2 := b.BN2.Forward(ws, acts.C2, hw, false)
 	// The output rectifier gates on the recomputed sum; d flows both
 	// into the residual branch and the identity skip.
 	d := ws.Take(len(dy))
 	for i, v := range dy {
-		if acts.B2[i]+acts.X[i] < 0 {
+		if b2[i]+acts.X[i] < 0 {
 			v = 0
 		}
 		d[i] = v
 	}
 	db := b.BN2.Backward(ws, acts.C2, d, hw, false)
-	db = b.Conv2.Backward(ws, acts.A1, db, h, w)
+	db = b.Conv2.Backward(ws, a1, db, h, w)
 	db = b.BN1.Backward(ws, acts.C1, db, hw, true)
 	db = b.Conv1.Backward(ws, acts.X, db, h, w)
 	for i, v := range d { // skip path

@@ -28,6 +28,6 @@ var (
 	obsGradNorm = obs.NewGauge("macroplace_rl_grad_norm",
 		"L2 norm of the averaged gradient at the most recent optimizer step.")
 	obsUpdateSeconds = obs.NewHistogram("macroplace_rl_update_seconds",
-		"Wall time of one batched Actor-Critic update: step replay, fold and optimizer step.",
+		"Wall time of one batched Actor-Critic update, observed once per optimizer step: the batch's replay rounds, the fold and the optimizer step.",
 		[]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 60})
 )

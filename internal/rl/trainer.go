@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"macroplace/internal/agent"
 	"macroplace/internal/grid"
@@ -17,9 +18,11 @@ import (
 // cell placement on the coarsened netlist (Alg. 1 line 7–8).
 //
 // Implementations need not be safe for concurrent use: every caller
-// in this repository — the trainer, greedy play, and the parallel
-// MCTS (which serializes oracle calls behind a mutex) — invokes it
-// from one goroutine at a time.
+// in this repository invokes it from one goroutine at a time. The
+// trainer calls it on the goroutine that runs Calibrate or RunContext,
+// once per episode in episode order, also while its rollouts run on
+// several goroutines; greedy play calls it once; the parallel MCTS
+// serializes its workers' calls behind a mutex.
 type WirelengthFunc func(anchors []int) float64
 
 // Config tunes the Actor–Critic pre-training stage.
@@ -136,20 +139,6 @@ func NewTrainer(cfg Config, ag *agent.Agent, env *grid.Env, wl WirelengthFunc) *
 	}
 }
 
-// episodeRecord is one completed episode awaiting the batched update.
-type episodeRecord struct {
-	steps  []step
-	reward float64
-}
-
-// step is one recorded decision of an episode.
-type step struct {
-	sp     []float64
-	sa     []float64
-	t      int
-	action int
-}
-
 // RandomEpisode plays one uniformly-random episode (over the available
 // grids of s_a, falling back to any in-bounds grid) and returns its
 // anchors.
@@ -257,6 +246,13 @@ func (tr *Trainer) Run() {
 // search. With a background context training is byte-for-byte the
 // same as Run.
 //
+// Episodes roll out concurrently, in rounds on runtime.GOMAXPROCS(0)
+// workers, and the update replays each step from the activations its
+// rollout recorded; the agent, History, Snapshots and gauges are those
+// of one goroutine playing the episodes in order, bit for bit, at any
+// GOMAXPROCS (DESIGN.md §8). The oracle runs on the calling goroutine,
+// once per episode, in episode order.
+//
 // A NaN/Inf watchdog guards the loop: an episode whose oracle or
 // reward is non-finite is recorded in History but never enters an
 // update batch (Faults.SkippedEpisodes), and an update that leaves
@@ -267,71 +263,107 @@ func (tr *Trainer) RunContext(ctx context.Context) {
 	if tr.Scaler.Max == 0 && tr.Scaler.Min == 0 {
 		tr.Calibrate()
 	}
-	if tr.Cfg.SnapshotEvery > 0 {
-		tr.Snapshots = append(tr.Snapshots, Snapshot{Episode: 0, Agent: tr.Agent.Clone()})
-	}
-	var batch []episodeRecord
-	sampler := tr.rnd.Split("actions")
-	// Rollouts read the weights through the pure inference path; each
-	// step's state is freshly allocated because the update replays it.
-	var in [1]agent.BatchInput
-	var out [1]agent.Output
+	tr.train(ctx, rng.NewTape(tr.rnd.Split("actions")))
+}
 
-	for ep := 1; ep <= tr.Cfg.Episodes; ep++ {
+// train plays the training episodes with actions drawn from tape.
+//
+// A round rolls out k episodes at once, episode j of the round from
+// tape offset pos+j·G, where pos is where the round starts and G the
+// episode length: a step almost always reads one draw (DESIGN.md §8
+// lists the exceptions). Then, in episode order on this goroutine,
+// each episode is rolled out again from its true offset if an earlier
+// one read other than G draws, scored by the
+// oracle, recorded and quarantined if non-finite, and its due snapshot
+// taken; then the workers replay the round's accepted steps into the
+// batch's fold. k is at most the workers, the episodes left before the
+// batch fills and the episodes left in the run, so no episode of a
+// round would have run after an update: every rollout reads the
+// weights the sequential loop's would have. The round that fills the
+// batch ends with the optimizer step, then its last episode's snapshot.
+func (tr *Trainer) train(ctx context.Context, tape *rng.Tape) {
+	if tr.Cfg.SnapshotEvery > 0 {
+		tr.snapshot(0)
+	}
+	g := tr.Env.NumSteps()
+	ws := tr.workers(runtime.GOMAXPROCS(0))
+	slots := newSlots(min(len(ws), tr.Cfg.UpdateEvery, tr.Cfg.Episodes), g, tr.Agent.KeptBytes())
+	var b batch
+	var accepted []replayStep
+	pos := 0 // tape offset of the next episode's first draw
+	for ep := 1; ep <= tr.Cfg.Episodes; {
 		if ctx.Err() != nil {
 			tr.Interrupted = true
 			return
 		}
-		env := tr.Env
-		env.Reset()
-		var steps []step
-		for !env.Done() {
-			st := step{sp: env.SP(), sa: env.Avail(), t: env.T()}
-			in[0] = agent.BatchInput{SP: st.sp, SA: st.sa, T: st.t}
-			tr.Agent.EvaluateBatchInto(in[:], out[:])
-			st.action = sampleAction(out[0].Probs, env, sampler)
-			steps = append(steps, st)
-			if err := env.Step(st.action); err != nil {
-				panic(fmt.Sprintf("rl: training episode produced illegal action: %v", err))
+		round := slots[:min(len(slots), tr.Cfg.UpdateEvery-b.episodes, tr.Cfg.Episodes-ep+1)]
+		rollout(ctx, ws, tape, round, pos, g)
+		accepted = accepted[:0]
+		for j := range round {
+			// The sequential loop plays no episode once ctx is done.
+			if ctx.Err() != nil {
+				tr.Interrupted = true
+				return
+			}
+			e := &round[j]
+			if e.start != pos {
+				ws[0].play(tape.Reader(pos), e)
+			}
+			pos = e.end
+			w := tr.WL(e.anchors)
+			r := tr.Scaler.Reward(w)
+			tr.History = append(tr.History, EpisodeStat{Episode: ep + j, Wirelength: w, Reward: r})
+			obsEpisodes.Inc()
+			obsReward.Set(r)
+			obsWirelength.Set(w)
+			if isFinite(w) && isFinite(r) {
+				b.episodes++
+				for i := range e.steps {
+					accepted = append(accepted, replayStep{step: &e.steps[i], reward: float32(r)})
+				}
+			} else {
+				tr.Faults.SkippedEpisodes++
+				obsQuarantined.Inc()
+				tr.logf("rl: episode %d skipped (wirelength %v, reward %v)", ep+j, w, r)
+			}
+			if j < len(round)-1 {
+				tr.snapshotDue(ep + j)
 			}
 		}
-		w := tr.WL(env.Anchors())
-		r := tr.Scaler.Reward(w)
-		tr.History = append(tr.History, EpisodeStat{Episode: ep, Wirelength: w, Reward: r})
-		obsEpisodes.Inc()
-		obsReward.Set(r)
-		obsWirelength.Set(w)
-		if isFinite(w) && isFinite(r) {
-			batch = append(batch, episodeRecord{steps: steps, reward: r})
-		} else {
-			tr.Faults.SkippedEpisodes++
-			obsQuarantined.Inc()
-			tr.logf("rl: episode %d skipped (wirelength %v, reward %v)", ep, w, r)
+		ep += len(round)
+		b.replay(ws, accepted, float32(tr.Cfg.EntropyCoef))
+		if b.episodes >= tr.Cfg.UpdateEvery || ep > tr.Cfg.Episodes {
+			tr.guardedUpdate(&b, ep-1)
+			b = batch{}
 		}
-
-		if len(batch) >= tr.Cfg.UpdateEvery || ep == tr.Cfg.Episodes {
-			tr.guardedUpdate(batch, ep)
-			batch = batch[:0]
-		}
-		if tr.Cfg.SnapshotEvery > 0 && ep%tr.Cfg.SnapshotEvery == 0 {
-			tr.Snapshots = append(tr.Snapshots, Snapshot{Episode: ep, Agent: tr.Agent.Clone()})
-		}
+		tr.snapshotDue(ep - 1)
 	}
 }
 
-// guardedUpdate applies one batched update under the watchdog: the
-// pre-update weights are kept (lazily, as the last good copy) and
+// snapshotDue stores a snapshot after episode ep when one falls due.
+func (tr *Trainer) snapshotDue(ep int) {
+	if tr.Cfg.SnapshotEvery > 0 && ep%tr.Cfg.SnapshotEvery == 0 {
+		tr.snapshot(ep)
+	}
+}
+
+func (tr *Trainer) snapshot(ep int) {
+	tr.Snapshots = append(tr.Snapshots, Snapshot{Episode: ep, Agent: tr.Agent.Clone()})
+}
+
+// guardedUpdate applies one batch's optimizer step under the watchdog:
+// the pre-update weights are kept (lazily, as the last good copy) and
 // restored if the update leaves any parameter NaN/Inf. The restore
 // also rebuilds the optimizer — Adam's moment estimates were computed
 // from the poisoned gradients and would re-poison the next step.
-func (tr *Trainer) guardedUpdate(batch []episodeRecord, ep int) {
-	if len(batch) == 0 {
+func (tr *Trainer) guardedUpdate(b *batch, ep int) {
+	if b.episodes == 0 {
 		return
 	}
 	if tr.lastGood == nil {
 		tr.lastGood = tr.Agent.Clone()
 	}
-	tr.update(batch)
+	tr.update(b)
 	if agentHealthy(tr.Agent) {
 		tr.lastGood.CopyWeightsFrom(tr.Agent)
 		return
@@ -361,19 +393,4 @@ func (tr *Trainer) logf(format string, args ...any) {
 	if tr.Logf != nil {
 		tr.Logf(format, args...)
 	}
-}
-
-// sampleAction draws from probs restricted to in-bounds actions.
-func sampleAction(probs []float32, env *grid.Env, rnd *rng.RNG) int {
-	w := make([]float64, len(probs))
-	for i, p := range probs {
-		if p > 0 && env.InBounds(i) {
-			w[i] = float64(p)
-		}
-	}
-	a := rnd.Choice(w)
-	if a < 0 {
-		a = randomInBounds(env, rnd)
-	}
-	return a
 }

@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -192,4 +194,81 @@ func TestIntnBounds(t *testing.T) {
 			t.Fatalf("Intn out of range: %v", v)
 		}
 	}
+}
+
+// TestTapeReadersReplayTheSource: readers from any offset, created in
+// any order and interleaved, return the source's own draws from that
+// offset on — raw, through Float64 and Intn, and across a retry that
+// Float64 takes on a value that rounds to 1.
+func TestTapeReadersReplayTheSource(t *testing.T) {
+	want := New(3)
+	var raw [64]int64
+	for i := range raw {
+		raw[i] = want.Int63()
+	}
+	raw[9] = 1<<63 - 1 // Float64 rejects it and draws again
+	tape := NewTape(&script{vals: raw[:]})
+	late, early := tape.Reader(40), tape.Reader(2)
+	for i := 0; i < 10; i++ {
+		if v := late.Int63(); v != raw[40+i] {
+			t.Fatalf("reader from 40, draw %d: %d, want %d", i, v, raw[40+i])
+		}
+		if v := early.Int63(); v != raw[2+i] {
+			t.Fatalf("reader from 2, draw %d: %d, want %d", i, v, raw[2+i])
+		}
+	}
+	if late.Off() != 50 || early.Off() != 12 {
+		t.Fatalf("offsets %d and %d, want 50 and 12", late.Off(), early.Off())
+	}
+	retry := tape.Reader(9)
+	if f, want := retry.Float64(), float64(raw[10])/(1<<63); f != want || retry.Off() != 11 {
+		t.Fatalf("Float64 over a rejected draw = %v at offset %d, want %v at 11", f, retry.Off(), want)
+	}
+	if n, want := tape.Reader(20).Intn(7), int(int32(raw[20]>>32)%7); n != want {
+		t.Fatalf("Intn(7) from 20 = %d, want %d", n, want)
+	}
+}
+
+// TestTapeConcurrentReaders: readers on several goroutines, which
+// between them extend the recording, each see the source's sequence
+// (run under -race).
+func TestTapeConcurrentReaders(t *testing.T) {
+	src := New(11)
+	var raw [400]int64
+	for i := range raw {
+		raw[i] = src.Int63()
+	}
+	tape := NewTape(New(11))
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rd := tape.Reader(g * 100)
+			for i := 0; i < 100; i++ {
+				if v := rd.Int63(); v != raw[g*100+i] {
+					errs <- fmt.Sprintf("reader %d draw %d differs from the source", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatal(msg)
+	}
+}
+
+// script is a Source that returns fixed values.
+type script struct {
+	vals []int64
+	n    int
+}
+
+func (s *script) Int63() int64 {
+	v := s.vals[s.n]
+	s.n++
+	return v
 }

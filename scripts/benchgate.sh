@@ -16,10 +16,10 @@
 #    cost over stub runners), BenchmarkECOJob (one warm incremental
 #    re-placement job), and BenchmarkLEFDEFPlace (the LEF/DEF parse →
 #    constrained place → emit → re-parse ingestion cycle), and
-#    BenchmarkTrainUpdate (one RL update over a recorded batch on one
-#    and on two replay workers), and fails if allocs/op regresses above
-#    a tolerance band around the committed
-#    BENCH_pr3/6/7/8/9/10/14/15/21/17.json baselines.
+#    BenchmarkTrainUpdate (one whole 30-episode RL update batch,
+#    rollouts and replay, on one and on two workers), and fails if
+#    allocs/op regresses above a tolerance band around the committed
+#    BENCH_pr3/6/7/8/9/10/14/15/21/22/17.json baselines.
 #
 #    The root-package rows run three times, the BenchmarkTrainUpdate
 #    rows TRAIN_PAIRS times (check 3), and the lowest allocs/op of the
@@ -58,9 +58,12 @@
 #    GOMAXPROCS=1 two workers time-slice one core and the check is
 #    skipped by name.
 #
-# 3. Update speedup, within this run. BenchmarkTrainUpdate replays one
-#    150-step update batch at GOMAXPROCS=1 (procs=1) and at
-#    GOMAXPROCS=2 (procs=2). The rl test binary is built once and run
+# 3. Update speedup, within this run. BenchmarkTrainUpdate trains one
+#    whole 30-episode update batch (150 steps: the rollouts, the
+#    oracle, the replay and the optimizer step) at GOMAXPROCS=1
+#    (procs=1) and at GOMAXPROCS=2 (procs=2), so it checks that
+#    rollouts and replay on two workers beat one. The rl test binary is
+#    built once and run
 #    TRAIN_PAIRS times, each invocation timing procs=1 and then procs=2
 #    back to back, so a slow phase of the host lands on both rows of a
 #    pair rather than on every run of one row. At GOMAXPROCS >= 2 the
@@ -89,8 +92,9 @@ cd "$(dirname "$0")/.."
 # override earlier ones on duplicate (name, gomaxprocs) keys, so
 # BENCH_pr8.json supersedes BENCH_pr3.json for the MCTS rows and
 # BENCH_pr17.json supersedes BENCH_pr14.json for the cold rows.
-# BENCH_pr21.json supersedes BENCH_pr15.json for the TrainUpdate rows.
-BASELINE_FILES="BENCH_pr3.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json BENCH_pr14.json BENCH_pr15.json BENCH_pr21.json BENCH_pr17.json"
+# BENCH_pr21.json supersedes BENCH_pr15.json for the TrainUpdate rows,
+# and BENCH_pr22.json, which records them over a whole batch, both.
+BASELINE_FILES="BENCH_pr3.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json BENCH_pr14.json BENCH_pr15.json BENCH_pr21.json BENCH_pr22.json BENCH_pr17.json"
 TOLERANCE_PCT=50
 SLACK_ALLOCS=64
 TRAIN_SPEEDUP=1.3

@@ -4,10 +4,11 @@
 # and one condition variable), inference on an agent while it trains
 # on its own tape, the parallel tree search (whose workers call the
 # evaluator, and the fault injector wrapping it, concurrently), the RL
-# update's replay workers (whose replicas share the agent's weights),
-# and the daemon's worker pool. The cache and agent tests run ten
-# times each, since one interleaving proves little about shared state;
-# the rest run once.
+# trainer's rollout workers (which read one draw tape and one agent's
+# weights) and replay workers (whose replicas share the agent's
+# weights), and the daemon's worker pool. The cache, agent and trainer
+# tests run ten times each, since one interleaving proves little about
+# shared state; the rest run once.
 #
 #   scripts/race_multicore.sh
 #
@@ -48,6 +49,9 @@ run -count=10 ./internal/mcts/ TestCacheCountersExactUnderConcurrency
 run ./internal/mcts/ TestParallelStress TestParallelSearchSharedCacheRace TestDeterminism \
 	TestParallelLeafEvaluationsOverlap
 run ./internal/faults/ TestPanickingWorkersKeepTreeConsistent
-run ./internal/rl/ TestUpdateGoldenAcrossGOMAXPROCS TestUpdatePanicResurfaces
+run -count=10 ./internal/rl/ TestUpdateGoldenAcrossGOMAXPROCS TestForcedDrawMismatchMatchesSequentialTrainer \
+	TestRolloutPanicResurfaces TestOracleRunsOnCallerInEpisodeOrder
+run ./internal/rl/ TestUpdatePanicResurfaces
+run ./internal/rng/ TestTapeConcurrentReaders
 run ./internal/serve/ TestDaemonE2E TestDaemonBitIdenticalToDirectRun \
 	TestTerminalJobContextReleased
