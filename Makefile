@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: check check-short build test race race-multicore bench bench-all bench-gate telemetry-smoke placed-smoke portfolio-smoke fleet-smoke eco-smoke lefdef-smoke fmt vet
 
-check: ## gofmt + vet + build + race-detector test suite
+check: ## gofmt + vet + build + bench module vet/test + race-detector test suite
 	scripts/check.sh
 
 check-short: ## check, but with -short tests

@@ -49,8 +49,8 @@ func main() {
 		cir      = flag.String("cir", "", "comma-separated industrial subset (default: preset's)")
 		verbose  = flag.Bool("v", false, "log per-benchmark progress to stderr")
 		csvdir   = flag.String("csvdir", "", "also write machine-readable CSV artifacts into this directory")
-		extended = flag.Bool("extended", false, "add the beyond-paper baselines (SA, SA-B*tree, MinCut) to Table II")
-		backends = flag.String("backends", "", "comma-separated backend lineup for -run portfolio (default: all seven)")
+		extended = flag.Bool("extended", false, "add the beyond-paper MinCut baseline to Table II")
+		backends = flag.String("backends", "", "comma-separated backend lineup for -run portfolio (default: every registered backend)")
 		effort   = flag.Float64("effort", 0, "budget scale for -run portfolio backends (0 = full budget)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget; on expiry finished rows are rendered and the run stops (0 = none)")
 

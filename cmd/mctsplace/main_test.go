@@ -84,8 +84,8 @@ func TestSmokeCommandLinesBuildDaemonSpecs(t *testing.T) {
 			"-bench ibm01 -scale 0.01 -zeta 8 -episodes 4 -gamma 2 -channels 4 -resblocks 1 -seed 42 -workers 1",
 			`{"bench":"ibm01","scale":0.01,"zeta":8,"episodes":4,"gamma":2,"channels":4,"resblocks":1,"seed":42,"workers":1}`},
 		{"portfolio_smoke.sh",
-			"-bench ibm01 -scale 0.01 -portfolio mincut,maskplace,sabtree -effort 0.05 -seed 7 -zeta 8 -episodes 8 -gamma 2 -workers 1 -channels 4 -resblocks 1",
-			`{"bench":"ibm01","scale":0.01,"race":["mincut","maskplace","sabtree"],"effort":0.05,"seed":7,"zeta":8,"episodes":8,"gamma":2,"workers":1,"channels":4,"resblocks":1}`},
+			"-bench ibm01 -scale 0.01 -portfolio mincut,maskplace,se -effort 0.05 -seed 7 -zeta 8 -episodes 8 -gamma 2 -workers 1 -channels 4 -resblocks 1",
+			`{"bench":"ibm01","scale":0.01,"race":["mincut","maskplace","se"],"effort":0.05,"seed":7,"zeta":8,"episodes":8,"gamma":2,"workers":1,"channels":4,"resblocks":1}`},
 		{"eco_smoke.sh (full)",
 			common + " -episodes 24 -gamma 8 -saveplacement " + prior,
 			`{` + commonJSON + `,"episodes":24,"gamma":8}`},

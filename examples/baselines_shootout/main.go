@@ -1,7 +1,7 @@
 // Baselines shootout: place the same benchmark with every method the
 // paper compares against — SE, DREAMPlace-like, RePlAce-like, CT-like,
-// MaskPlace-like — plus the paper's RL+MCTS flow, and print a Table
-// III-style comparison row.
+// MaskPlace-like — plus classic FM min-cut and the paper's RL+MCTS
+// flow, and print a Table III-style comparison row.
 //
 // Run with:
 //
@@ -40,12 +40,6 @@ func main() {
 
 	timeIt("min-cut (FM)", func() float64 {
 		return macroplace.BaselineMinCut(design, 1).HPWL
-	})
-	timeIt("SA seq-pair [20]", func() float64 {
-		return macroplace.BaselineSA(design, 1).HPWL
-	})
-	timeIt("SA B*-tree [6][36]", func() float64 {
-		return macroplace.BaselineSABTree(design, 1).HPWL
 	})
 	timeIt("SE [26]", func() float64 {
 		return macroplace.BaselineSE(design, 1).HPWL

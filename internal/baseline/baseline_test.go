@@ -169,42 +169,6 @@ func TestBaselineOrderingOnSharedBenchmark(t *testing.T) {
 	}
 }
 
-func TestSA(t *testing.T) {
-	d := benchDesign(t, 14)
-	random := d.HPWL()
-	res := SA(d, SAConfig{Iterations: 400, Seed: 15})
-	checkResult(t, "sa", d, res)
-	if res.HPWL >= random {
-		t.Errorf("HPWL %v did not improve over random %v", res.HPWL, random)
-	}
-}
-
-func TestSADeterministic(t *testing.T) {
-	r1 := SA(benchDesign(t, 16), SAConfig{Iterations: 200, Seed: 17})
-	r2 := SA(benchDesign(t, 16), SAConfig{Iterations: 200, Seed: 17})
-	if r1.HPWL != r2.HPWL {
-		t.Errorf("SA not deterministic: %v vs %v", r1.HPWL, r2.HPWL)
-	}
-}
-
-func TestSABTree(t *testing.T) {
-	d := benchDesign(t, 18)
-	random := d.HPWL()
-	res := SABTree(d, SAConfig{Iterations: 300, Seed: 19})
-	checkResult(t, "sabtree", d, res)
-	if res.HPWL >= random {
-		t.Errorf("HPWL %v did not improve over random %v", res.HPWL, random)
-	}
-}
-
-func TestSABTreeDeterministic(t *testing.T) {
-	r1 := SABTree(benchDesign(t, 20), SAConfig{Iterations: 150, Seed: 21})
-	r2 := SABTree(benchDesign(t, 20), SAConfig{Iterations: 150, Seed: 21})
-	if r1.HPWL != r2.HPWL {
-		t.Errorf("SABTree not deterministic: %v vs %v", r1.HPWL, r2.HPWL)
-	}
-}
-
 func TestMinCut(t *testing.T) {
 	d := benchDesign(t, 22)
 	random := d.HPWL()

@@ -37,7 +37,3 @@ func TestConformanceRePlAce(t *testing.T) {
 func TestConformanceMinCut(t *testing.T) {
 	conformance.Run(t, portfolio.BackendMinCut, conformanceDesigns(t))
 }
-
-func TestConformanceSABTree(t *testing.T) {
-	conformance.Run(t, portfolio.BackendSABTree, conformanceDesigns(t))
-}

@@ -17,11 +17,7 @@ type MaskPlaceConfig struct {
 	// Restarts is the number of randomised episodes; the best is kept
 	// (default 8).
 	Restarts int
-	// Epsilon is the per-step probability of picking among the top
-	// candidates at random instead of the single argmin, which is
-	// what makes restarts explore (default 0.15).
-	Epsilon float64
-	Seed    int64
+	Seed     int64
 	// Ctx, when non-nil, is polled between restarts: cancellation keeps
 	// the best episode so far and still runs the common finishing pass.
 	// At least one episode always completes.
@@ -38,11 +34,13 @@ func (c MaskPlaceConfig) normalize() MaskPlaceConfig {
 	if c.Restarts <= 0 {
 		c.Restarts = 8
 	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.15
-	}
 	return c
 }
+
+// maskPlaceEpsilon is the per-step probability of picking among the
+// top candidates at random instead of the single argmin, which is what
+// makes restarts explore.
+const maskPlaceEpsilon = 0.15
 
 // MaskPlace is the MaskPlace-like baseline of Table III. The defining
 // mechanism of [19] — the *wiremask*, an exact incremental-HPWL
@@ -133,7 +131,7 @@ func runMaskPlaceEpisode(d *netlist.Design, macros []int, nodeNets [][]int, cfg 
 				pick = i
 			}
 		}
-		if r.Float64() < cfg.Epsilon && len(cands) > 1 {
+		if r.Float64() < maskPlaceEpsilon && len(cands) > 1 {
 			// Explore among the best few candidates.
 			k := 4
 			if k > len(cands) {

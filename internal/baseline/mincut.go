@@ -10,22 +10,16 @@ import (
 
 // MinCutConfig tunes the recursive-bisection placer.
 type MinCutConfig struct {
-	// LeafSize stops recursion once a region holds at most this many
-	// nodes (default 12).
-	LeafSize int
-	Seed     int64
+	Seed int64
 	// Ctx, when non-nil, is polled before each bisection: cancellation
 	// treats the remaining subsets as leaves (nodes land at their
 	// region centers), so the result stays complete and in-bounds.
 	Ctx context.Context
 }
 
-func (c MinCutConfig) normalize() MinCutConfig {
-	if c.LeafSize <= 0 {
-		c.LeafSize = 12
-	}
-	return c
-}
+// minCutLeafSize stops recursion once a region holds at most this many
+// nodes.
+const minCutLeafSize = 12
 
 // MinCut is the classic partitioning-driven placer: the region is
 // bisected recursively (alternating vertical/horizontal cutlines), the
@@ -34,7 +28,6 @@ func (c MinCutConfig) normalize() MinCutConfig {
 // predates the analytical and learning-based families in the paper's
 // related work and serves as an extra reference point. It mutates d.
 func MinCut(d *netlist.Design, cfg MinCutConfig) Result {
-	cfg = cfg.normalize()
 	var movable []int
 	for i := range d.Nodes {
 		if d.Nodes[i].Movable() {
@@ -46,7 +39,7 @@ func MinCut(d *netlist.Design, cfg MinCutConfig) Result {
 	}
 	var recurse func(nodes []int, region geom.Rect, vertical bool, seed int64)
 	recurse = func(nodes []int, region geom.Rect, vertical bool, seed int64) {
-		if len(nodes) <= cfg.LeafSize || cancelled(cfg.Ctx) {
+		if len(nodes) <= minCutLeafSize || cancelled(cfg.Ctx) {
 			c := region.Center()
 			for _, ni := range nodes {
 				d.Nodes[ni].SetCenter(c.X, c.Y)

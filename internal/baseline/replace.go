@@ -16,13 +16,6 @@ type RePlAceConfig struct {
 	Rounds int
 	// Bins is the density-grid resolution per axis (default 16).
 	Bins int
-	// Lambda0 is the initial density-force weight relative to the
-	// wirelength force; it grows geometrically per round, mirroring
-	// ePlace/RePlAce's penalty scheduling (default 0.1).
-	Lambda0 float64
-	// LambdaGrowth multiplies the density weight each round
-	// (default 1.1).
-	LambdaGrowth float64
 	// Ctx, when non-nil, is polled between refinement rounds:
 	// cancellation keeps the rounds finished so far and still runs the
 	// common finishing pass.
@@ -36,14 +29,17 @@ func (c RePlAceConfig) normalize() RePlAceConfig {
 	if c.Bins <= 0 {
 		c.Bins = 16
 	}
-	if c.Lambda0 <= 0 {
-		c.Lambda0 = 0.1
-	}
-	if c.LambdaGrowth <= 0 {
-		c.LambdaGrowth = 1.1
-	}
 	return c
 }
+
+const (
+	// rePlAceLambda0 is the initial density-force weight relative to
+	// the wirelength force; it grows geometrically per round by
+	// rePlAceLambdaGrowth, mirroring ePlace/RePlAce's penalty
+	// scheduling.
+	rePlAceLambda0      = 0.1
+	rePlAceLambdaGrowth = 1.1
+)
 
 // RePlAceLike is the analytical density-driven baseline of Table III:
 // mixed-size global placement followed by rounds of combined
@@ -63,7 +59,7 @@ func RePlAceLike(d *netlist.Design, cfg RePlAceConfig) Result {
 	nb := cfg.Bins
 	bw := d.Region.W() / float64(nb)
 	bh := d.Region.H() / float64(nb)
-	lambda := cfg.Lambda0
+	lambda := rePlAceLambda0
 	step := math.Min(bw, bh) // max move per round
 
 	for round := 0; round < cfg.Rounds; round++ {
@@ -117,7 +113,7 @@ func RePlAceLike(d *netlist.Design, cfg RePlAceConfig) Result {
 			r := n.Rect().Translate(fx, fy).ClampInto(d.Region)
 			n.X, n.Y = r.Lx, r.Ly
 		}
-		lambda *= cfg.LambdaGrowth
+		lambda *= rePlAceLambdaGrowth
 	}
 	return Finish(d)
 }

@@ -16,12 +16,6 @@ type SEConfig struct {
 	// Candidates is the candidate-grid resolution per axis used
 	// during allocation (default 16).
 	Candidates int
-	// Bias shifts selection pressure: higher keeps more macros in
-	// place per generation (default 0.3).
-	Bias float64
-	// HierWeight rewards candidate positions close to hierarchy
-	// siblings, the dataflow-awareness of [26] (default 0.15).
-	HierWeight float64
 	Seed       int64
 	// Ctx, when non-nil, is polled between generations: cancellation
 	// keeps the best-so-far macro placement and still runs the common
@@ -39,14 +33,17 @@ func (c SEConfig) normalize() SEConfig {
 	if c.Candidates <= 0 {
 		c.Candidates = 16
 	}
-	if c.Bias == 0 {
-		c.Bias = 0.3
-	}
-	if c.HierWeight == 0 {
-		c.HierWeight = 0.15
-	}
 	return c
 }
+
+const (
+	// seBias shifts selection pressure: higher keeps more macros in
+	// place per generation.
+	seBias = 0.3
+	// seHierWeight rewards candidate positions close to hierarchy
+	// siblings, the dataflow-awareness of [26].
+	seHierWeight = 0.15
+)
 
 // SE runs the simulated-evolution macro placer of [24]/[26] in its
 // three classic phases per generation — evaluation (per-macro net
@@ -100,7 +97,7 @@ func SE(d *netlist.Design, cfg SEConfig) Result {
 		// relative cost, damped by the bias.
 		var selected []int
 		for i, m := range macros {
-			p := costs[i]/avg - cfg.Bias
+			p := costs[i]/avg - seBias
 			if r.Float64() < p {
 				selected = append(selected, m)
 			}
@@ -128,8 +125,8 @@ func SE(d *netlist.Design, cfg SEConfig) Result {
 				n.SetCenter(c.X, c.Y)
 				score := macroNetHPWL(d, nodeNets, m)
 				score += overlapPenalty(d, macros, m)
-				if cfg.HierWeight > 0 && n.Hier != "" {
-					score += cfg.HierWeight * hierDistance(d, hierOf[n.Hier], m)
+				if n.Hier != "" {
+					score += seHierWeight * hierDistance(d, hierOf[n.Hier], m)
 				}
 				if score < bestScore {
 					bestScore, bestC = score, c

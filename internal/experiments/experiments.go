@@ -63,8 +63,8 @@ type Config struct {
 	IBM []string
 	// Cir restricts Table II to these benchmarks (nil: all 6).
 	Cir []string
-	// ExtendedBaselines adds the beyond-paper columns (SA over
-	// sequence pairs, SA over B*-trees, FM min-cut) to Table II.
+	// ExtendedBaselines adds the beyond-paper FM min-cut column to
+	// Table II.
 	ExtendedBaselines bool
 	// Log receives progress lines (nil: silent).
 	Log io.Writer

@@ -231,7 +231,7 @@ func TestTableIIExtendedQuick(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TableII: %v", err)
 	}
-	if len(tab.Methods) != 6 {
+	if len(tab.Methods) != 4 {
 		t.Fatalf("methods = %v", tab.Methods)
 	}
 	for _, m := range tab.Methods {

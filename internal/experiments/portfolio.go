@@ -34,17 +34,6 @@ type PortfolioResult struct {
 	Wins map[string]int
 }
 
-// DefaultPortfolioBackends returns the standard leaderboard lineup:
-// every registered paper backend, in the fixed column order the
-// committed tables use.
-func DefaultPortfolioBackends() []string {
-	return []string{
-		portfolio.BackendMCTS, portfolio.BackendSE, portfolio.BackendCT,
-		portfolio.BackendMaskPlace, portfolio.BackendRePlAce,
-		portfolio.BackendMinCut, portfolio.BackendSABTree,
-	}
-}
-
 // PortfolioLeaderboard races the given backends on the configured IBM
 // suite and tallies per-benchmark winners — the head-to-head version
 // of Tables II/III where every method gets the same wall-clock
@@ -52,10 +41,12 @@ func DefaultPortfolioBackends() []string {
 // backend's budget (0 = full, matching portfolio.Options). The sweep
 // honours Config.Context with the same partial-result semantics as the
 // table drivers: completed rows are returned alongside the error.
+//
+// An empty lineup races every registered backend (portfolio.Names).
 func PortfolioLeaderboard(cfg Config, backends []string, effort float64) (*PortfolioResult, error) {
 	cfg = cfg.normalize()
 	if len(backends) == 0 {
-		backends = DefaultPortfolioBackends()
+		backends = portfolio.Names()
 	}
 	res := &PortfolioResult{Backends: backends, Wins: make(map[string]int)}
 	rows := make([]*PortfolioRow, len(cfg.IBM))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -19,7 +20,7 @@ func TestPortfolioLeaderboardQuick(t *testing.T) {
 	cfg := quick()
 	cfg.Scale = 0.01
 	cfg.IBM = []string{"ibm01", "ibm02"}
-	lineup := []string{portfolio.BackendMinCut, portfolio.BackendMaskPlace, portfolio.BackendSABTree}
+	lineup := []string{portfolio.BackendMinCut, portfolio.BackendMaskPlace, portfolio.BackendSE}
 
 	run := func() *PortfolioResult {
 		res, err := PortfolioLeaderboard(cfg, lineup, 0.05)
@@ -98,5 +99,34 @@ func TestPortfolioLeaderboardQuick(t *testing.T) {
 	}
 	if lines := strings.Count(string(data), "\n"); lines != len(res.Rows)+1 {
 		t.Errorf("portfolio.csv has %d lines, want %d", lines, len(res.Rows)+1)
+	}
+}
+
+// TestPortfolioLeaderboardDefaultLineup: a nil lineup races every
+// registered backend, so each gets a column and a finite HPWL.
+func TestPortfolioLeaderboardDefaultLineup(t *testing.T) {
+	cfg := quick()
+	cfg.Scale = 0.01
+	cfg.IBM = []string{"ibm01"}
+	res, err := PortfolioLeaderboard(cfg, nil, 0.05)
+	if err != nil {
+		t.Fatalf("PortfolioLeaderboard: %v", err)
+	}
+	if want := portfolio.Names(); !reflect.DeepEqual(res.Backends, want) {
+		t.Errorf("columns %v, want every registered backend %v", res.Backends, want)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("rows = %d, want 1", len(res.Rows))
+	}
+	row := res.Rows[0]
+	for _, b := range res.Backends {
+		h, ok := row.HPWL[b]
+		if !ok {
+			t.Errorf("%s: no HPWL (error %q)", b, row.Errs[b])
+			continue
+		}
+		if h <= 0 || math.IsInf(h, 0) || math.IsNaN(h) {
+			t.Errorf("%s: HPWL %v", b, h)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func TableII(cfg Config) (*Table, error) {
 		Methods: []string{"SE", "DREAMPlace", "Ours"},
 	}
 	if cfg.ExtendedBaselines {
-		t.Methods = []string{"SA", "SA-B*tree", "MinCut", "SE", "DREAMPlace", "Ours"}
+		t.Methods = []string{"MinCut", "SE", "DREAMPlace", "Ours"}
 	}
 	rows := make([]*TableRow, len(cfg.Cir))
 	errs := cfg.runSweep(cfg.Cir, func(bi int, bench string, logf logFunc) error {
@@ -87,12 +87,6 @@ func TableII(cfg Config) (*Table, error) {
 		row := TableRow{Benchmark: bench, Stats: d.Stats(), HPWL: map[string]float64{}}
 
 		if cfg.ExtendedBaselines {
-			sa := baseline.SA(d.Clone(), baseline.SAConfig{Seed: cfg.Seed + seed})
-			row.HPWL["SA"] = sa.HPWL
-			logf("tableII %s SA=%.4g", bench, sa.HPWL)
-			sb := baseline.SABTree(d.Clone(), baseline.SAConfig{Seed: cfg.Seed + seed + 3})
-			row.HPWL["SA-B*tree"] = sb.HPWL
-			logf("tableII %s SA-B*tree=%.4g", bench, sb.HPWL)
 			mc := baseline.MinCut(d.Clone(), baseline.MinCutConfig{Seed: cfg.Seed + seed + 4})
 			row.HPWL["MinCut"] = mc.HPWL
 			logf("tableII %s MinCut=%.4g", bench, mc.HPWL)

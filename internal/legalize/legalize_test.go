@@ -23,7 +23,7 @@ func TestExtractSeqPairPreservesRelations(t *testing.T) {
 		{W: 2, H: 2, X: 4, Y: 0}, // b
 		{W: 2, H: 2, X: 1, Y: 5}, // c
 	}
-	sp := ExtractSeqPair(items)
+	sp := extractSeqPair(items)
 	hor, ver := sp.Relations()
 	if !hor[0][1] {
 		t.Error("a should be left of b")
@@ -47,7 +47,7 @@ func TestRelationsTournamentProperty(t *testing.T) {
 				X: rr.Range(0, 50), Y: rr.Range(0, 50),
 			}
 		}
-		sp := ExtractSeqPair(items)
+		sp := extractSeqPair(items)
 		hor, ver := sp.Relations()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -150,7 +150,7 @@ func TestPackAxisHonoursPrecedence(t *testing.T) {
 	}
 	size := []float64{3, 3, 3}
 	target := []float64{0, 0, 0}
-	xs := PackAxis(3, rel, size, target, 0, 20)
+	xs := packAxis(3, rel, size, target, 0, 20)
 	if xs[1]-xs[0] < 3 || xs[2]-xs[1] < 3 {
 		t.Errorf("packing violates spacing: %v", xs)
 	}

@@ -28,21 +28,21 @@ type Item struct {
 	Weight float64
 }
 
-// SeqPair is the sequence-pair representation (S⁺, S⁻) of Murata et
+// seqPair is the sequence-pair representation (S⁺, S⁻) of Murata et
 // al. [28]: two permutations of item indices whose joint order encodes
 // every pairwise horizontal/vertical relation.
-type SeqPair struct {
+type seqPair struct {
 	SPlus, SMinus []int
 }
 
-// ExtractSeqPair derives a sequence pair from the items' current
+// extractSeqPair derives a sequence pair from the items' current
 // (possibly overlapping) positions using the canonical diagonal
 // sweeps: S⁻ orders by x+y (lower-left first) and S⁺ by x−y, with
 // index tie-breaks for determinism. The relative relations of any
 // overlap-free placement are preserved.
-func ExtractSeqPair(items []Item) SeqPair {
+func extractSeqPair(items []Item) seqPair {
 	n := len(items)
-	sp := SeqPair{SPlus: make([]int, n), SMinus: make([]int, n)}
+	sp := seqPair{SPlus: make([]int, n), SMinus: make([]int, n)}
 	for i := 0; i < n; i++ {
 		sp.SPlus[i] = i
 		sp.SMinus[i] = i
@@ -72,7 +72,7 @@ func ExtractSeqPair(items []Item) SeqPair {
 // under the sequence pair, hor[i][j] = true; and ver[i][j] = true when
 // i is "below" j. Murata's rule: i before j in both sequences ⇒ i left
 // of j; i after j in S⁺ but before j in S⁻ ⇒ i below j.
-func (sp SeqPair) Relations() (hor, ver [][]bool) {
+func (sp seqPair) Relations() (hor, ver [][]bool) {
 	n := len(sp.SPlus)
 	posP := make([]int, n)
 	posM := make([]int, n)
@@ -156,10 +156,10 @@ func SolveAxis(n int, rel [][]bool, size, target, weight []float64, lo, hi float
 	return out
 }
 
-// PackAxis is the LP fallback: a longest-path packing that honours the
+// packAxis is the LP fallback: a longest-path packing that honours the
 // precedence relations with minimal coordinates, then shifts the whole
 // arrangement toward the weighted mean target while staying >= lo.
-func PackAxis(n int, rel [][]bool, size, target []float64, lo, hi float64) []float64 {
+func packAxis(n int, rel [][]bool, size, target []float64, lo, hi float64) []float64 {
 	// Longest path over the DAG rel (topological order by in-degree).
 	coord := make([]float64, n)
 	for i := range coord {
@@ -237,7 +237,7 @@ func RemoveOverlaps(items []Item, bounds geom.Rect, maxLP int) {
 		items[0].X, items[0].Y = r.Lx, r.Ly
 		return
 	}
-	sp := ExtractSeqPair(items)
+	sp := extractSeqPair(items)
 	hor, ver := sp.Relations()
 
 	ws := make([]float64, n)
@@ -259,10 +259,10 @@ func RemoveOverlaps(items []Item, bounds geom.Rect, maxLP int) {
 		ys = SolveAxis(n, ver, hs, tys, wts, bounds.Ly, bounds.Uy)
 	}
 	if xs == nil {
-		xs = PackAxis(n, hor, ws, txs, bounds.Lx, bounds.Ux)
+		xs = packAxis(n, hor, ws, txs, bounds.Lx, bounds.Ux)
 	}
 	if ys == nil {
-		ys = PackAxis(n, ver, hs, tys, bounds.Ly, bounds.Uy)
+		ys = packAxis(n, ver, hs, tys, bounds.Ly, bounds.Uy)
 	}
 	for i := range items {
 		items[i].X = xs[i]

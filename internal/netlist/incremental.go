@@ -5,9 +5,8 @@ import "macroplace/internal/geom"
 // IncrementalHPWL maintains the total half-perimeter wirelength of a
 // design under single-node moves in O(pins-on-node · log nets) per
 // update instead of re-evaluating every net. It is the evaluation
-// engine behind the annealing and simulated-evolution baselines and
-// the ECO local-move search, whose inner loops probe thousands of
-// candidate positions.
+// engine behind the ECO local-move search and the detailed placer's
+// swaps, whose inner loops probe thousands of candidate positions.
 //
 // The evaluator caches each net's bounding box (moving a node
 // recomputes the boxes of its incident nets exactly — no
@@ -18,8 +17,8 @@ import "macroplace/internal/geom"
 // produce the same total bits regardless of the move history that led
 // there. A naive running accumulator (total += delta) would instead
 // drift from a fresh recompute, because float addition is not
-// associative and each move path rounds differently; long ECO and
-// annealing runs would then disagree with their own re-evaluation.
+// associative and each move path rounds differently; long ECO runs
+// would then disagree with their own re-evaluation.
 // FuzzIncrementalHPWL pins the drift-free property: after any move
 // sequence, Total is bit-equal to a freshly built evaluator's.
 type IncrementalHPWL struct {

@@ -20,7 +20,6 @@ const (
 	BackendMaskPlace = "maskplace"
 	BackendRePlAce   = "replace"
 	BackendMinCut    = "mincut"
-	BackendSABTree   = "sabtree"
 )
 
 func init() {
@@ -105,21 +104,6 @@ func init() {
 			cfg := baseline.MinCutConfig{Seed: opts.Seed, Ctx: ctx}
 			return finishBaseline(ctx, d, func(work *netlist.Design) baseline.Result {
 				return baseline.MinCut(work, cfg)
-			})
-		},
-	})
-	Register(&adapter{
-		name: BackendSABTree,
-		caps: Caps{Deterministic: true, Anytime: true, Streaming: true},
-		run: func(ctx context.Context, d *netlist.Design, opts Options, emit emitFunc) (Result, error) {
-			cfg := baseline.SAConfig{
-				Iterations: scaleBudget(4000, opts.effort(), 50),
-				Seed:       opts.Seed,
-				Ctx:        ctx,
-				Progress:   func(cost float64) { emit(cost, true) },
-			}
-			return finishBaseline(ctx, d, func(work *netlist.Design) baseline.Result {
-				return baseline.SABTree(work, cfg)
 			})
 		},
 	})

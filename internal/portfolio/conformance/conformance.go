@@ -1,9 +1,10 @@
 // Package conformance is the executable backend contract: a
 // table-driven suite every portfolio.Placer implementation must pass,
 // shared by the backend packages (internal/baseline, internal/core)
-// and the portfolio package's own 3-designs × 7-backends matrix, so a
-// Table II/III-style comparison can trust that every method agrees on
-// legality, metrics, determinism, cancellation, and fault containment.
+// and the portfolio package's own matrix (every backend on three
+// designs), so a Table II/III-style comparison can trust that every
+// method agrees on legality, metrics, determinism, cancellation, and
+// fault containment.
 //
 // The invariants (DESIGN.md §11):
 //

@@ -1,6 +1,6 @@
 // Package portfolio defines the unified placer contract every backend
 // in this repository implements — the paper's flow (MCTS guided by
-// pre-trained RL) and the seven comparison placers alike — plus a
+// pre-trained RL) and the five comparison placers alike — plus a
 // portfolio racer that runs several backends concurrently under one
 // deadline and keeps the best legal placement.
 //
@@ -65,7 +65,7 @@ type Caps struct {
 
 // Options is the backend-independent tuning surface. Zero values
 // select each backend's own defaults; Effort scales the backend's
-// default search budget (generations, episodes, annealing moves, ...)
+// default search budget (generations, episodes, restarts, ...)
 // so one knob trades quality for wall time across the whole portfolio.
 type Options struct {
 	// Seed drives every random stream (default 1).

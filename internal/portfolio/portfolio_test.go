@@ -7,25 +7,24 @@ import (
 	"macroplace/internal/portfolio/conformance"
 )
 
-// sevenBackends are the production registrations this repo ships; the
+// productionBackends are the registrations this repo ships; the
 // conformance matrix pins exactly these (tests may register extra
 // backends, so the registry itself is a superset).
-var sevenBackends = []string{
+var productionBackends = []string{
 	portfolio.BackendMCTS,
 	portfolio.BackendSE,
 	portfolio.BackendCT,
 	portfolio.BackendMaskPlace,
 	portfolio.BackendRePlAce,
 	portfolio.BackendMinCut,
-	portfolio.BackendSABTree,
 }
 
-func TestRegistryHasSevenBackends(t *testing.T) {
+func TestRegistryHasProductionBackends(t *testing.T) {
 	names := map[string]bool{}
 	for _, n := range portfolio.Names() {
 		names[n] = true
 	}
-	for _, want := range sevenBackends {
+	for _, want := range productionBackends {
 		if !names[want] {
 			t.Errorf("backend %q not registered (have %v)", want, portfolio.Names())
 		}
@@ -67,7 +66,7 @@ func TestConformanceMatrix(t *testing.T) {
 	if testing.Short() {
 		designs = designs[:1]
 	}
-	for _, name := range sevenBackends {
+	for _, name := range productionBackends {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			conformance.Run(t, name, conformance.Config{Designs: designs})

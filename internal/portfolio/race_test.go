@@ -49,7 +49,7 @@ func TestRaceValidation(t *testing.T) {
 func TestRaceDeterministicAndBitIdentical(t *testing.T) {
 	d := raceDesign(t)
 	cfg := portfolio.RaceConfig{
-		Backends: []string{portfolio.BackendMinCut, portfolio.BackendMaskPlace, portfolio.BackendSABTree},
+		Backends: []string{portfolio.BackendMinCut, portfolio.BackendMaskPlace, portfolio.BackendSE},
 		Opts:     raceOpts(),
 	}
 	var incs []portfolio.Incumbent

@@ -243,13 +243,6 @@ func BaselineMaskPlace(d *Design, seed int64) BaselineResult {
 	return baseline.MaskPlace(d.Clone(), baseline.MaskPlaceConfig{Seed: seed})
 }
 
-// BaselineSA runs the sequence-pair simulated-annealing macro placer
-// (the paper's "first category" of macro placement algorithms) on a
-// copy of d.
-func BaselineSA(d *Design, seed int64) BaselineResult {
-	return baseline.SA(d.Clone(), baseline.SAConfig{Seed: seed})
-}
-
 // QualityReport is a consolidated placement-quality snapshot (HPWL,
 // macro overlap, RUDY congestion, region violations).
 type QualityReport = metrics.Report
@@ -266,12 +259,6 @@ type SVGOptions = viz.Options
 // SaveSVG renders the design's current placement as an SVG file.
 func SaveSVG(path string, d *Design, opts SVGOptions) error {
 	return viz.SaveSVG(path, d, opts)
-}
-
-// BaselineSABTree runs the B*-tree variant of the annealing baseline
-// (contour-packed floorplans, swap/rotate/move moves) on a copy of d.
-func BaselineSABTree(d *Design, seed int64) BaselineResult {
-	return baseline.SABTree(d.Clone(), baseline.SAConfig{Seed: seed})
 }
 
 // LoadAgent reads a pre-trained agent checkpoint written by

@@ -222,8 +222,6 @@ func TestExtraBaselinesFacade(t *testing.T) {
 		name string
 		run  func() BaselineResult
 	}{
-		{"SA", func() BaselineResult { return BaselineSA(d, 1) }},
-		{"SABTree", func() BaselineResult { return BaselineSABTree(d, 2) }},
 		{"MinCut", func() BaselineResult { return BaselineMinCut(d, 3) }},
 		{"CT", func() BaselineResult { return BaselineCT(d, 4) }},
 	} {

@@ -45,6 +45,12 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== bench module vet + test"
+# bench/ is its own Go module, so the root ./... skips it; it reads
+# internal APIs, and a change to one must fail here, not at the next
+# benchmark run.
+(cd bench && go vet ./... && go test ./...)
+
 echo "== go test -race"
 go test -race $short ./...
 

@@ -19,7 +19,7 @@ log="$workdir/placed.log"
 pid=""
 trap '[ -n "$pid" ] && kill "$pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
-lineup="mincut,maskplace,sabtree"
+lineup="mincut,maskplace,se"
 
 echo "== build"
 go build -o "$workdir/mctsplace" ./cmd/mctsplace
@@ -63,7 +63,7 @@ done
 echo "   bound to $addr"
 
 echo "== daemon race job"
-spec='{"bench":"ibm01","scale":0.01,"race":["mincut","maskplace","sabtree"],"effort":0.05,"seed":7,"zeta":8,"episodes":8,"gamma":2,"workers":1,"channels":4,"resblocks":1}'
+spec='{"bench":"ibm01","scale":0.01,"race":["mincut","maskplace","se"],"effort":0.05,"seed":7,"zeta":8,"episodes":8,"gamma":2,"workers":1,"channels":4,"resblocks":1}'
 curl -sf -X POST "http://$addr/v1/jobs" -d "$spec" >"$workdir/submit.json" \
     || { echo "portfolio_smoke: submit failed" >&2; exit 1; }
 id=$(field "$workdir/submit.json" id)
@@ -92,7 +92,7 @@ echo "== leaderboard JSON covers the full lineup"
 board_winner=$(field "$board" winner)
 [ "$board_winner" = "$daemon_winner" ] \
     || { echo "portfolio_smoke: race.json winner $board_winner != result winner $daemon_winner" >&2; cat "$board" >&2; exit 1; }
-for b in mincut maskplace sabtree; do
+for b in mincut maskplace se; do
     grep -q "\"backend\": *\"$b\"" "$board" \
         || { echo "portfolio_smoke: race.json missing backend $b" >&2; cat "$board" >&2; exit 1; }
 done
