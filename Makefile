@@ -23,7 +23,7 @@ race:
 race-multicore: ## concurrency tests under -race at GOMAXPROCS=2 (same script CI runs)
 	scripts/race_multicore.sh
 
-bench: ## search hot-path + serving + portfolio + fleet + eco + lefdef + RL update + conv kernel + cold search benchmarks, recorded as BENCH_pr{3,5,6,7,8,9,10,14,16,17,22}.json
+bench: ## search hot-path + serving + portfolio + fleet + eco + lefdef + RL update + conv kernel + cold search + analytical placement benchmarks, recorded as BENCH_pr{3,5,6,7,8,9,10,14,16,17,22,24}.json
 	$(GO) test -run '^$$' -bench BenchmarkMCTSWorkers -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_pr3.json
 	( GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkMCTSWorkers -benchmem . ; \
@@ -49,6 +49,8 @@ bench: ## search hot-path + serving + portfolio + fleet + eco + lefdef + RL upda
 		| $(GO) run ./cmd/benchjson -o BENCH_pr16.json
 	GOMAXPROCS=2 $(GO) test -run '^$$' -bench 'BenchmarkMCTSColdWorkers$$' -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_pr17.json
+	GOMAXPROCS=2 $(GO) test -run '^$$' -bench 'BenchmarkCoarseOracle$$|BenchmarkQuadraticSolve$$' -benchmem -count=3 . \
+		| $(GO) run ./cmd/benchjson -o BENCH_pr24.json
 
 bench-all: ## micro + table/figure benchmarks (quick preset)
 	$(GO) test -bench=. -benchmem -run '^$$' .

@@ -200,3 +200,24 @@ func TestConfigNormalize(t *testing.T) {
 		t.Error("Normalize must not clobber explicit values")
 	}
 }
+
+// TestWarmQuadraticSolveDoesNotAllocate: once a placer's matrices,
+// right-hand sides, CG scratch and pin scratch are sized, a one-
+// goroutine PlaceQuadraticOnly (the reward oracle's call) allocates
+// nothing.
+func TestWarmQuadraticSolveDoesNotAllocate(t *testing.T) {
+	d := gen.Generate(gen.Spec{Name: "g", MovableMacros: 4, Pads: 8, Cells: 120, Nets: 180, Seed: 3})
+	p := New(d, Config{Mode: MoveCells})
+	if p.split {
+		t.Fatal("a 120-cell design is above splitPins")
+	}
+	home := d.Positions()
+	p.PlaceQuadraticOnly()
+	allocs := testing.AllocsPerRun(5, func() {
+		d.SetPositions(home)
+		p.PlaceQuadraticOnly()
+	})
+	if allocs != 0 {
+		t.Errorf("warm PlaceQuadraticOnly allocated %v times per call, want 0", allocs)
+	}
+}

@@ -24,7 +24,7 @@ func TestExtractSeqPairPreservesRelations(t *testing.T) {
 		{W: 2, H: 2, X: 1, Y: 5}, // c
 	}
 	sp := extractSeqPair(items)
-	hor, ver := sp.Relations()
+	hor, ver := sp.relations()
 	if !hor[0][1] {
 		t.Error("a should be left of b")
 	}
@@ -48,7 +48,7 @@ func TestRelationsTournamentProperty(t *testing.T) {
 			}
 		}
 		sp := extractSeqPair(items)
-		hor, ver := sp.Relations()
+		hor, ver := sp.relations()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i == j {
@@ -164,7 +164,7 @@ func TestSolveAxisRespectsBoundsAndSpacing(t *testing.T) {
 		{false, true},
 		{false, false},
 	}
-	xs := SolveAxis(2, rel, []float64{4, 4}, []float64{5, 5}, []float64{1, 1}, 0, 10)
+	xs := solveAxis(2, rel, []float64{4, 4}, []float64{5, 5}, []float64{1, 1}, 0, 10)
 	if xs == nil {
 		t.Fatal("feasible LP returned nil")
 	}
@@ -182,7 +182,7 @@ func TestSolveAxisInfeasibleReturnsNil(t *testing.T) {
 		{false, true},
 		{false, false},
 	}
-	xs := SolveAxis(2, rel, []float64{6, 6}, []float64{0, 0}, []float64{1, 1}, 0, 10)
+	xs := solveAxis(2, rel, []float64{6, 6}, []float64{0, 0}, []float64{1, 1}, 0, 10)
 	if xs != nil {
 		t.Errorf("infeasible axis should return nil, got %v", xs)
 	}

@@ -68,11 +68,11 @@ func extractSeqPair(items []Item) seqPair {
 	return sp
 }
 
-// Relations returns, for every ordered pair (i, j) with i "left of" j
+// relations returns, for every ordered pair (i, j) with i "left of" j
 // under the sequence pair, hor[i][j] = true; and ver[i][j] = true when
 // i is "below" j. Murata's rule: i before j in both sequences ⇒ i left
 // of j; i after j in S⁺ but before j in S⁻ ⇒ i below j.
-func (sp seqPair) Relations() (hor, ver [][]bool) {
+func (sp seqPair) relations() (hor, ver [][]bool) {
 	n := len(sp.SPlus)
 	posP := make([]int, n)
 	posM := make([]int, n)
@@ -103,13 +103,13 @@ func (sp seqPair) Relations() (hor, ver [][]bool) {
 	return hor, ver
 }
 
-// SolveAxis places one axis of the items inside [lo, hi] subject to
+// solveAxis places one axis of the items inside [lo, hi] subject to
 // the sequence-pair spacing constraints, minimising Σ weight·|x_i −
 // target_i| via LP. rel[i][j] means i must precede j with spacing
 // size(i). size and target select the axis. It returns the solved
 // coordinates, or nil when the LP fails (caller falls back to
 // packing).
-func SolveAxis(n int, rel [][]bool, size, target, weight []float64, lo, hi float64) []float64 {
+func solveAxis(n int, rel [][]bool, size, target, weight []float64, lo, hi float64) []float64 {
 	// Variables: x_0..x_{n-1} (shifted by lo), u_0..u_{n-1} (|x−t|).
 	nv := 2 * n
 	var lp solver.LP
@@ -238,7 +238,7 @@ func RemoveOverlaps(items []Item, bounds geom.Rect, maxLP int) {
 		return
 	}
 	sp := extractSeqPair(items)
-	hor, ver := sp.Relations()
+	hor, ver := sp.relations()
 
 	ws := make([]float64, n)
 	hs := make([]float64, n)
@@ -255,8 +255,8 @@ func RemoveOverlaps(items []Item, bounds geom.Rect, maxLP int) {
 
 	var xs, ys []float64
 	if n <= maxLP {
-		xs = SolveAxis(n, hor, ws, txs, wts, bounds.Lx, bounds.Ux)
-		ys = SolveAxis(n, ver, hs, tys, wts, bounds.Ly, bounds.Uy)
+		xs = solveAxis(n, hor, ws, txs, wts, bounds.Lx, bounds.Ux)
+		ys = solveAxis(n, ver, hs, tys, wts, bounds.Ly, bounds.Uy)
 	}
 	if xs == nil {
 		xs = packAxis(n, hor, ws, txs, bounds.Lx, bounds.Ux)

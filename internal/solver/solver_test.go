@@ -148,6 +148,264 @@ func TestCGRandomSPDProperty(t *testing.T) {
 	}
 }
 
+// refSparseSym is the per-row adjacency-list matrix that SparseSym's
+// flat CSR rows replaced, kept as the reference for their bits: Add
+// probes row i for column j and accumulates into it, or appends it.
+type refSparseSym struct {
+	n    int
+	diag []float64
+	cols [][]int32
+	vals [][]float64
+}
+
+func newRefSparseSym(n int) *refSparseSym {
+	return &refSparseSym{n: n, diag: make([]float64, n), cols: make([][]int32, n), vals: make([][]float64, n)}
+}
+
+func (m *refSparseSym) AddDiag(i int, v float64) { m.diag[i] += v }
+
+func (m *refSparseSym) Add(i, j int, v float64) {
+	if i == j {
+		m.diag[i] += v
+		return
+	}
+	m.addHalf(i, j, v)
+	m.addHalf(j, i, v)
+}
+
+func (m *refSparseSym) addHalf(i, j int, v float64) {
+	for k, c := range m.cols[i] {
+		if int(c) == j {
+			m.vals[i][k] += v
+			return
+		}
+	}
+	m.cols[i] = append(m.cols[i], int32(j))
+	m.vals[i] = append(m.vals[i], v)
+}
+
+func (m *refSparseSym) MulVec(dst, x []float64) {
+	for i := 0; i < m.n; i++ {
+		s := m.diag[i] * x[i]
+		cols := m.cols[i]
+		vals := m.vals[i]
+		for k := range cols {
+			s += vals[k] * x[cols[k]]
+		}
+		dst[i] = s
+	}
+}
+
+// refCG is CG over refSparseSym with freshly allocated scratch, as CG
+// ran before it kept its scratch in the matrix.
+func refCG(m *refSparseSym, x, b []float64, tol float64, maxIter int) CGResult {
+	n := m.n
+	if maxIter <= 0 {
+		maxIter = 2 * n
+	}
+	r := make([]float64, n)
+	z := make([]float64, n)
+	p := make([]float64, n)
+	ap := make([]float64, n)
+	pre := make([]float64, n)
+	for i := 0; i < n; i++ {
+		d := m.diag[i]
+		if d <= 0 {
+			d = 1
+		}
+		pre[i] = 1 / d
+	}
+	m.MulVec(r, x)
+	var bnorm float64
+	for i := 0; i < n; i++ {
+		r[i] = b[i] - r[i]
+		bnorm += b[i] * b[i]
+	}
+	bnorm = math.Sqrt(bnorm)
+	if bnorm == 0 {
+		bnorm = 1
+	}
+	var rz float64
+	for i := 0; i < n; i++ {
+		z[i] = pre[i] * r[i]
+		p[i] = z[i]
+		rz += r[i] * z[i]
+	}
+	res := math.Sqrt(dot(r, r)) / bnorm
+	if res <= tol {
+		return CGResult{Iterations: 0, Residual: res, Converged: true}
+	}
+	for it := 1; it <= maxIter; it++ {
+		m.MulVec(ap, p)
+		pap := dot(p, ap)
+		if pap <= 0 || math.IsNaN(pap) {
+			return CGResult{Iterations: it, Residual: res, Converged: false}
+		}
+		alpha := rz / pap
+		for i := 0; i < n; i++ {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+		}
+		res = math.Sqrt(dot(r, r)) / bnorm
+		if res <= tol {
+			return CGResult{Iterations: it, Residual: res, Converged: true}
+		}
+		var rzNew float64
+		for i := 0; i < n; i++ {
+			z[i] = pre[i] * r[i]
+			rzNew += r[i] * z[i]
+		}
+		beta := rzNew / rz
+		rz = rzNew
+		for i := 0; i < n; i++ {
+			p[i] = z[i] + beta*p[i]
+		}
+	}
+	return CGResult{Iterations: maxIter, Residual: res, Converged: false}
+}
+
+// twinMatrices applies one random sequence of ops Adds, with their
+// AddDiags, to m and to ref (both n×n) the way B2B assembly does: each
+// negative off-diagonal weight also goes onto both diagonal entries,
+// over a positive diagonal, so the matrix is SPD. Pairs repeat, in both
+// orders and with i == j, and at random points between Adds the two
+// MulVecs must agree bit for bit. With nan, one Add carries a NaN.
+func twinMatrices(t *testing.T, r *rng.RNG, m *SparseSym, ref *refSparseSym, ops int, nan bool) {
+	t.Helper()
+	n := ref.n
+	for i := 0; i < n; i++ {
+		v := r.Range(0.01, 1)
+		m.AddDiag(i, v)
+		ref.AddDiag(i, v)
+	}
+	nanAt := -1
+	if nan {
+		nanAt = r.Intn(ops)
+	}
+	var pairs [][2]int
+	for op := 0; op < ops; op++ {
+		var i, j int
+		switch k := r.Intn(10); {
+		case k < 3 && len(pairs) > 0:
+			// A pair already added, in either order.
+			p := pairs[r.Intn(len(pairs))]
+			i, j = p[0], p[1]
+			if r.Bernoulli(0.5) {
+				i, j = j, i
+			}
+		case k == 3:
+			i = r.Intn(n)
+			j = i
+		default:
+			i, j = r.Intn(n), r.Intn(n)
+		}
+		pairs = append(pairs, [2]int{i, j})
+		w := r.Range(0.1, 2)
+		if op == nanAt {
+			w = math.NaN()
+		}
+		m.AddDiag(i, w)
+		ref.AddDiag(i, w)
+		m.AddDiag(j, w)
+		ref.AddDiag(j, w)
+		m.Add(i, j, -w)
+		ref.Add(i, j, -w)
+		if r.Intn(ops/4+1) == 0 {
+			sameMulVec(t, r, m, ref)
+		}
+	}
+}
+
+// sameMulVec checks that m and ref return the same bits for one random
+// vector.
+func sameMulVec(t *testing.T, r *rng.RNG, m *SparseSym, ref *refSparseSym) {
+	t.Helper()
+	n := ref.n
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = r.Range(-10, 10)
+	}
+	got, want := make([]float64, n), make([]float64, n)
+	m.MulVec(got, x)
+	ref.MulVec(want, x)
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("n=%d: MulVec row %d = %v (%#x), reference %v (%#x)",
+				n, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// sameCG checks that a CG solve on m returns the reference's bits.
+func sameCG(t *testing.T, r *rng.RNG, m *SparseSym, ref *refSparseSym) {
+	t.Helper()
+	n := ref.n
+	x0, b := make([]float64, n), make([]float64, n)
+	for i := range b {
+		x0[i] = r.Range(-5, 5)
+		b[i] = r.Range(-10, 10)
+	}
+	got, want := append([]float64(nil), x0...), append([]float64(nil), x0...)
+	gres := CG(m, got, b, 1e-12, 0)
+	wres := refCG(ref, want, b, 1e-12, 0)
+	if gres.Iterations != wres.Iterations || gres.Converged != wres.Converged ||
+		math.Float64bits(gres.Residual) != math.Float64bits(wres.Residual) {
+		t.Fatalf("n=%d: CG %+v, reference %+v", n, gres, wres)
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("n=%d: CG x[%d] = %v, reference %v", n, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSparseSymMatchesReference checks that the CSR rows compiled from
+// random Add/AddDiag sequences (duplicate pairs in both orders, i == j,
+// MulVec between Adds, one sequence with a NaN) give MulVec and a full
+// CG solve the per-row reference's exact bits.
+func TestSparseSymMatchesReference(t *testing.T) {
+	r := rng.New(2024)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(40)
+		m, ref := NewSparseSym(n), newRefSparseSym(n)
+		twinMatrices(t, r, m, ref, 1+r.Intn(6*n), trial == 17)
+		sameMulVec(t, r, m, ref)
+		sameCG(t, r, m, ref)
+	}
+}
+
+// TestSparseSymResetReuses checks a used matrix after Reset to a
+// smaller and then a larger dimension against fresh references.
+func TestSparseSymResetReuses(t *testing.T) {
+	r := rng.New(7)
+	m := NewSparseSym(30)
+	for _, n := range []int{30, 12, 55, 1, 55} {
+		m.Reset(n)
+		if m.N() != n {
+			t.Fatalf("N() = %d after Reset(%d)", m.N(), n)
+		}
+		ref := newRefSparseSym(n)
+		twinMatrices(t, r, m, ref, 4*n, false)
+		sameMulVec(t, r, m, ref)
+		sameCG(t, r, m, ref)
+	}
+}
+
+// TestSparseSymAddOutsidePanics checks that an out-of-range Add panics
+// on the call, not on a later MulVec.
+func TestSparseSymAddOutsidePanics(t *testing.T) {
+	for _, ij := range [][2]int{{0, 3}, {3, 0}, {-1, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%d, %d) on a 3×3 matrix did not panic", ij[0], ij[1])
+				}
+			}()
+			NewSparseSym(3).Add(ij[0], ij[1], 1)
+		}()
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Simplex
 

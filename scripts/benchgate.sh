@@ -17,9 +17,12 @@
 #    re-placement job), and BenchmarkLEFDEFPlace (the LEF/DEF parse →
 #    constrained place → emit → re-parse ingestion cycle), and
 #    BenchmarkTrainUpdate (one whole 30-episode RL update batch,
-#    rollouts and replay, on one and on two workers), and fails if
-#    allocs/op regresses above a tolerance band around the committed
-#    BENCH_pr3/6/7/8/9/10/14/15/21/22/17.json baselines.
+#    rollouts and replay, on one and on two workers), and
+#    BenchmarkCoarseOracle (one warm reward-oracle call: the coarse
+#    quadratic placement reuses its matrices and scratch, so it
+#    allocates nothing; a matrix built per solve reads 72 allocs/op),
+#    and fails if allocs/op regresses above a tolerance band around the
+#    committed BENCH_pr3/6/7/8/9/10/14/15/21/22/17/24.json baselines.
 #
 #    The root-package rows run three times, the BenchmarkTrainUpdate
 #    rows TRAIN_PAIRS times (check 3), and the lowest allocs/op of the
@@ -38,9 +41,10 @@
 #    than silently compared against a differently-scheduled figure.
 #    BENCH_pr8.json records the warm MCTS rows at GOMAXPROCS=1 and 4,
 #    BENCH_pr14.json the rest at 2 and BENCH_pr17.json the cold
-#    workers=1 row at 2, so single-core, 2-CPU and 4-vCPU hosts all
-#    stay gated (the cold row only at 2); a run that compares no row
-#    at all fails rather than reporting OK.
+#    workers=1 row at 2 (BENCH_pr24.json the CoarseOracle row at 2),
+#    so single-core, 2-CPU and 4-vCPU hosts all stay gated (the cold
+#    and oracle rows only at 2); a run that compares no row at all
+#    fails rather than reporting OK.
 #
 #    Ceiling per benchmark = baseline allocs/op × (1 + TOLERANCE_PCT/100)
 #    + SLACK_ALLOCS. The slack term absorbs run-to-run scheduling noise
@@ -94,7 +98,9 @@ cd "$(dirname "$0")/.."
 # BENCH_pr17.json supersedes BENCH_pr14.json for the cold rows.
 # BENCH_pr21.json supersedes BENCH_pr15.json for the TrainUpdate rows,
 # and BENCH_pr22.json, which records them over a whole batch, both.
-BASELINE_FILES="BENCH_pr3.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json BENCH_pr14.json BENCH_pr15.json BENCH_pr21.json BENCH_pr22.json BENCH_pr17.json"
+# BENCH_pr24.json holds the CoarseOracle row (and the ungated
+# QuadraticSolve row).
+BASELINE_FILES="BENCH_pr3.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json BENCH_pr14.json BENCH_pr15.json BENCH_pr21.json BENCH_pr22.json BENCH_pr17.json BENCH_pr24.json"
 TOLERANCE_PCT=50
 SLACK_ALLOCS=64
 TRAIN_SPEEDUP=1.3
@@ -104,7 +110,7 @@ KERNEL_SPEEDUP=1.5
 # every baseline row it matches must show up in the run below, so the
 # expected row set comes from the BENCH files rather than a count kept
 # here.
-GATED='^Benchmark(MCTSWorkers/workers=(1|8)|MCTSColdWorkers/workers=1|ServeThroughput|PortfolioRace|FleetThroughput|ECOJob|LEFDEFPlace|TrainUpdate/procs=(1|2))$'
+GATED='^Benchmark(MCTSWorkers/workers=(1|8)|MCTSColdWorkers/workers=1|ServeThroughput|PortfolioRace|FleetThroughput|ECOJob|LEFDEFPlace|TrainUpdate/procs=(1|2)|CoarseOracle)$'
 
 for f in $BASELINE_FILES; do
     if [ ! -f "$f" ]; then
@@ -142,7 +148,7 @@ trainPairs() {
     done
 }
 
-out=$(go test -run '^$' -bench 'BenchmarkMCTSWorkers/workers=(1|8)$|BenchmarkMCTSColdWorkers' -benchmem -benchtime=1x -count=3 . &&
+out=$(go test -run '^$' -bench 'BenchmarkMCTSWorkers/workers=(1|8)$|BenchmarkMCTSColdWorkers|BenchmarkCoarseOracle$' -benchmem -benchtime=1x -count=3 . &&
     go test -run '^$' -bench 'BenchmarkServeThroughput$|BenchmarkPortfolioRace$|BenchmarkFleetThroughput$|BenchmarkECOJob$|BenchmarkLEFDEFPlace$' -benchmem -benchtime=1x ./internal/serve ./internal/portfolio ./internal/fleet ./internal/eco ./internal/lefdef &&
     trainPairs &&
     go test -run '^$' -bench 'BenchmarkConvKernels$' -benchmem -benchtime=100x -count=3 ./internal/nn)
