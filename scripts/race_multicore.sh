@@ -7,9 +7,10 @@
 # trainer's rollout workers (which read one draw tape and one agent's
 # weights) and replay workers (whose replicas share the agent's
 # weights), the analytical placer's two axis goroutines (and two
-# placers at once), and the daemon's worker pool. The cache, agent,
-# trainer and placer tests run ten times each, since one interleaving
-# proves little about shared state; the rest run once.
+# placers at once), the whole flow's golden (whose rollouts and split
+# solves run concurrently), and the daemon's worker pool. The cache,
+# agent, trainer and placer tests run ten times each, since one
+# interleaving proves little about shared state; the rest run once.
 #
 #   scripts/race_multicore.sh
 #
@@ -56,5 +57,6 @@ run ./internal/rl/ TestUpdatePanicResurfaces
 run ./internal/rng/ TestTapeConcurrentReaders
 run -count=10 ./internal/gplace/ TestPlacementGolden TestCoincidentPinsGolden \
 	TestQuadraticPanicResurfacesOnCaller TestSplitPanicWaitsForOtherHalf TestConcurrentPlacers
+run . TestFlowGolden
 run ./internal/serve/ TestDaemonE2E TestDaemonBitIdenticalToDirectRun \
 	TestTerminalJobContextReleased
