@@ -167,10 +167,10 @@ func BenchmarkQuadraticSolve(b *testing.B) {
 func BenchmarkClusterMacros(b *testing.B) {
 	d := benchDesign(b, 0.05)
 	gplace.InitialPlacement(d)
-	params := cluster.DefaultParams(d.Region.Area() / 256)
+	gridArea := d.Region.Area() / 256
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cluster.Build(d, params)
+		_ = cluster.Build(d, gridArea)
 	}
 }
 
@@ -371,7 +371,7 @@ func BenchmarkLegalizeGrid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		items := mk()
-		legalize.RemoveOverlaps(items, bounds, 24)
+		legalize.RemoveOverlaps(items, bounds)
 	}
 }
 

@@ -23,46 +23,21 @@ import (
 	"macroplace/internal/netlist"
 )
 
-// Params are the user-specified constants of Eqs. (1) and (2), with
-// paper defaults from Sec. II-A.
-type Params struct {
-	// Delta weights hierarchy commonality in Γ (paper: 0.001).
-	Delta float64
-	// Epsilon weights connectivity in Γ (paper: 0.0003).
-	Epsilon float64
-	// Kappa weights area similarity in Γ (paper: 1).
-	Kappa float64
-	// Rho weights connectivity density in φ (paper: 1).
-	Rho float64
-	// Nu is the merge-termination threshold for both scores
-	// (paper: 0.001).
-	Nu float64
-	// GridArea is the area of one placement grid; merging stops for a
-	// group once it exceeds this area.
-	GridArea float64
-	// MaxGroupArea caps group growth (defaults to 4 × GridArea).
-	MaxGroupArea float64
-}
-
-// DefaultParams returns the paper's constants for a given grid area.
-func DefaultParams(gridArea float64) Params {
-	return Params{
-		Delta:        0.001,
-		Epsilon:      0.0003,
-		Kappa:        1,
-		Rho:          1,
-		Nu:           0.001,
-		GridArea:     gridArea,
-		MaxGroupArea: 4 * gridArea,
-	}
-}
-
-func (p Params) normalize() Params {
-	if p.MaxGroupArea <= 0 {
-		p.MaxGroupArea = 4 * p.GridArea
-	}
-	return p
-}
+// The constants of Eqs. (1) and (2), the paper's values from Sec. II-A.
+const (
+	// delta weights hierarchy commonality in Γ.
+	delta = 0.001
+	// epsilon weights connectivity in Γ.
+	epsilon = 0.0003
+	// kappa weights area similarity in Γ.
+	kappa = 1
+	// rho weights connectivity density in φ.
+	rho = 1
+	// nu is the merge-termination threshold for both scores.
+	nu = 0.001
+	// maxGroupGrids caps a group's area at this many grid areas.
+	maxGroupGrids = 4
+)
 
 // Group is a cluster of node indices.
 type Group struct {
@@ -116,18 +91,19 @@ func (c *Clustering) ReorderMacroGroups(perm []int) {
 	}
 }
 
-// Build clusters the design's movable macros and cells. Node positions
-// must already hold the initial prototype placement (see
+// Build clusters the design's movable macros and cells. Merging stops
+// for a group once it exceeds gridArea, the area of one placement
+// grid, and no group grows past maxGroupGrids × gridArea. Node
+// positions must already hold the initial prototype placement (see
 // gplace.InitialPlacement).
-func Build(d *netlist.Design, p Params) *Clustering {
-	p = p.normalize()
+func Build(d *netlist.Design, gridArea float64) *Clustering {
 	nodeNets := d.NodeNets()
 
 	macros := d.MovableMacroIndices()
 	cells := d.CellIndices()
 
-	mg := greedyMerge(d, macros, nodeNets, p, true)
-	cg := matchMerge(d, cells, p)
+	mg := greedyMerge(d, macros, nodeNets, gridArea)
+	cg := matchMerge(d, cells, gridArea)
 
 	c := &Clustering{MacroGroups: mg, CellGroups: cg}
 	c.GroupOf = make([]int, len(d.Nodes))
@@ -221,7 +197,7 @@ func connectivity(d *netlist.Design, a, b *workGroup) float64 {
 }
 
 // gammaScore evaluates Eq. (1) for two macro groups.
-func gammaScore(d *netlist.Design, a, b *workGroup, p Params) float64 {
+func gammaScore(d *netlist.Design, a, b *workGroup) float64 {
 	dist := math.Hypot(a.CX-b.CX, a.CY-b.CY)
 	if dist < 1e-9 {
 		dist = 1e-9
@@ -229,16 +205,16 @@ func gammaScore(d *netlist.Design, a, b *workGroup, p Params) float64 {
 	h := float64(netlist.HierPrefixLen(a.Hier, b.Hier))
 	w := connectivity(d, a, b)
 	dA := math.Abs(a.Area - b.Area)
-	return 1/dist + p.Delta*h + p.Epsilon*w + p.Kappa/(dA+1)
+	return 1/dist + delta*h + epsilon*w + kappa/(dA+1)
 }
 
 // phiScore evaluates Eq. (2) for two cell groups.
-func phiScore(a, b *workGroup, conn float64, p Params) float64 {
+func phiScore(a, b *workGroup, conn float64) float64 {
 	dist := math.Hypot(a.CX-b.CX, a.CY-b.CY)
 	if dist < 1e-9 {
 		dist = 1e-9
 	}
-	return 1/dist + p.Rho*conn/(a.Area+b.Area)
+	return 1/dist + rho*conn/(a.Area+b.Area)
 }
 
 // mergeInto merges src into dst.
@@ -286,16 +262,17 @@ func commonHier(a, b string) string {
 
 // mergeEligible reports whether the pair may merge under the area
 // rules: stop growing a group once it exceeds one grid, and never
-// exceed MaxGroupArea.
-func mergeEligible(a, b *workGroup, p Params) bool {
-	if a.Area > p.GridArea && b.Area > p.GridArea {
+// exceed maxGroupGrids grids.
+func mergeEligible(a, b *workGroup, gridArea float64) bool {
+	if a.Area > gridArea && b.Area > gridArea {
 		return false
 	}
-	return a.Area+b.Area <= p.MaxGroupArea
+	return a.Area+b.Area <= maxGroupGrids*gridArea
 }
 
-// greedyMerge runs the paper's exact highest-score-pair loop.
-func greedyMerge(d *netlist.Design, nodes []int, nodeNets [][]int, p Params, macroMode bool) []Group {
+// greedyMerge runs the paper's exact highest-score-pair loop with the
+// macro score Γ.
+func greedyMerge(d *netlist.Design, nodes []int, nodeNets [][]int, gridArea float64) []Group {
 	groups := make([]*workGroup, len(nodes))
 	for i, n := range nodes {
 		groups[i] = newWorkGroup(d, n, nodeNets, i)
@@ -307,16 +284,11 @@ func greedyMerge(d *netlist.Design, nodes []int, nodeNets [][]int, p Params, mac
 	h := &pairHeap{}
 	seq := 0
 	push := func(a, b *workGroup) {
-		if !mergeEligible(a, b, p) {
+		if !mergeEligible(a, b, gridArea) {
 			return
 		}
-		var s float64
-		if macroMode {
-			s = gammaScore(d, a, b, p)
-		} else {
-			s = phiScore(a, b, connectivity(d, a, b), p)
-		}
-		if s < p.Nu {
+		s := gammaScore(d, a, b)
+		if s < nu {
 			return
 		}
 		heap.Push(h, pairItem{score: s, a: a.id, b: b.id, va: a.ver, vb: b.ver, sequence: seq})
@@ -334,7 +306,7 @@ func greedyMerge(d *netlist.Design, nodes []int, nodeNets [][]int, p Params, mac
 		if !a.alive || !b.alive || a.ver != it.va || b.ver != it.vb {
 			continue // stale entry
 		}
-		if it.score < p.Nu {
+		if it.score < nu {
 			break
 		}
 		mergeInto(a, b)
@@ -371,8 +343,8 @@ func finalize(groups []*workGroup) []Group {
 // pairs are cells sharing a net; each pass greedily matches the
 // highest-φ disjoint pairs, then rebuilds candidates between passes.
 // Passes stop when every group exceeds the grid area, no pair scores
-// above Nu, or a pass makes no merge.
-func matchMerge(d *netlist.Design, nodes []int, p Params) []Group {
+// above nu, or a pass makes no merge.
+func matchMerge(d *netlist.Design, nodes []int, gridArea float64) []Group {
 	nodeNets := d.NodeNets()
 	groups := make([]*workGroup, len(nodes))
 	groupOf := make(map[int]int, len(nodes)) // node -> group index
@@ -421,11 +393,11 @@ func matchMerge(d *netlist.Design, nodes []int, p Params) []Group {
 					}
 					seen[key] = true
 					ga, gb := groups[a], groups[b]
-					if !ga.alive || !gb.alive || !mergeEligible(ga, gb, p) {
+					if !ga.alive || !gb.alive || !mergeEligible(ga, gb, gridArea) {
 						continue
 					}
-					s := phiScore(ga, gb, connectivity(d, ga, gb), p)
-					if s >= p.Nu {
+					s := phiScore(ga, gb, connectivity(d, ga, gb))
+					if s >= nu {
 						cands = append(cands, cand{s, a, b})
 					}
 				}
@@ -466,7 +438,7 @@ func matchMerge(d *netlist.Design, nodes []int, p Params) []Group {
 		// Stop early once all groups are grid-sized.
 		done := true
 		for _, g := range groups {
-			if g.alive && g.Area <= p.GridArea {
+			if g.alive && g.Area <= gridArea {
 				done = false
 				break
 			}

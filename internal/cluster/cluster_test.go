@@ -36,8 +36,7 @@ func TestBuildGroupsNearbyConnectedMacros(t *testing.T) {
 	// Grid area between one macro (100) and a merged pair (200): pairs
 	// merge, but two grid-exceeding pair-groups are never merged
 	// further (the paper's size-based termination).
-	p := DefaultParams(150)
-	c := Build(d, p)
+	c := Build(d, 150)
 	if len(c.MacroGroups) != 2 {
 		t.Fatalf("macro groups = %d, want 2 (two pairs)", len(c.MacroGroups))
 	}
@@ -57,7 +56,7 @@ func TestBuildGroupsNearbyConnectedMacros(t *testing.T) {
 
 func TestGroupHierIsCommonPrefix(t *testing.T) {
 	d := smallDesign()
-	c := Build(d, DefaultParams(150))
+	c := Build(d, 150)
 	for _, g := range c.MacroGroups {
 		if len(g.Members) == 2 && g.Hier != "top/a" && g.Hier != "top/b" {
 			t.Errorf("group hier = %q, want a common prefix", g.Hier)
@@ -69,7 +68,7 @@ func TestGridAreaStopsMerging(t *testing.T) {
 	d := smallDesign()
 	// Grid smaller than one macro: every pair is merge-ineligible
 	// once both exceed it, so all macros stay singletons.
-	c := Build(d, DefaultParams(1))
+	c := Build(d, 1)
 	if len(c.MacroGroups) != 4 {
 		t.Fatalf("macro groups = %d, want 4 singletons with tiny grid", len(c.MacroGroups))
 	}
@@ -80,7 +79,7 @@ func TestGroupsSortedByAreaDesc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Build(d, DefaultParams(d.Region.Area()/256))
+	c := Build(d, d.Region.Area()/256)
 	for i := 1; i < len(c.MacroGroups); i++ {
 		if c.MacroGroups[i].Area > c.MacroGroups[i-1].Area {
 			t.Fatalf("groups not area-sorted at %d: %v > %v", i, c.MacroGroups[i].Area, c.MacroGroups[i-1].Area)
@@ -94,8 +93,7 @@ func TestGroupInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	gridArea := d.Region.Area() / 256
-	p := DefaultParams(gridArea)
-	c := Build(d, p)
+	c := Build(d, gridArea)
 
 	// Every movable macro and every cell is in exactly one group.
 	seen := map[int]bool{}
@@ -121,8 +119,8 @@ func TestGroupInvariants(t *testing.T) {
 			t.Fatalf("group area %v != sum of members %v", g.Area, area)
 		}
 		// Groups never exceed the merge cap.
-		if g.Area > p.MaxGroupArea+1e-9 && len(g.Members) > 1 {
-			t.Fatalf("group area %v exceeds cap %v", g.Area, p.MaxGroupArea)
+		if g.Area > maxGroupGrids*gridArea+1e-9 && len(g.Members) > 1 {
+			t.Fatalf("group area %v exceeds cap %v", g.Area, maxGroupGrids*gridArea)
 		}
 	}
 	for _, g := range c.CellGroups {
@@ -168,7 +166,7 @@ func TestBuildDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Build(d, DefaultParams(d.Region.Area()/64))
+		return Build(d, d.Region.Area()/64)
 	}
 	a, b := mk(), mk()
 	if !reflect.DeepEqual(a.MacroGroups, b.MacroGroups) {
@@ -181,7 +179,7 @@ func TestBuildDeterministic(t *testing.T) {
 
 func TestReorderMacroGroups(t *testing.T) {
 	d := smallDesign()
-	c := Build(d, DefaultParams(150))
+	c := Build(d, 150)
 	orig := append([]Group(nil), c.MacroGroups...)
 	perm := []int{1, 0}
 	c.ReorderMacroGroups(perm)
@@ -199,7 +197,7 @@ func TestReorderMacroGroups(t *testing.T) {
 
 func TestReorderRejectsBadPermutation(t *testing.T) {
 	d := smallDesign()
-	c := Build(d, DefaultParams(150))
+	c := Build(d, 150)
 	for _, perm := range [][]int{{0}, {0, 0}, {0, 5}} {
 		func() {
 			defer func() {
@@ -231,12 +229,11 @@ func TestCommonHier(t *testing.T) {
 func TestGammaScoreComponents(t *testing.T) {
 	d := smallDesign()
 	nodeNets := d.NodeNets()
-	p := DefaultParams(150)
 	a := newWorkGroup(d, 0, nodeNets, 0) // m0
 	b := newWorkGroup(d, 1, nodeNets, 1) // m1: near, connected, same hier
 	c := newWorkGroup(d, 2, nodeNets, 2) // m2: far, unconnected, other hier
-	sNear := gammaScore(d, a, b, p)
-	sFar := gammaScore(d, a, c, p)
+	sNear := gammaScore(d, a, b)
+	sFar := gammaScore(d, a, c)
 	if sNear <= sFar {
 		t.Errorf("Γ(near,connected)=%v should exceed Γ(far)=%v", sNear, sFar)
 	}
@@ -288,7 +285,7 @@ func TestMatchMergeSkipsHighFanoutNets(t *testing.T) {
 		pins = append(pins, netlist.Pin{Node: id})
 	}
 	d.AddNet(netlist.Net{Name: "huge", Pins: pins})
-	c := Build(d, DefaultParams(1000))
+	c := Build(d, 1000)
 	if len(c.CellGroups) != 20 {
 		t.Errorf("cell groups = %d, want 20 (high-fanout net ignored)", len(c.CellGroups))
 	}
@@ -296,7 +293,7 @@ func TestMatchMergeSkipsHighFanoutNets(t *testing.T) {
 
 func TestBuildEmptyDesign(t *testing.T) {
 	d := &netlist.Design{Name: "empty", Region: geom.NewRect(0, 0, 10, 10)}
-	c := Build(d, DefaultParams(1))
+	c := Build(d, 1)
 	if len(c.MacroGroups) != 0 || len(c.CellGroups) != 0 {
 		t.Errorf("empty design produced groups: %d/%d", len(c.MacroGroups), len(c.CellGroups))
 	}
@@ -305,7 +302,7 @@ func TestBuildEmptyDesign(t *testing.T) {
 func TestFixedMacrosExcludedFromGrouping(t *testing.T) {
 	d := smallDesign()
 	d.Nodes[0].Fixed = true // m0 becomes pre-placed
-	c := Build(d, DefaultParams(150))
+	c := Build(d, 150)
 	for _, g := range c.MacroGroups {
 		for _, m := range g.Members {
 			if m == 0 {

@@ -24,7 +24,7 @@ func coarsenFixture() (*netlist.Design, *Clustering, *Coarse) {
 	d.AddNet(netlist.Net{Name: "n2", Pins: []netlist.Pin{{Node: 1}, {Node: 3}, {Node: 4}}}) // parallel at coarse level
 	d.AddNet(netlist.Net{Name: "n3", Pins: []netlist.Pin{{Node: 2}, {Node: 6}}})            // macro ↔ pad
 	d.AddNet(netlist.Net{Name: "n4", Pins: []netlist.Pin{{Node: 5}, {Node: 2}}})            // fixed macro ↔ macro
-	clus := Build(d, DefaultParams(150))
+	clus := Build(d, 150)
 	return d, clus, Coarsen(d, clus)
 }
 
@@ -120,7 +120,7 @@ func TestCoarsenOnGeneratedDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clus := Build(d, DefaultParams(d.Region.Area()/256))
+	clus := Build(d, d.Region.Area()/256)
 	co := Coarsen(d, clus)
 	if err := co.Design.Validate(); err != nil {
 		t.Fatalf("coarse design invalid: %v", err)

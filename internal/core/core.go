@@ -39,9 +39,10 @@ type Options struct {
 	RL rl.Config
 	// MCTS tunes the optimization stage.
 	MCTS mcts.Config
-	// Cluster overrides clustering parameters (nil: paper defaults
-	// for the grid area).
-	Cluster *cluster.Params
+	// GroupArea is the area past which clustering stops growing a
+	// group (0: one grid's area). A vanishing area keeps every macro
+	// in a group of its own, the grouping ablation.
+	GroupArea float64
 	// FinalPlaceIterations is the outer-iteration budget of the final
 	// full-netlist cell placement (the DREAMPlace-substitute call).
 	FinalPlaceIterations int
@@ -67,13 +68,6 @@ type Options struct {
 	// built lazily after pre-training and dropped whenever training
 	// runs again (cached outputs assume frozen weights).
 	EvalCacheSize int
-	// CommittedPathOnly restricts the MCTS result to the committed
-	// search path, exactly as Alg. 1 line 15 traces it. By default the
-	// flow also considers the best terminal state evaluated during
-	// exploration and keeps whichever is better under the fast oracle
-	// — a zero-cost improvement since those placements were already
-	// computed (ablatable with this flag).
-	CommittedPathOnly bool
 	// Seed drives every random stream in the flow.
 	Seed int64
 	// SearchSnapshot, when set, receives a progress snapshot after
@@ -250,11 +244,11 @@ func (p *Placer) Preprocess() error {
 	// (paper's [23] reference).
 	gplace.InitialPlacement(p.Work)
 
-	params := cluster.DefaultParams(p.Grid.CellArea())
-	if p.Opts.Cluster != nil {
-		params = *p.Opts.Cluster
+	gridArea := p.Opts.GroupArea
+	if gridArea <= 0 {
+		gridArea = p.Grid.CellArea()
 	}
-	p.Clus = cluster.Build(p.Work, params)
+	p.Clus = cluster.Build(p.Work, gridArea)
 	if len(p.Clus.MacroGroups) == 0 {
 		return fmt.Errorf("core: clustering produced no macro groups")
 	}
@@ -339,17 +333,7 @@ func (p *Placer) EvalAnchors(anchors []int) float64 {
 		p.Coarse.Design.Nodes[gi].SetCenter(c.X, c.Y)
 	}
 	p.coarsePlacer.PlaceQuadraticOnly()
-	cost := p.Coarse.Design.WeightedHPWL()
-	// Overflow penalty: the paper's per-episode evaluation legalizes
-	// macros, so overlapping allocations pay their real wirelength
-	// cost; the coarse oracle must charge them explicitly or the
-	// search would happily stack every group on one grid.
-	if ratio := p.AnchorOverflow(anchors); ratio > 0 {
-		// β = 8: a fully-stacked allocation (ratio → 1) must cost
-		// several times its raw coarse wirelength, because its
-		// legalized reality spreads the macros back across the chip.
-		cost *= 1 + 8*ratio
-	}
+	cost := p.OverflowCost(p.Coarse.Design.WeightedHPWL(), anchors)
 	if p.Opts.CongestionWeight > 0 {
 		// Called once per reward evaluation; accumulate into the
 		// placer-owned map instead of allocating ζ² bins per call.
@@ -419,12 +403,27 @@ func (p *Placer) greedyAnchors() []int {
 // states over it.
 func (p *Placer) BaseUtil() []float64 { return p.baseUtil }
 
-// AnchorOverflow returns the grid-capacity overflow of an allocation
+// OverflowCost charges the coarse wirelength wl of an allocation for
+// its grid-capacity overflow, as EvalAnchors does and the ECO
+// local-move search (internal/eco) does for its candidates. The
+// paper's per-episode evaluation legalizes macros, so overlapping
+// allocations pay their real wirelength cost; the coarse oracle must
+// charge them explicitly or the search would happily stack every
+// group on one grid.
+func (p *Placer) OverflowCost(wl float64, anchors []int) float64 {
+	if ratio := p.anchorOverflow(anchors); ratio > 0 {
+		// β = 8: a fully-stacked allocation (ratio → 1) must cost
+		// several times its raw coarse wirelength, because its
+		// legalized reality spreads the macros back across the chip.
+		wl *= 1 + 8*ratio
+	}
+	return wl
+}
+
+// anchorOverflow returns the grid-capacity overflow of an allocation
 // as a fraction of the total macro-group area: 0 when every grid's
 // accumulated utilization (pre-placed macros included) stays <= 1.
-// Exported for the ECO local-move search (internal/eco), which charges
-// candidate anchor sets the same overflow penalty EvalAnchors does.
-func (p *Placer) AnchorOverflow(anchors []int) float64 {
+func (p *Placer) anchorOverflow(anchors []int) float64 {
 	util := p.utilScratch
 	copy(util, p.baseUtil)
 	zeta := p.Grid.Zeta
@@ -547,11 +546,11 @@ func (p *Placer) FinalizeContext(ctx context.Context, anchors []int) (FinalResul
 		Anchors:      append([]int(nil), anchors...),
 	}
 	if p.Opts.LegalizeCells {
-		lres, lerr := rowlegal.Legalize(p.Work, rowlegal.Config{})
+		lres, lerr := rowlegal.Legalize(p.Work)
 		if lerr != nil {
 			return FinalResult{}, lerr
 		}
-		dres := rowlegal.OptimizeDetailed(p.Work, rowlegal.DetailedConfig{})
+		dres := rowlegal.OptimizeDetailed(p.Work)
 		out.LegalHPWL = dres.HPWLAfter
 		out.CellsFailed = lres.Failed
 	}
@@ -594,24 +593,20 @@ func (p *Placer) PlaceContext(ctx context.Context) (*Result, error) {
 	}
 
 	search := p.RunMCTSContext(ctx)
+	// Candidate selection under the fast oracle: the committed search
+	// path, the best terminal evaluated during exploration, and the
+	// greedy-RL allocation (the search should never ship something
+	// worse than the policy it was guided by); a tie keeps the earlier.
 	anchors := search.Anchors
-	if !p.Opts.CommittedPathOnly {
-		// Candidate selection under the fast oracle: the committed
-		// search path, the best terminal evaluated during exploration,
-		// and the greedy-RL allocation (the search should never ship
-		// something worse than the policy it was guided by).
-		bestCost := p.EvalAnchors(anchors)
-		consider := func(cand []int) {
-			if len(cand) == 0 {
-				return
-			}
-			if c := p.EvalAnchors(cand); c < bestCost {
-				bestCost = c
-				anchors = cand
-			}
+	bestCost := p.EvalAnchors(anchors)
+	for _, cand := range [][]int{search.BestAnchors, rlAnchors} {
+		if len(cand) == 0 {
+			continue
 		}
-		consider(search.BestAnchors)
-		consider(rlAnchors)
+		if c := p.EvalAnchors(cand); c < bestCost {
+			bestCost = c
+			anchors = cand
+		}
 	}
 	final, err := p.FinalizeContext(ctx, anchors)
 	if err != nil {

@@ -232,9 +232,9 @@ func TestOraclePenalizesStacking(t *testing.T) {
 	// random episode (availability-guided, so spread out).
 	stacked := make([]int, n)
 	spread := rl.RandomEpisode(p.Env.Clone(), rng.New(3))
-	if p.AnchorOverflow(stacked) <= p.AnchorOverflow(spread) {
+	if p.anchorOverflow(stacked) <= p.anchorOverflow(spread) {
 		t.Fatalf("overflow(stacked)=%v should exceed overflow(spread)=%v",
-			p.AnchorOverflow(stacked), p.AnchorOverflow(spread))
+			p.anchorOverflow(stacked), p.anchorOverflow(spread))
 	}
 	// And the penalty must make the stacked allocation cost more than
 	// its raw coarse wirelength would suggest relative to spread.

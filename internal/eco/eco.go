@@ -23,9 +23,6 @@ type Config struct {
 	// Moves is the probe budget of the local-move search: the number
 	// of candidate move/swap evaluations (default DefaultMoves).
 	Moves int
-	// C is the PUCT exploration constant over the move menu (<= 0:
-	// the search default, 1.05).
-	C float64
 	// Retrain forces training even when warm state exists; the warm
 	// entry's persistent cache is retargeted to the new weights
 	// (stale entries become unreachable via the fingerprint salt).
@@ -293,18 +290,15 @@ type move struct {
 // menu at the incumbent allocation. Probes are exact under the coarse
 // model: group centers move on an incremental-HPWL evaluator over the
 // coarse design (cell groups frozen at the prior allocation's QP
-// solution) and pay the same ×(1+8·overflow) penalty EvalAnchors
-// charges. A strict improvement commits, re-anchoring the bandit; all
-// other probes revert. Returns the incumbent after the budget (never
-// worse than prior under this model).
+// solution) and pay the overflow penalty EvalAnchors charges
+// (core.Placer.OverflowCost). A strict improvement commits,
+// re-anchoring the bandit; all other probes revert. Returns the
+// incumbent after the budget (never worse than prior under this
+// model).
 func searchLocalMoves(ctx context.Context, p *core.Placer, evaluator *agent.CachedEvaluator, scaler rl.Scaler, prior []int, cfg Config, res *Result) []int {
 	budget := cfg.Moves
 	if budget <= 0 {
 		budget = DefaultMoves
-	}
-	c := cfg.C
-	if c <= 0 {
-		c = 1.05
 	}
 
 	// EvalAnchors pins groups at their block centers and QP-places the
@@ -315,11 +309,7 @@ func searchLocalMoves(ctx context.Context, p *core.Placer, evaluator *agent.Cach
 
 	cur := append([]int(nil), prior...)
 	cost := func(anchors []int) float64 {
-		wl := ev.Total()
-		if ratio := p.AnchorOverflow(anchors); ratio > 0 {
-			wl *= 1 + 8*ratio
-		}
-		return wl
+		return p.OverflowCost(ev.Total(), anchors)
 	}
 	place := func(gi, anchor int) {
 		ctr := p.Env.BlockCenter(gi, anchor)
@@ -347,7 +337,7 @@ func searchLocalMoves(ctx context.Context, p *core.Placer, evaluator *agent.Cach
 		if ctx.Err() != nil {
 			break
 		}
-		k := mcts.SelectPUCT(c, scaler.Reward(curCost), priors, visits, values, nil, 0)
+		k := mcts.SelectPUCT(mcts.DefaultC, scaler.Reward(curCost), priors, visits, values, nil, 0)
 		if k < 0 {
 			break
 		}

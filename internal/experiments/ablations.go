@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"macroplace/internal/cluster"
 	"macroplace/internal/core"
 	"macroplace/internal/mcts"
 	"macroplace/internal/netlist"
@@ -68,10 +67,9 @@ func AblationGrouping(cfg Config) (*AblationResult, error) {
 		name := "grouped (paper)"
 		if !grouped {
 			name = "per-macro"
-			// A vanishing grid area makes every pair merge-ineligible,
+			// A vanishing group area makes every pair merge-ineligible,
 			// so each macro stays a singleton group.
-			params := cluster.DefaultParams(1e-9)
-			opts.Cluster = &params
+			opts.GroupArea = 1e-9
 		}
 		p, err := core.New(d, opts)
 		if err != nil {

@@ -38,17 +38,15 @@ type Config struct {
 	RetryAfter time.Duration
 	// SuspectAfter demotes a worker to suspect (and probes it) after
 	// that long without a heartbeat (default 3s); DeadAfter declares a
-	// silent suspect dead (default 10s). SweepEvery is the health
-	// ticker interval (default SuspectAfter/2).
+	// silent suspect dead (default 10s). The health ticker runs every
+	// SuspectAfter/2.
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
-	SweepEvery   time.Duration
 	// RPCTimeout bounds each worker RPC attempt except the long-lived
 	// event stream (default 10s); RetryBudget is attempts per RPC
-	// (default 3); BackoffSeed seeds the retry jitter (default 1).
+	// (default 3). The retry jitter is seeded with backoffSeed.
 	RPCTimeout  time.Duration
 	RetryBudget int
-	BackoffSeed int64
 	// MigrationBudget bounds how many times one job may migrate before
 	// the coordinator gives up and fails it (default 3).
 	MigrationBudget int
@@ -64,6 +62,10 @@ type Config struct {
 	Client *http.Client
 }
 
+// backoffSeed seeds the coordinator's retry jitter, so a run's retry
+// schedule is reproducible.
+const backoffSeed = 1
+
 func (c Config) normalize() Config {
 	if c.MaxInflight < 1 {
 		c.MaxInflight = 16
@@ -77,17 +79,11 @@ func (c Config) normalize() Config {
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 10 * time.Second
 	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = c.SuspectAfter / 2
-	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 10 * time.Second
 	}
 	if c.RetryBudget < 1 {
 		c.RetryBudget = 3
-	}
-	if c.BackoffSeed == 0 {
-		c.BackoffSeed = 1
 	}
 	if c.MigrationBudget < 1 {
 		c.MigrationBudget = 3
@@ -127,7 +123,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:       cfg,
 		reg:       newRegistry(),
 		pool:      newDispatchPool(cfg.MaxInflight),
-		bo:        NewBackoff(cfg.BackoffSeed),
+		bo:        NewBackoff(backoffSeed),
 		sweepStop: make(chan struct{}),
 		sweepDone: make(chan struct{}),
 	}
@@ -161,7 +157,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 
 func (c *Coordinator) sweeper() {
 	defer close(c.sweepDone)
-	tick := time.NewTicker(c.cfg.SweepEvery)
+	tick := time.NewTicker(c.cfg.SuspectAfter / 2)
 	defer tick.Stop()
 	for {
 		select {

@@ -47,12 +47,16 @@ type Spec struct {
 	// they default to 3 and 4.
 	HierDepth  int
 	HierFanout int
-	// AvgNetDegree is the mean pins per net; defaults to 3.5.
-	AvgNetDegree float64
-	// Locality is the probability that a pin stays inside the anchor
-	// pin's module; defaults to 0.75.
-	Locality float64
 }
+
+// The netlist's fixed statistics.
+const (
+	// avgNetDegree is the mean pins per net.
+	avgNetDegree = 3.5
+	// locality is the probability that a pin stays inside the anchor
+	// pin's module.
+	locality = 0.75
+)
 
 // withDefaults fills zero fields.
 func (s Spec) withDefaults() Spec {
@@ -67,12 +71,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.HierFanout <= 0 {
 		s.HierFanout = 4
-	}
-	if s.AvgNetDegree <= 0 {
-		s.AvgNetDegree = 3.5
-	}
-	if s.Locality <= 0 {
-		s.Locality = 0.75
 	}
 	return s
 }
@@ -292,7 +290,7 @@ func leafOf(leaves []*module, path string) *module {
 
 // generateNets draws spec.Nets nets with module locality. Each net has
 // an anchor node; remaining pins come from the anchor's module with
-// probability spec.Locality, otherwise from anywhere (including pads,
+// probability locality, otherwise from anywhere (including pads,
 // with a small probability that makes boundary I/O nets exist).
 func generateNets(d *netlist.Design, spec Spec, leaves []*module, r *rng.RNG) {
 	nNodes := len(d.Nodes)
@@ -329,7 +327,7 @@ func generateNets(d *netlist.Design, spec Spec, leaves []*module, r *rng.RNG) {
 	for ni := 0; ni < spec.Nets; ni++ {
 		// Degree: 2 + geometric tail with the requested mean.
 		deg := 2
-		p := 1.0 / (spec.AvgNetDegree - 1.0)
+		p := 1.0 / (avgNetDegree - 1.0)
 		for deg < 24 && r.Float64() > p {
 			deg++
 		}
@@ -346,7 +344,7 @@ func generateNets(d *netlist.Design, spec Spec, leaves []*module, r *rng.RNG) {
 			switch {
 			case len(pads) > 0 && r.Float64() < 0.03:
 				cand = pads[r.Intn(len(pads))]
-			case leafIdx[anchor] >= 0 && r.Float64() < spec.Locality:
+			case leafIdx[anchor] >= 0 && r.Float64() < locality:
 				members := leaves[leafIdx[anchor]].members
 				if len(members) == 0 {
 					cand = nthNonPad(d, r.Intn(nonPad))

@@ -47,7 +47,7 @@ func goldenSteps(d *netlist.Design) []uint64 {
 	out = append(out, placementHash(d, res.HPWL))
 
 	g := grid.New(d.Region, grid.DefaultZeta)
-	co := cluster.Coarsen(d, cluster.Build(d, cluster.DefaultParams(g.CellArea())))
+	co := cluster.Coarsen(d, cluster.Build(d, g.CellArea()))
 	cp := New(co.Design, Config{Mode: MoveCells})
 	res = cp.PlaceQuadraticOnly()
 	out = append(out, placementHash(co.Design, res.HPWL))

@@ -41,48 +41,28 @@ const (
 	MoveAll
 )
 
-// Config tunes the placer. The zero value is usable; Normalize fills
-// defaults.
+// Config tunes the placer. The zero value is usable.
 type Config struct {
-	// Iterations is the number of outer B2B/spreading rounds.
+	// Iterations is the number of outer B2B/spreading rounds (0: 8).
 	Iterations int
-	// CGTol is the conjugate-gradient relative residual target.
-	CGTol float64
-	// CGMaxIter caps CG iterations per solve (0: 2*n).
-	CGMaxIter int
-	// Bins is the spreading grid resolution per axis (0: auto).
-	Bins int
-	// TargetDensity is the desired bin utilization (default 0.9).
-	TargetDensity float64
-	// AnchorBase is the pseudo-net anchor weight on the first
-	// spreading round; it grows linearly with the round index.
-	AnchorBase float64
 	// Mode selects the movable set.
 	Mode Mode
 }
 
-// Normalize returns c with defaults applied.
-func (c Config) Normalize() Config {
-	if c.Iterations <= 0 {
-		c.Iterations = 8
-	}
-	if c.CGTol <= 0 {
-		c.CGTol = 1e-5
-	}
-	if c.CGMaxIter <= 0 {
-		// Placement systems are well-conditioned under the Jacobi
-		// preconditioner; a fixed cap keeps worst-case solves bounded
-		// on 100k+ variable designs.
-		c.CGMaxIter = 300
-	}
-	if c.TargetDensity <= 0 {
-		c.TargetDensity = 0.9
-	}
-	if c.AnchorBase <= 0 {
-		c.AnchorBase = 0.05
-	}
-	return c
-}
+// The placer's fixed settings.
+const (
+	// cgTol is the conjugate-gradient relative residual target.
+	cgTol = 1e-5
+	// cgMaxIter caps CG iterations per solve. Placement systems are
+	// well-conditioned under the Jacobi preconditioner; a fixed cap
+	// keeps worst-case solves bounded on 100k+ variable designs.
+	cgMaxIter = 300
+	// targetDensity is the desired bin utilization.
+	targetDensity = 0.9
+	// anchorBase is the pseudo-net anchor weight on the first
+	// spreading round; it doubles every round after.
+	anchorBase = 0.05
+)
 
 // Result reports the outcome of a placement run.
 type Result struct {
@@ -145,7 +125,9 @@ type pinAt struct {
 
 // New prepares a placer for design d.
 func New(d *netlist.Design, cfg Config) *Placer {
-	cfg = cfg.Normalize()
+	if cfg.Iterations <= 0 {
+		cfg.Iterations = 8
+	}
 	p := &Placer{cfg: cfg, d: d}
 	p.varOf = make([]int, len(d.Nodes))
 	for i := range p.varOf {
@@ -217,7 +199,7 @@ func (p *Placer) PlaceContext(ctx context.Context) Result {
 			// Geometric growth (SimPL-style): by the final rounds the
 			// anchors dominate the wirelength pull, otherwise dense
 			// hotspots never disperse.
-			anchorW = p.cfg.AnchorBase * math.Pow(2, float64(it-1))
+			anchorW = anchorBase * math.Pow(2, float64(it-1))
 		}
 		p.solveQuadratic(anchorW)
 		overflow = p.spread()
@@ -340,7 +322,7 @@ func (p *Placer) anchorAndSolve(a *axis) {
 		a.m.AddDiag(v, p.reg)
 		a.b[v] += p.reg * a.target[v]
 	}
-	a.res = solver.CG(a.m, a.pos, a.b, p.cfg.CGTol, p.cfg.CGMaxIter)
+	a.res = solver.CG(a.m, a.pos, a.b, cgTol, cgMaxIter)
 }
 
 // assemble builds a's B2B system at the current node positions: net by
@@ -434,15 +416,13 @@ func (a *axis) connect(q, c pinAt, base, minDist float64) {
 func (p *Placer) spread() float64 {
 	d := p.d
 	nv := len(p.movable)
-	nb := p.cfg.Bins
-	if nb <= 0 {
-		nb = int(math.Sqrt(float64(nv)/2)) + 2
-		if nb < 4 {
-			nb = 4
-		}
-		if nb > 128 {
-			nb = 128
-		}
+	// Bins per axis, about one per two movable nodes in all.
+	nb := int(math.Sqrt(float64(nv)/2)) + 2
+	if nb < 4 {
+		nb = 4
+	}
+	if nb > 128 {
+		nb = 128
 	}
 	reg := d.Region
 	bw := reg.W() / float64(nb)
@@ -487,7 +467,7 @@ func (p *Placer) spread() float64 {
 	for i := range capGrid {
 		capGrid[i] = make([]float64, nb)
 		for j := range capGrid[i] {
-			capGrid[i][j] = binArea * p.cfg.TargetDensity
+			capGrid[i][j] = binArea * targetDensity
 		}
 	}
 	for i := range d.Nodes {

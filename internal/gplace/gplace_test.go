@@ -134,7 +134,7 @@ func TestSpreadingReducesOverflow(t *testing.T) {
 		c := d.AddNode(netlist.Node{Name: "c" + string(rune('a'+i%26)) + string(rune('0'+i/26)), Kind: netlist.Cell, W: 4, H: 4, X: 1, Y: 1})
 		d.AddNet(netlist.Net{Name: "n", Pins: []netlist.Pin{{Node: anchor}, {Node: c}}})
 	}
-	p := New(d, Config{Mode: MoveCells, Iterations: 10, Bins: 8})
+	p := New(d, Config{Mode: MoveCells, Iterations: 10})
 	res := p.Place()
 	// 200 cells × 16 area = 3200 over 10000 area: fits at ~0.32
 	// density, so overflow after spreading should be small.
@@ -190,14 +190,13 @@ func TestInitialPlacement(t *testing.T) {
 }
 
 func TestConfigNormalize(t *testing.T) {
-	c := Config{}.Normalize()
-	if c.Iterations <= 0 || c.CGTol <= 0 || c.TargetDensity <= 0 || c.AnchorBase <= 0 {
-		t.Errorf("Normalize left zero fields: %+v", c)
+	d := gen.Generate(gen.Spec{Name: "cfg", MovableMacros: 2, Cells: 20, Nets: 30, Seed: 1})
+	if got := New(d, Config{}).cfg.Iterations; got != 8 {
+		t.Errorf("default Iterations = %d, want 8", got)
 	}
-	// Explicit values survive.
-	c2 := Config{Iterations: 3, CGTol: 1e-3}.Normalize()
-	if c2.Iterations != 3 || c2.CGTol != 1e-3 {
-		t.Error("Normalize must not clobber explicit values")
+	// An explicit value survives.
+	if got := New(d, Config{Iterations: 3}).cfg.Iterations; got != 3 {
+		t.Errorf("Iterations = %d, want the explicit 3", got)
 	}
 }
 

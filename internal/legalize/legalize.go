@@ -22,12 +22,10 @@ type Input struct {
 	Grid       *grid.Grid
 	Shapes     []grid.Shape
 	Anchors    []int
-	// MaxLPItems bounds the per-block LP size (default 24).
-	MaxLPItems int
-	// Sweeps is the number of Gauss–Seidel passes of the bounded QP
-	// (default 8).
-	Sweeps int
 }
+
+// qpSweeps is the number of Gauss–Seidel passes of the bounded QP.
+const qpSweeps = 8
 
 // Result reports legalization quality.
 type Result struct {
@@ -57,12 +55,6 @@ func Macros(in Input) (Result, error) {
 	if len(in.Anchors) != len(clus.MacroGroups) || len(in.Shapes) != len(clus.MacroGroups) {
 		return Result{}, fmt.Errorf("legalize: %d macro groups but %d anchors / %d shapes",
 			len(clus.MacroGroups), len(in.Anchors), len(in.Shapes))
-	}
-	if in.MaxLPItems <= 0 {
-		in.MaxLPItems = 24
-	}
-	if in.Sweeps <= 0 {
-		in.Sweeps = 8
 	}
 
 	// Step 1: pin coarse macro-group nodes at their block centers and
@@ -107,7 +99,7 @@ func Macros(in Input) (Result, error) {
 	// projected so its rectangle stays inside the group block.
 	nodeNets := d.NodeNets()
 	movable := d.MovableMacroIndices()
-	for sweep := 0; sweep < in.Sweeps; sweep++ {
+	for sweep := 0; sweep < qpSweeps; sweep++ {
 		for _, m := range movable {
 			blk, ok := groupBlock(m)
 			if !ok {
@@ -170,7 +162,7 @@ func Macros(in Input) (Result, error) {
 				Weight: float64(len(nodeNets[m])) + 1,
 			}
 		}
-		RemoveOverlaps(items, blockRects[gi], in.MaxLPItems)
+		RemoveOverlaps(items, blockRects[gi])
 		for k, m := range ms {
 			n := &d.Nodes[m]
 			px, py := c.Pad(n.Name)

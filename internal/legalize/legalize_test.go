@@ -101,7 +101,7 @@ func TestRemoveOverlapsFeasible(t *testing.T) {
 		{W: 2, H: 2, X: 4, Y: 4.5, TX: 5, TY: 5, Weight: 1},
 		{W: 2, H: 2, X: 4.5, Y: 4.5, TX: 5, TY: 5, Weight: 1},
 	}
-	RemoveOverlaps(items, bounds, 24)
+	RemoveOverlaps(items, bounds)
 	if ov := overlapArea(items); ov > 1e-6 {
 		t.Errorf("residual overlap = %v", ov)
 	}
@@ -116,7 +116,7 @@ func TestRemoveOverlapsFeasible(t *testing.T) {
 func TestRemoveOverlapsSingleItemSnapsToTarget(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 10, 10)
 	items := []Item{{W: 2, H: 2, X: 0, Y: 0, TX: 7, TY: 8}}
-	RemoveOverlaps(items, bounds, 24)
+	RemoveOverlaps(items, bounds)
 	if items[0].X != 6 || items[0].Y != 7 {
 		t.Errorf("single item at (%v,%v), want centered on target (6,7)", items[0].X, items[0].Y)
 	}
@@ -133,7 +133,7 @@ func TestRemoveOverlapsRandomFeasibleProperty(t *testing.T) {
 			x, y := r.Range(0, 16), r.Range(0, 16)
 			items[i] = Item{W: w, H: h, X: x, Y: y, TX: x + w/2, TY: y + h/2, Weight: 1}
 		}
-		RemoveOverlaps(items, bounds, 24)
+		RemoveOverlaps(items, bounds)
 		// Total area ≤ 6×16 = 96 ≪ 400: always feasible.
 		if ov := overlapArea(items); ov > 1e-6 {
 			t.Fatalf("trial %d: residual overlap %v (items %+v)", trial, ov, items)
@@ -201,7 +201,7 @@ func legalizeFixture(t *testing.T, seed int64) (Input, *netlist.Design) {
 	}
 	gplace.InitialPlacement(d)
 	g := grid.New(d.Region, 8)
-	clus := cluster.Build(d, cluster.DefaultParams(g.CellArea()))
+	clus := cluster.Build(d, g.CellArea())
 	co := cluster.Coarsen(d, clus)
 	shapes := make([]grid.Shape, len(clus.MacroGroups))
 	for i := range clus.MacroGroups {

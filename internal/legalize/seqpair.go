@@ -222,12 +222,15 @@ func packAxis(n int, rel [][]bool, size, target []float64, lo, hi float64) []flo
 	return coord
 }
 
+// maxLPItems bounds the item count for which RemoveOverlaps attempts
+// the LP (the dense simplex scales cubically); larger sets go straight
+// to packing.
+const maxLPItems = 24
+
 // RemoveOverlaps legalizes the items inside bounds: sequence-pair
 // extraction, LP per axis (Eq. 3), packing fallback. Items are moved
-// in place. maxLP bounds the item count for which the LP is attempted
-// (the dense simplex scales cubically); larger sets go straight to
-// packing.
-func RemoveOverlaps(items []Item, bounds geom.Rect, maxLP int) {
+// in place.
+func RemoveOverlaps(items []Item, bounds geom.Rect) {
 	n := len(items)
 	if n == 0 {
 		return
@@ -254,7 +257,7 @@ func RemoveOverlaps(items []Item, bounds geom.Rect, maxLP int) {
 	}
 
 	var xs, ys []float64
-	if n <= maxLP {
+	if n <= maxLPItems {
 		xs = solveAxis(n, hor, ws, txs, wts, bounds.Lx, bounds.Ux)
 		ys = solveAxis(n, ver, hs, tys, wts, bounds.Ly, bounds.Uy)
 	}

@@ -55,7 +55,7 @@ type Config struct {
 	// Gamma is the number of explorations before committing each
 	// macro group (the paper's γ).
 	Gamma int
-	// C is the PUCT exploration constant (paper: 1.05).
+	// C is the PUCT exploration constant (0: DefaultC).
 	C float64
 	// Mode selects non-terminal evaluation.
 	Mode EvalMode
@@ -84,13 +84,16 @@ type Config struct {
 	FreshRoot bool
 }
 
+// DefaultC is the paper's PUCT exploration constant c of Eq. (11).
+const DefaultC = 1.05
+
 // Normalize fills defaults.
 func (c Config) Normalize() Config {
 	if c.Gamma <= 0 {
 		c.Gamma = 40
 	}
 	if c.C <= 0 {
-		c.C = 1.05
+		c.C = DefaultC
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.NumCPU()

@@ -101,17 +101,15 @@ type Config struct {
 	// Balance is the maximum fraction of total area either side may
 	// hold (default 0.55 — i.e. a 45/55 split tolerance).
 	Balance float64
-	// MaxPasses bounds FM passes (default 8).
-	MaxPasses int
-	Seed      int64
+	Seed    int64
 }
+
+// maxPasses bounds FM passes.
+const maxPasses = 8
 
 func (c Config) normalize() Config {
 	if c.Balance <= 0.5 || c.Balance > 1 {
 		c.Balance = 0.55
-	}
-	if c.MaxPasses <= 0 {
-		c.MaxPasses = 8
 	}
 	return c
 }
@@ -158,7 +156,7 @@ func Bipartition(h *Hypergraph, cfg Config) Result {
 	}
 
 	res := Result{Part: part}
-	for pass := 0; pass < cfg.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		res.Passes = pass + 1
 		if !fmPass(h, part, &sideArea, maxSide) {
 			break

@@ -7,15 +7,15 @@ import (
 	"macroplace/internal/netlist"
 )
 
-// DetailedConfig tunes the detailed-placement optimizer.
-type DetailedConfig struct {
-	// Passes is the number of full sweeps (default 3).
-	Passes int
-	// WindowGap is the maximum same-row gap (in multiples of the
-	// narrower cell's width) across which two cells are considered
-	// swap candidates (default 8).
-	WindowGap float64
-}
+// The detailed-placement optimizer's fixed settings.
+const (
+	// detailedPasses is the number of full sweeps.
+	detailedPasses = 3
+	// windowGap is the maximum same-row gap, in multiples of the
+	// narrower cell's width, across which two cells are considered
+	// swap candidates.
+	windowGap = 8
+)
 
 // DetailedResult reports optimizer progress.
 type DetailedResult struct {
@@ -33,13 +33,7 @@ type DetailedResult struct {
 // wider cell must fit the vacated gap; such swaps are skipped).
 // Wirelength deltas use the incremental evaluator, so each probe costs
 // only the incident nets.
-func OptimizeDetailed(d *netlist.Design, cfg DetailedConfig) DetailedResult {
-	if cfg.Passes <= 0 {
-		cfg.Passes = 3
-	}
-	if cfg.WindowGap <= 0 {
-		cfg.WindowGap = 8
-	}
+func OptimizeDetailed(d *netlist.Design) DetailedResult {
 	ev := netlist.NewIncrementalHPWL(d)
 	res := DetailedResult{HPWLBefore: ev.Total()}
 
@@ -57,7 +51,7 @@ func OptimizeDetailed(d *netlist.Design, cfg DetailedConfig) DetailedResult {
 	}
 	sort.Float64s(rowKeys)
 
-	for pass := 0; pass < cfg.Passes; pass++ {
+	for pass := 0; pass < detailedPasses; pass++ {
 		improved := false
 		for _, y := range rowKeys {
 			cells := rows[y]
@@ -68,7 +62,7 @@ func OptimizeDetailed(d *netlist.Design, cfg DetailedConfig) DetailedResult {
 					b := cells[j]
 					na, nb := &d.Nodes[a], &d.Nodes[b]
 					gap := nb.X - (na.X + na.W)
-					if gap > cfg.WindowGap*math.Min(na.W, nb.W) {
+					if gap > windowGap*math.Min(na.W, nb.W) {
 						break // too far; later cells are farther still
 					}
 					// Equal widths exchange spans exactly (safe at any

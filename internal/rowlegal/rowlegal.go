@@ -18,14 +18,9 @@ import (
 	"macroplace/internal/netlist"
 )
 
-// Config tunes the legalizer.
-type Config struct {
-	// RowHeight overrides the row height (0: dominant cell height).
-	RowHeight float64
-	// MaxRowSearch bounds how many rows above/below the desired row
-	// are examined per cell (default 24).
-	MaxRowSearch int
-}
+// maxRowSearch bounds how many rows above and below the desired row
+// Legalize examines per cell.
+const maxRowSearch = 24
 
 // Result reports legalization quality.
 type Result struct {
@@ -49,11 +44,12 @@ type segment struct {
 }
 
 // Legalize snaps every movable cell of d onto rows. Macros and fixed
-// nodes are obstacles. It mutates d.
-func Legalize(d *netlist.Design, cfg Config) (Result, error) {
+// nodes are obstacles. Rows are d.Phys's when it carries a row height
+// and the dominant cell height otherwise. It mutates d.
+func Legalize(d *netlist.Design) (Result, error) {
 	phys := d.Phys
-	rowH := cfg.RowHeight
-	if rowH <= 0 && phys != nil && phys.RowHeight > 0 {
+	var rowH float64
+	if phys != nil && phys.RowHeight > 0 {
 		// DEF designs carry the real row geometry; honour it so the
 		// emitted placement sits on the design's own rows.
 		rowH = phys.RowHeight
@@ -63,9 +59,6 @@ func Legalize(d *netlist.Design, cfg Config) (Result, error) {
 	}
 	if rowH <= 0 {
 		return Result{}, fmt.Errorf("rowlegal: no cells to derive a row height from")
-	}
-	if cfg.MaxRowSearch <= 0 {
-		cfg.MaxRowSearch = 24
 	}
 	originY := d.Region.Ly
 	if phys != nil && phys.RowHeight > 0 && phys.RowOriginY > d.Region.Ly && phys.RowOriginY < d.Region.Uy {
@@ -148,7 +141,7 @@ func Legalize(d *netlist.Design, cfg Config) (Result, error) {
 		bestCost := math.Inf(1)
 		var bestSeg *segment
 		var bestX float64
-		for dr := 0; dr <= cfg.MaxRowSearch; dr++ {
+		for dr := 0; dr <= maxRowSearch; dr++ {
 			for _, r := range []int{desiredRow - dr, desiredRow + dr} {
 				if r < 0 || r >= nRows || (dr == 0 && r != desiredRow) {
 					continue

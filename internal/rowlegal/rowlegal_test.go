@@ -19,7 +19,7 @@ func TestLegalizeSimpleRow(t *testing.T) {
 			W: 6, H: 12, X: 10, Y: 3,
 		})
 	}
-	res, err := Legalize(d, Config{})
+	res, err := Legalize(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestLegalizeAvoidsMacros(t *testing.T) {
 			W: 5, H: 12, X: 15, Y: 6,
 		})
 	}
-	res, err := Legalize(d, Config{})
+	res, err := Legalize(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestLegalizeGeneratedDesign(t *testing.T) {
 	}
 	gplace.Place(d, gplace.Config{Mode: gplace.MoveAll, Iterations: 6})
 	before := d.HPWL()
-	res, err := Legalize(d, Config{})
+	res, err := Legalize(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestLegalizeGeneratedDesign(t *testing.T) {
 func TestLegalizeErrorsWithoutCells(t *testing.T) {
 	d := &netlist.Design{Region: geom.NewRect(0, 0, 10, 10)}
 	d.AddNode(netlist.Node{Name: "m", Kind: netlist.Macro, W: 2, H: 2})
-	if _, err := Legalize(d, Config{}); err == nil {
+	if _, err := Legalize(d); err == nil {
 		t.Error("design without cells should error (no row height)")
 	}
 }
@@ -105,7 +105,7 @@ func TestLegalizeErrorsWithoutCells(t *testing.T) {
 func TestLegalizeRegionTooSmall(t *testing.T) {
 	d := &netlist.Design{Region: geom.NewRect(0, 0, 10, 5)}
 	d.AddNode(netlist.Node{Name: "c", Kind: netlist.Cell, W: 2, H: 12})
-	if _, err := Legalize(d, Config{}); err == nil {
+	if _, err := Legalize(d); err == nil {
 		t.Error("region shorter than one row should error")
 	}
 }
@@ -127,12 +127,12 @@ func TestOptimizeDetailedImprovesHPWL(t *testing.T) {
 		t.Fatal(err)
 	}
 	gplace.Place(d, gplace.Config{Mode: gplace.MoveAll, Iterations: 6})
-	if _, err := Legalize(d, Config{}); err != nil {
+	if _, err := Legalize(d); err != nil {
 		t.Fatal(err)
 	}
 	before := d.HPWL()
 	ovBefore := CellOverlap(d)
-	res := OptimizeDetailed(d, DetailedConfig{})
+	res := OptimizeDetailed(d)
 	if res.HPWLAfter > res.HPWLBefore {
 		t.Errorf("detailed placement worsened HPWL: %v -> %v", res.HPWLBefore, res.HPWLAfter)
 	}
@@ -160,7 +160,7 @@ func TestTrySwapUnequalWidths(t *testing.T) {
 	// wide wants to be right, narrow wants left.
 	d.AddNet(netlist.Net{Name: "a", Pins: []netlist.Pin{{Node: wide}, {Node: padR}}})
 	d.AddNet(netlist.Net{Name: "b", Pins: []netlist.Pin{{Node: narrow}, {Node: padL}}})
-	res := OptimizeDetailed(d, DetailedConfig{})
+	res := OptimizeDetailed(d)
 	if res.SwapsApplied != 1 {
 		t.Fatalf("swaps = %d, want 1", res.SwapsApplied)
 	}

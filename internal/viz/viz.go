@@ -18,11 +18,12 @@ import (
 // cmPool recycles congestion-overlay demand buffers across renders.
 var cmPool = sync.Pool{New: func() any { return new(metrics.CongestionMap) }}
 
+// widthPx is the image width in pixels; the height follows the
+// region's aspect ratio.
+const widthPx = 800
+
 // Options controls the rendering.
 type Options struct {
-	// WidthPx is the image width in pixels (default 800; height
-	// follows the region aspect ratio).
-	WidthPx int
 	// ShowCells draws standard cells (can be slow for 100k+ cells).
 	ShowCells bool
 	// ShowGrid overlays the ζ×ζ partition.
@@ -34,9 +35,6 @@ type Options struct {
 }
 
 func (o Options) normalize() Options {
-	if o.WidthPx <= 0 {
-		o.WidthPx = 800
-	}
 	if o.Zeta <= 0 {
 		o.Zeta = 16
 	}
@@ -50,7 +48,7 @@ func WriteSVG(w io.Writer, d *netlist.Design, opts Options) error {
 	if reg.W() <= 0 || reg.H() <= 0 {
 		return fmt.Errorf("viz: empty region")
 	}
-	scale := float64(opts.WidthPx) / reg.W()
+	scale := widthPx / reg.W()
 	heightPx := int(reg.H() * scale)
 
 	// SVG y grows downward; flip placement y.
@@ -65,8 +63,8 @@ func WriteSVG(w io.Writer, d *netlist.Design, opts Options) error {
 	}
 
 	p(`<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		opts.WidthPx, heightPx, opts.WidthPx, heightPx)
-	p(`<rect width="%d" height="%d" fill="#fafafa" stroke="#333"/>`+"\n", opts.WidthPx, heightPx)
+		widthPx, heightPx, widthPx, heightPx)
+	p(`<rect width="%d" height="%d" fill="#fafafa" stroke="#333"/>`+"\n", widthPx, heightPx)
 
 	if opts.Congestion {
 		// Congestion overlays are re-rendered per experiment frame;
@@ -100,7 +98,7 @@ func WriteSVG(w io.Writer, d *netlist.Design, opts Options) error {
 		stepY := reg.H() / float64(opts.Zeta) * scale
 		for i := 1; i < opts.Zeta; i++ {
 			p(`<line x1="0" y1="%.1f" x2="%d" y2="%.1f" stroke="#ddd"/>`+"\n",
-				float64(i)*stepY, opts.WidthPx, float64(i)*stepY)
+				float64(i)*stepY, widthPx, float64(i)*stepY)
 		}
 	}
 

@@ -121,13 +121,15 @@ func SearchWithAgentContext(ctx context.Context, p *Placer, ag *Agent, cfg MCTSC
 }
 
 // DefaultOptions returns a CPU-friendly configuration: ζ=16, a reduced
-// agent tower, 120 training episodes, 24 explorations per macro group.
-// For the paper-exact network shape set Agent to PaperAgent.
+// agent tower, 120 training episodes, 24 explorations per macro group
+// on one search worker, so a run is bit-reproducible. For the
+// paper-exact network shape set Agent to PaperAgent; for parallel
+// search raise MCTS.Workers.
 func DefaultOptions() Options {
 	return Options{
 		Zeta: 16,
 		RL:   RLConfig{Episodes: 120},
-		MCTS: MCTSConfig{Gamma: 24},
+		MCTS: MCTSConfig{Gamma: 24, Workers: 1},
 		Seed: 1,
 	}
 }

@@ -125,6 +125,11 @@ func TestDefaultOptions(t *testing.T) {
 	if o.Zeta != 16 || o.RL.Episodes != 120 || o.MCTS.Gamma != 24 {
 		t.Errorf("DefaultOptions = %+v", o)
 	}
+	// One search worker: 0 would mean every CPU, and a multi-worker
+	// search is not bit-reproducible.
+	if o.MCTS.Workers != 1 {
+		t.Errorf("DefaultOptions MCTS.Workers = %d, want 1", o.MCTS.Workers)
+	}
 	pa := PaperAgent(40, 1)
 	if pa.Channels != 128 || pa.ResBlocks != 10 {
 		t.Errorf("PaperAgent = %+v", pa)
@@ -294,27 +299,5 @@ func TestCongestionWeightOptionRuns(t *testing.T) {
 	}
 	if res.Final.HPWL <= 0 {
 		t.Error("congestion-aware flow produced no placement")
-	}
-}
-
-func TestCommittedPathOnlyOption(t *testing.T) {
-	d, err := GenerateIBM("ibm01", 0.015, 34)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := quickOpts()
-	opts.CommittedPathOnly = true
-	res, err := Place(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The committed-path result must equal the search's own trace.
-	if len(res.Final.Anchors) != len(res.Search.Anchors) {
-		t.Fatal("anchor lengths differ")
-	}
-	for i := range res.Final.Anchors {
-		if res.Final.Anchors[i] != res.Search.Anchors[i] {
-			t.Fatal("CommittedPathOnly did not ship the committed path")
-		}
 	}
 }
