@@ -390,10 +390,11 @@ func main() {
 	}
 }
 
-// runAgentFiles is the single flow with -loadagent (search with a
-// pre-trained agent, skipping RL) or -saveagent (keep the trained
-// agent). Agent files have no daemon equivalent, so this path drives
-// the core flow directly, with the spec's own options.
+// runAgentFiles is the single flow with -loadagent (the flow after
+// pre-training, with a pre-trained agent) or -saveagent (keep the
+// trained agent). Agent files have no daemon equivalent, so this path
+// drives the core flow directly, with the spec's own options; a loaded
+// agent reports what the run that saved it reported.
 func runAgentFiles(ctx context.Context, sp serve.Spec, d *netlist.Design, load, save string) (*serve.Result, *netlist.Design, error) {
 	p, err := macroplace.NewPlacer(d, sp.Options())
 	if err != nil {
@@ -418,12 +419,9 @@ func runAgentFiles(ctx context.Context, sp serve.Spec, d *netlist.Design, load, 
 			return nil, nil, fmt.Errorf("agent %s has shape %s, this run needs %s", load, shape(got), shape(want))
 		}
 		p.Agent.CopyWeightsFrom(ag)
-		search := p.RunMCTSContext(ctx)
-		final, err := p.FinalizeContext(ctx, search.Anchors)
-		if err != nil {
+		if res, err = p.PlaceTrainedContext(ctx); err != nil {
 			return nil, nil, err
 		}
-		res = &macroplace.Result{Final: final, RLFinal: final, Search: search}
 	} else if res, err = p.PlaceContext(ctx); err != nil {
 		return nil, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -217,5 +218,27 @@ func TestSaveAgentReportsCacheCounters(t *testing.T) {
 	}
 	if res.CacheMisses == 0 {
 		t.Errorf("eval cache %d hits / %d misses, want misses > 0", res.CacheHits, res.CacheMisses)
+	}
+}
+
+// TestLoadAgentShipsWhatTheFlowShips: a -loadagent run plays the flow
+// after pre-training with the saved weights, so it reports the saving
+// run's HPWL and RL-only HPWL bit for bit. It used to finalize the
+// committed search path alone and report that HPWL as both.
+func TestLoadAgentShipsWhatTheFlowShips(t *testing.T) {
+	const cmdline = "-bench ibm03 -scale 0.02 -seed 5 -zeta 8 -episodes 20 -gamma 8 -workers 1 -channels 8 -resblocks 1"
+	ckpt := filepath.Join(t.TempDir(), "ibm03.ckpt")
+	saved, err := agentRun(t, cmdline, "", ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := agentRun(t, cmdline, ckpt, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(loaded.HPWL) != math.Float64bits(saved.HPWL) ||
+		math.Float64bits(loaded.RLHPWL) != math.Float64bits(saved.RLHPWL) {
+		t.Errorf("loaded agent: HPWL %v, RL-only %v; the saving run: %v, %v",
+			loaded.HPWL, loaded.RLHPWL, saved.HPWL, saved.RLHPWL)
 	}
 }

@@ -103,7 +103,7 @@ func Build(d *netlist.Design, gridArea float64) *Clustering {
 	cells := d.CellIndices()
 
 	mg := greedyMerge(d, macros, nodeNets, gridArea)
-	cg := matchMerge(d, cells, gridArea)
+	cg := matchMerge(d, cells, nodeNets, gridArea)
 
 	c := &Clustering{MacroGroups: mg, CellGroups: cg}
 	c.GroupOf = make([]int, len(d.Nodes))
@@ -344,8 +344,7 @@ func finalize(groups []*workGroup) []Group {
 // highest-φ disjoint pairs, then rebuilds candidates between passes.
 // Passes stop when every group exceeds the grid area, no pair scores
 // above nu, or a pass makes no merge.
-func matchMerge(d *netlist.Design, nodes []int, gridArea float64) []Group {
-	nodeNets := d.NodeNets()
+func matchMerge(d *netlist.Design, nodes []int, nodeNets [][]int, gridArea float64) []Group {
 	groups := make([]*workGroup, len(nodes))
 	groupOf := make(map[int]int, len(nodes)) // node -> group index
 	for i, n := range nodes {

@@ -20,7 +20,6 @@ import (
 	"macroplace/internal/grid"
 	"macroplace/internal/legalize"
 	"macroplace/internal/mcts"
-	"macroplace/internal/metrics"
 	"macroplace/internal/netlist"
 	"macroplace/internal/rl"
 	"macroplace/internal/rng"
@@ -53,13 +52,6 @@ type Options struct {
 	// the final analytical cell placement (Tetris legalization),
 	// yielding a fully legal placement at some wirelength cost.
 	LegalizeCells bool
-	// CongestionWeight, when positive, blends RUDY congestion into
-	// the allocation cost: cost = wHPWL × (1 + weight × overflow),
-	// where overflow is the fraction of coarse-grid bins whose RUDY
-	// demand exceeds twice the mean. This is the routability-driven
-	// extension the paper's citations ([7], [15], [23]) motivate; 0
-	// reproduces the paper's pure-wirelength objective.
-	CongestionWeight float64
 	// EvalCacheSize bounds the LRU evaluation cache that the MCTS and
 	// greedy-playout stages share: repeated evaluations of the same
 	// placement state (transpositions, the greedy episode's states
@@ -166,7 +158,8 @@ type Result struct {
 
 // Placer orchestrates the flow on one design. Construct with New;
 // stages may be run individually (Preprocess → Pretrain → RunMCTS →
-// Finalize) or all at once with Place.
+// Finalize), all at once with Place, or all after pre-training with
+// PlaceTrainedContext.
 type Placer struct {
 	Opts Options
 	// Work is the mutable working copy of the input design; final
@@ -192,9 +185,8 @@ type Placer struct {
 	// penalty.
 	baseUtil  []float64
 	groupArea float64
-	// utilScratch and cmScratch are reused by EvalAnchors.
+	// utilScratch is reused by EvalAnchors.
 	utilScratch []float64
-	cmScratch   *metrics.CongestionMap
 	// evalCache is the shared post-training evaluation cache (see
 	// Options.EvalCacheSize); nil until searchEvaluator builds it.
 	evalCache *agent.CachedEvaluator
@@ -319,8 +311,9 @@ func (p *Placer) Preprocess() error {
 // EvalAnchors is the fast wirelength oracle used by both RL training
 // and MCTS (Alg. 1 lines 7–8 on the coarsened netlist): macro groups
 // are pinned at the centers of their allocated grid blocks, cell
-// groups are re-placed by QP, and the weighted HPWL of the coarse
-// netlist is returned.
+// groups are re-placed by one QP solve, and the weighted HPWL of the
+// coarse netlist is returned, charged for grid overflow
+// (OverflowCost).
 //
 // Substitution note (DESIGN.md): the paper runs full macro
 // legalization + DREAMPlace here; the coarse QP preserves the ordering
@@ -333,15 +326,7 @@ func (p *Placer) EvalAnchors(anchors []int) float64 {
 		p.Coarse.Design.Nodes[gi].SetCenter(c.X, c.Y)
 	}
 	p.coarsePlacer.PlaceQuadraticOnly()
-	cost := p.OverflowCost(p.Coarse.Design.WeightedHPWL(), anchors)
-	if p.Opts.CongestionWeight > 0 {
-		// Called once per reward evaluation; accumulate into the
-		// placer-owned map instead of allocating ζ² bins per call.
-		p.cmScratch = metrics.RUDYInto(p.cmScratch, p.Coarse.Design, p.Opts.Zeta)
-		cm := p.cmScratch
-		cost *= 1 + p.Opts.CongestionWeight*cm.OverflowRatio(2*cm.Mean())
-	}
-	return cost
+	return p.OverflowCost(p.Coarse.Design.WeightedHPWL(), anchors)
 }
 
 // baseEvaluator returns the clean evaluator (shared LRU cache over the
@@ -577,8 +562,18 @@ func (p *Placer) PlaceContext(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 	}
-	trainer := p.PretrainContext(ctx)
+	p.PretrainContext(ctx)
+	return p.PlaceTrainedContext(ctx)
+}
 
+// PlaceTrainedContext is PlaceContext after pre-training, on a
+// preprocessed placer whose agent holds its weights already (trained
+// by PretrainContext, or copied from a checkpoint): the greedy
+// episode and its RL-only finalize, the search, the selection among
+// its candidates and the final finalize. A loaded agent thus ships
+// what the trained one would. Result.History is the trainer's, empty
+// when the placer never pre-trained.
+func (p *Placer) PlaceTrainedContext(ctx context.Context) (*Result, error) {
 	// RL-only result (greedy policy), for the comparisons of Fig. 5.
 	// Routed through the shared evaluation cache: the search's root
 	// explores the same opening states the greedy episode visits, so
@@ -616,13 +611,11 @@ func (p *Placer) PlaceContext(ctx context.Context) (*Result, error) {
 		p.Opts.OnIncumbent(final.HPWL)
 	}
 
-	return &Result{
-		Final:   final,
-		RLFinal: rlFinal,
-		Search:  search,
-		History: trainer.History,
-		Times:   p.times,
-	}, nil
+	res := &Result{Final: final, RLFinal: rlFinal, Search: search, Times: p.times}
+	if p.Trainer != nil {
+		res.History = p.Trainer.History
+	}
+	return res, nil
 }
 
 // Times returns per-stage wall-clock durations accumulated so far.

@@ -414,7 +414,8 @@ func enumerateMoves(p *core.Placer, cur []int, out []move) []move {
 
 // movePriors derives PUCT priors for the move menu from the policy
 // network: one evaluation per group — state ⟨s_p without group g,
-// availability of g's shape, t = g⟩ — looked up in the shared cache
+// availability of g's shape under it (Eq. (4) as the environment
+// computes it, fence included), t = g⟩ — looked up in the shared cache
 // (deterministic states, so a warm repeat of the same delta replays
 // these as hits). A shift move's prior is the policy mass at its
 // target anchor; a swap averages the two groups' masses at each
@@ -423,8 +424,7 @@ func movePriors(p *core.Placer, evaluator *agent.CachedEvaluator, cur []int, mov
 	in := make([]agent.BatchInput, len(cur))
 	for gi := range cur {
 		sp := spWithout(p, cur, gi)
-		sa := availFor(p, sp, gi)
-		in[gi] = agent.BatchInput{SP: sp, SA: sa, T: gi}
+		in[gi] = agent.BatchInput{SP: sp, SA: p.Env.GroupAvailInto(nil, gi, sp), T: gi}
 	}
 	outs := make([]agent.Output, len(in))
 	evaluator.EvaluateBatchInto(in, outs)
@@ -472,36 +472,6 @@ func spWithout(p *core.Placer, cur []int, gi int) []float64 {
 		}
 	}
 	return sp
-}
-
-// availFor computes Eq. (4)'s availability map for group gi's shape
-// under sp — the same geometric-mean construction grid.Env.Avail uses.
-func availFor(p *core.Placer, sp []float64, gi int) []float64 {
-	g := p.Grid
-	s := &p.Shapes[gi]
-	out := make([]float64, g.NumCells())
-	inv := 1.0 / float64(s.GW*s.GH)
-	for gy := 0; gy+s.GH <= g.Zeta; gy++ {
-		for gx := 0; gx+s.GW <= g.Zeta; gx++ {
-			var logSum float64
-			zero := false
-			for r := 0; r < s.GH && !zero; r++ {
-				row := (gy+r)*g.Zeta + gx
-				for c := 0; c < s.GW; c++ {
-					f := (1 - s.Util[r*s.GW+c]) * (1 - sp[row+c])
-					if f <= 0 {
-						zero = true
-						break
-					}
-					logSum += math.Log(f)
-				}
-			}
-			if !zero {
-				out[g.Index(gx, gy)] = math.Exp(logSum * inv)
-			}
-		}
-	}
-	return out
 }
 
 func anchorsEqual(a, b []int) bool {

@@ -1,7 +1,11 @@
 // Package gplace implements analytical global placement: a bound-to-
 // bound (B2B) quadratic wirelength model solved with preconditioned
 // conjugate gradients, interleaved with FastPlace/SimPL-style
-// rough-legalization spreading and growing pseudo-net anchors.
+// rough-legalization spreading and growing pseudo-net anchors. The
+// B2B model is linearized once, at the starting positions: assembly
+// reads the design's node positions, which only the final commit
+// writes, so every round of a placement keeps the same springs and
+// only the anchors move.
 //
 // In the paper's flow this engine stands in for two external tools:
 //
@@ -180,12 +184,7 @@ func (p *Placer) PlaceContext(ctx context.Context) Result {
 	if nv == 0 {
 		return Result{HPWL: d.HPWL()}
 	}
-	// Load current centers as the starting state.
-	for v, ni := range p.movable {
-		c := d.Nodes[ni].Center()
-		p.x[v], p.y[v] = c.X, c.Y
-		p.tx[v], p.ty[v] = c.X, c.Y
-	}
+	p.load()
 
 	var overflow float64
 	done := 0
@@ -211,25 +210,31 @@ func (p *Placer) PlaceContext(ctx context.Context) Result {
 	return Result{HPWL: d.HPWL(), Iterations: done, Overflow: overflow}
 }
 
-// PlaceQuadraticOnly runs a single unconstrained quadratic solve (no
+// PlaceQuadraticOnly runs one unconstrained quadratic solve (no
 // spreading) — the cheap QP used by macro legalization and the reward
-// loop on coarsened netlists.
+// loop on coarsened netlists. The B2B model is linearized at the
+// loaded positions, which only commit changes, so solving it again
+// would rebuild the same system and return at CG iteration 0
+// (TestSecondSolveIsANoOp).
 func (p *Placer) PlaceQuadraticOnly() Result {
 	d := p.d
 	if len(p.movable) == 0 {
 		return Result{HPWL: d.HPWL()}
 	}
+	p.load()
+	p.solveQuadratic(0)
+	p.commit()
+	return Result{HPWL: d.HPWL(), Iterations: 1}
+}
+
+// load reads the node centers into the variables and the spread
+// targets: the starting state of every solve.
+func (p *Placer) load() {
 	for v, ni := range p.movable {
-		c := d.Nodes[ni].Center()
+		c := p.d.Nodes[ni].Center()
 		p.x[v], p.y[v] = c.X, c.Y
 		p.tx[v], p.ty[v] = c.X, c.Y
 	}
-	// Two B2B refinement rounds: solve, rebuild the model around the
-	// new solution, solve again.
-	p.solveQuadratic(0)
-	p.solveQuadratic(0)
-	p.commit()
-	return Result{HPWL: d.HPWL(), Iterations: 2}
 }
 
 // commit writes variable centers back to node lower-left corners,
@@ -244,9 +249,10 @@ func (p *Placer) commit() {
 	}
 }
 
-// solveQuadratic builds the B2B model at the current positions (plus
-// anchor pseudo-nets of weight anchorW toward the spread targets) and
-// solves both axes. anchorW is relative to the average connectivity
+// solveQuadratic builds the B2B model at the design's node positions
+// (not at the solution in progress; see the package doc) plus anchor
+// pseudo-nets of weight anchorW toward the spread targets, and solves
+// both axes. anchorW is relative to the average connectivity
 // strength, so spreading forces stay commensurate with wirelength
 // forces regardless of design scale.
 //

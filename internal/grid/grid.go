@@ -399,22 +399,25 @@ func (e *Env) Avail() []float64 {
 // buffer is rewritten, including the zero entries Avail leaves
 // untouched in its freshly allocated output.
 func (e *Env) AvailInto(dst []float64) []float64 {
-	n := e.G.NumCells()
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	out := dst[:n]
-	for i := range out {
-		out[i] = 0
-	}
 	if e.Done() {
-		return out
+		return cleared(dst, e.G.NumCells())
 	}
-	s := &e.Shapes[e.t]
+	return e.GroupAvailInto(dst, e.t, e.sp)
+}
+
+// GroupAvailInto writes Eq. (4)'s availability map of group i's shape
+// under the utilization map sp into dst (grown as needed, resliced to
+// ζ² and wholly rewritten): the geometric mean, over the grids the
+// footprint covers, of (1 - s_m) · (1 - sp). Anchors the environment
+// refuses (FitsAt) score 0. AvailInto asks it for the current group
+// under s_p; ECO asks it for every group under the others' utilization.
+func (e *Env) GroupAvailInto(dst []float64, i int, sp []float64) []float64 {
+	out := cleared(dst, e.G.NumCells())
+	s := &e.Shapes[i]
 	inv := 1.0 / float64(s.GW*s.GH)
 	for gy := 0; gy+s.GH <= e.G.Zeta; gy++ {
 		for gx := 0; gx+s.GW <= e.G.Zeta; gx++ {
-			if e.hasFence && !e.fits(e.t, gx, gy) {
+			if e.hasFence && !e.fits(i, gx, gy) {
 				continue
 			}
 			// Geometric mean via log-sum for numerical stability.
@@ -423,7 +426,7 @@ func (e *Env) AvailInto(dst []float64) []float64 {
 			for r := 0; r < s.GH && !zero; r++ {
 				row := (gy+r)*e.G.Zeta + gx
 				for c := 0; c < s.GW; c++ {
-					f := (1 - s.Util[r*s.GW+c]) * (1 - e.sp[row+c])
+					f := (1 - s.Util[r*s.GW+c]) * (1 - sp[row+c])
 					if f <= 0 {
 						zero = true
 						break
@@ -437,6 +440,16 @@ func (e *Env) AvailInto(dst []float64) []float64 {
 		}
 	}
 	return out
+}
+
+// cleared returns dst resliced to n (grown as needed) and zeroed.
+func cleared(dst []float64, n int) []float64 {
+	if cap(dst) < n {
+		return make([]float64, n)
+	}
+	dst = dst[:n]
+	clear(dst)
+	return dst
 }
 
 // Step places the current group at anchor grid action and advances to

@@ -2,8 +2,8 @@
 // HPWL: RUDY routing-demand estimation (the congestion proxy used by
 // the routability-driven placers the paper cites, e.g. [7], [15],
 // [23]), macro displacement between two placements, density maps, and
-// a consolidated quality report used by the experiment drivers and the
-// congestion-aware extension.
+// a consolidated quality report that the CLI prints for every placed
+// design.
 package metrics
 
 import (
@@ -31,10 +31,10 @@ func RUDY(d *netlist.Design, bins int) *CongestionMap {
 }
 
 // RUDYInto is RUDY accumulating into a caller-owned CongestionMap, so
-// per-step congestion evaluation inside a search reuses one demand
-// buffer instead of allocating bins² floats per call. A nil cm (or one
-// whose Demand cannot hold bins²) is (re)allocated; otherwise cm is
-// reconfigured for this design and fully overwritten.
+// repeated renders reuse one demand buffer instead of allocating bins²
+// floats per call (viz pools its congestion overlays' maps). A nil cm
+// (or one whose Demand cannot hold bins²) is (re)allocated; otherwise
+// cm is reconfigured for this design and fully overwritten.
 func RUDYInto(cm *CongestionMap, d *netlist.Design, bins int) *CongestionMap {
 	if bins <= 0 {
 		bins = 32

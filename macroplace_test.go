@@ -285,19 +285,3 @@ func TestAgentCheckpointFacade(t *testing.T) {
 		t.Fatalf("loaded-agent search anchors %v, trained placer %v", res.Anchors, want.Anchors)
 	}
 }
-
-func TestCongestionWeightOptionRuns(t *testing.T) {
-	d, err := GenerateIBM("ibm03", 0.01, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := quickOpts()
-	opts.CongestionWeight = 1.5
-	res, err := Place(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Final.HPWL <= 0 {
-		t.Error("congestion-aware flow produced no placement")
-	}
-}

@@ -7,7 +7,8 @@
 # trainer's rollout workers (which read one draw tape and one agent's
 # weights) and replay workers (whose replicas share the agent's
 # weights), the analytical placer's two axis goroutines (and two
-# placers at once), the whole flow's golden (whose rollouts and split
+# placers at once, and the check that the reward oracle's system needs
+# one solve), the whole flow's golden (whose rollouts and split
 # solves run concurrently), and the daemon's worker pool. The cache,
 # agent, trainer and placer tests run ten times each, since one
 # interleaving proves little about shared state; the rest run once.
@@ -55,7 +56,7 @@ run -count=10 ./internal/rl/ TestUpdateGoldenAcrossGOMAXPROCS TestForcedDrawMism
 	TestRolloutPanicResurfaces TestOracleRunsOnCallerInEpisodeOrder
 run ./internal/rl/ TestUpdatePanicResurfaces
 run ./internal/rng/ TestTapeConcurrentReaders
-run -count=10 ./internal/gplace/ TestPlacementGolden TestCoincidentPinsGolden \
+run -count=10 ./internal/gplace/ TestPlacementGolden TestCoincidentPinsGolden TestSecondSolveIsANoOp \
 	TestQuadraticPanicResurfacesOnCaller TestSplitPanicWaitsForOtherHalf TestConcurrentPlacers
 run . TestFlowGolden
 run ./internal/serve/ TestDaemonE2E TestDaemonBitIdenticalToDirectRun \
