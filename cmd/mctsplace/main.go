@@ -99,7 +99,7 @@ func newFlags(fs *flag.FlagSet) *flags {
 	fs.BoolVar(&f.ecoRetrain, "eco-retrain", false, "force retraining in ECO mode even when warm state exists (retargets the warm entry's cache)")
 	fs.StringVar(&f.savePlace, "saveplacement", "", "file to persist the final movable-macro placement to (the prior a later -eco run consumes)")
 	fs.StringVar(&f.portfolio, "portfolio", "", "race these backends instead of running the single flow (comma-separated, or \"all\"); the best legal placement wins")
-	fs.Float64Var(&f.sp.Effort, "effort", 0, "portfolio backend budget scale in (0,1] (0 = full budget)")
+	fs.Float64Var(&f.sp.Effort, "effort", 0, "portfolio backend budget scale in (0,1] (0 = full budget); refused without -portfolio")
 	fs.DurationVar(&f.raceGrace, "race-grace", 0, "cancel race losers this long after the first finisher (0 = run every backend to completion, deterministic)")
 	fs.DurationVar(&f.timeout, "timeout", 0, "wall-clock budget; on expiry the job returns its best-so-far placement (0 = none)")
 	fs.StringVar(&f.ckpt, "checkpoint", "", "file to save a crash-safe MCTS search snapshot to after every commit step")
@@ -431,18 +431,7 @@ func runAgentFiles(ctx context.Context, sp serve.Spec, d *netlist.Design, load, 
 		}
 		fmt.Printf("saved agent checkpoint to %s\n", save)
 	}
-	return &serve.Result{
-		Design:       d.Name,
-		HPWL:         res.Final.HPWL,
-		RLHPWL:       res.RLFinal.HPWL,
-		MacroOverlap: res.Final.MacroOverlap,
-		Explorations: res.Search.Explorations,
-		CacheHits:    res.Search.CacheHits,
-		CacheMisses:  res.Search.CacheMisses,
-		Interrupted:  res.Search.Interrupted || ctx.Err() != nil,
-		Anchors:      res.Final.Anchors,
-		WallSeconds:  time.Since(start).Seconds(),
-	}, p.Work, nil
+	return serve.FlowResult(ctx, d.Name, res, start), p.Work, nil
 }
 
 // report prints the job's result: the race leaderboard, the ECO or

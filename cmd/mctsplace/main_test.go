@@ -135,8 +135,8 @@ func TestWorkersDefaultIsSequential(t *testing.T) {
 		if w := sp.Options().MCTS.Workers; w != 1 {
 			t.Errorf("%s: flow workers = %d, want 1", cmdline, w)
 		}
-		if w := sp.PortfolioOptions().Workers; w != 1 {
-			t.Errorf("%s: race workers = %d, want 1", cmdline, w)
+		if w := sp.PortfolioOptions().Flow().MCTS.Workers; w != 1 {
+			t.Errorf("%s: race's mcts backend workers = %d, want 1", cmdline, w)
 		}
 	}
 }
@@ -144,7 +144,7 @@ func TestWorkersDefaultIsSequential(t *testing.T) {
 // TestConflictingModesRefusedLikeTheDaemon: command lines that combine
 // job classes the daemon refuses fail with the daemon's own message
 // instead of silently running one class and ignoring the other flag;
-// so does a network too large to allocate.
+// so do a network too large to allocate and -effort without a race.
 func TestConflictingModesRefusedLikeTheDaemon(t *testing.T) {
 	dir := t.TempDir()
 	prior := filepath.Join(dir, "p.json")
@@ -157,6 +157,7 @@ func TestConflictingModesRefusedLikeTheDaemon(t *testing.T) {
 		{"-bench ibm01 -eco -prior " + prior + " -resume",
 			`{"bench":"ibm01","eco":{"prior":{"m0":[1,2]}},"resume":{}}`},
 		{"-bench ibm01 -zeta 128", `{"bench":"ibm01","zeta":128}`},
+		{"-bench ibm01 -effort 0.1", `{"bench":"ibm01","effort":0.1}`},
 	} {
 		_, err := parseSpec(t, tc.cmdline)
 		want := daemonSpec(t, tc.spec).Validate()

@@ -452,23 +452,10 @@ func movePriors(p *core.Placer, evaluator *agent.CachedEvaluator, cur []int, mov
 // their cur anchors) over the pre-placed-macro base utilization —
 // the state the policy sees when asked where group gi belongs.
 func spWithout(p *core.Placer, cur []int, gi int) []float64 {
-	g := p.Grid
-	sp := make([]float64, g.NumCells())
-	copy(sp, p.BaseUtil())
+	sp := append([]float64(nil), p.BaseUtil()...)
 	for gj := range cur {
-		if gj == gi {
-			continue
-		}
-		s := &p.Shapes[gj]
-		gx, gy := g.Coords(cur[gj])
-		for r := 0; r < s.GH; r++ {
-			row := (gy+r)*g.Zeta + gx
-			for c := 0; c < s.GW; c++ {
-				sp[row+c] += s.Util[r*s.GW+c]
-				if sp[row+c] > 1 {
-					sp[row+c] = 1
-				}
-			}
+		if gj != gi {
+			p.Grid.AddShape(sp, &p.Shapes[gj], cur[gj])
 		}
 	}
 	return sp

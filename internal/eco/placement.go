@@ -47,15 +47,6 @@ func WritePlacementWire(path, design string, macros map[string][2]float64) error
 	return atomicio.WriteFileBytes(path, append(data, '\n'))
 }
 
-// ReadPlacement loads a placement.json into the prior map Run takes.
-func ReadPlacement(path string) (map[string]geom.Point, error) {
-	macros, err := ReadPlacementWire(path)
-	if err != nil {
-		return nil, err
-	}
-	return PriorFromWire(macros)
-}
-
 // ReadPlacementWire loads a placement.json's macro centers in wire
 // form (the inline prior an ECO job spec carries).
 func ReadPlacementWire(path string) (map[string][2]float64, error) {

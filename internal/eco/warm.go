@@ -127,19 +127,8 @@ func (s *WarmStore) Store(key uint64, e *Entry) {
 	s.stamp[key] = s.clock
 }
 
-// Invalidate drops the entry for key — the explicit path when warm
-// state must not survive (an external retrain, a poisoned cache).
-func (s *WarmStore) Invalidate(key uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
-		delete(s.entries, key)
-		delete(s.stamp, key)
-		obsWarmInvalidations.Inc()
-	}
-}
-
-// InvalidateAll empties the store.
+// InvalidateAll empties the store — the explicit path when warm state
+// must not survive (an external retrain, a poisoned cache).
 func (s *WarmStore) InvalidateAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -17,7 +17,8 @@ type AlphaPoint struct {
 	// FinalWL is the final-quarter mean episode wirelength.
 	FinalWL float64
 	// MCTSWL is the post-optimization wirelength with the trained
-	// agent.
+	// agent: the better of the committed path and the best terminal
+	// (mcts.Result.BestWirelength).
 	MCTSWL float64
 }
 
@@ -77,11 +78,7 @@ func AlphaSweep(cfg Config, alphas []float64) (*AlphaSweepResult, error) {
 			pt.FinalWL += st.Wirelength
 		}
 		pt.FinalWL /= float64(n - n*3/4)
-		search := p.RunMCTS()
-		pt.MCTSWL = search.Wirelength
-		if len(search.BestAnchors) > 0 && search.BestWirelength < pt.MCTSWL {
-			pt.MCTSWL = search.BestWirelength
-		}
+		pt.MCTSWL = p.RunMCTS().BestWirelength
 		res.Points = append(res.Points, pt)
 		cfg.logf("alpha %v meanReward=%.3f finalWL=%.0f mctsWL=%.0f (%d/%d)",
 			alpha, pt.MeanReward, pt.FinalWL, pt.MCTSWL, i+1, len(alphas))

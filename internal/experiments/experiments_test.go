@@ -3,7 +3,11 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"macroplace"
+	"macroplace/internal/serve"
 )
 
 // quick returns the CI-scale config, optionally logging to stderr when
@@ -275,5 +279,42 @@ func TestStandardPresetSane(t *testing.T) {
 	c2 := Quick()
 	if c2.Scale >= c.Scale {
 		t.Error("Quick preset should be smaller than Standard")
+	}
+}
+
+// TestOneDefaultJob pins the one derivation of a flow job
+// (portfolio.Options.Flow): a daemon or CLI job (serve.Spec.Options),
+// the race's mcts backend and, for zero knobs, the facade's
+// DefaultOptions derive the same core options, and the experiment
+// drivers differ from them only in the training and search seed
+// streams the committed tables were recorded with.
+func TestOneDefaultJob(t *testing.T) {
+	for _, sp := range []serve.Spec{
+		{},
+		{Seed: 7, Zeta: 8, Episodes: 20, Gamma: 8, Workers: 2, Channels: 4, ResBlocks: 1},
+		{Seed: -3, Episodes: 40, ResBlocks: 3},
+	} {
+		flow := sp.Options()
+		if race := sp.PortfolioOptions().Flow(); !reflect.DeepEqual(flow, race) {
+			t.Errorf("%+v: flow job %+v, race's mcts backend %+v", sp, flow, race)
+		}
+		if reflect.DeepEqual(sp, serve.Spec{}) {
+			if def := macroplace.DefaultOptions(); !reflect.DeepEqual(flow, def) {
+				t.Errorf("flow job %+v, DefaultOptions %+v", flow, def)
+			}
+		}
+		cfg := Config{
+			Seed: flow.Seed, Zeta: sp.Zeta, Episodes: sp.Episodes, Gamma: sp.Gamma,
+			Workers: sp.Workers, Channels: sp.Channels, ResBlocks: sp.ResBlocks,
+		}.normalize()
+		exp := cfg.coreOptions(0)
+		if exp.RL.Seed != flow.Seed+200 || exp.MCTS.Seed != flow.Seed+300 {
+			t.Errorf("%+v: experiment seed streams %d, %d, want %d, %d",
+				sp, exp.RL.Seed, exp.MCTS.Seed, flow.Seed+200, flow.Seed+300)
+		}
+		exp.RL.Seed, exp.MCTS.Seed = 0, 0
+		if !reflect.DeepEqual(flow, exp) {
+			t.Errorf("%+v: flow job %+v, experiment run %+v", sp, flow, exp)
+		}
 	}
 }

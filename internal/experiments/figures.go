@@ -181,11 +181,8 @@ func Figure5(cfg Config, benchmarks []string) ([]*Fig5Result, error) {
 			sres := search.RunContext(cfg.ctx(), p.Env)
 			// Match the full flow (core.Place): the better of the
 			// committed path and the best terminal evaluated during
-			// exploration.
-			mctsWL := sres.Wirelength
-			if len(sres.BestAnchors) > 0 && sres.BestWirelength < mctsWL {
-				mctsWL = sres.BestWirelength
-			}
+			// exploration, which BestWirelength already is.
+			mctsWL := sres.BestWirelength
 			pt := Fig5Point{
 				Episode:    snap.Episode,
 				RLReward:   tr.Scaler.Reward(rlWL),

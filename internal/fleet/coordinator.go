@@ -458,8 +458,12 @@ func (c *Coordinator) runOnWorker(ctx context.Context, j *serve.Job, w *Worker, 
 			}
 		}
 
-		// Drain the tail of the event log the broken stream missed.
-		c.relayStatusEvents(ctx, j, w, rid, &maxSeen, &ckpt)
+		// Drain the tail of the event log the broken stream missed,
+		// under its own RPC timeout. Best effort: the terminal status is
+		// already in hand, so a failed drain loses only event-log lines.
+		rctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
+		_ = c.readEvents(rctx, j, w, rid, &maxSeen, &ckpt)
+		cancel()
 
 		switch st.State {
 		case serve.StateDone:
@@ -541,8 +545,14 @@ func (c *Coordinator) streamEvents(ctx context.Context, j *serve.Job, w *Worker,
 		case <-sctx.Done():
 		}
 	}()
+	return c.readEvents(sctx, j, w, rid, maxSeen, ckpt)
+}
 
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet, w.URL()+"/v1/jobs/"+rid+"/events", nil)
+// readEvents GETs the worker job's SSE event log under ctx and relays
+// each event in it (relayEvent). It returns nil when the log ended
+// (remote job terminal) and an error when the read broke.
+func (c *Coordinator) readEvents(ctx context.Context, j *serve.Job, w *Worker, rid string, maxSeen *int, ckpt **mcts.Snapshot) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.URL()+"/v1/jobs/"+rid+"/events", nil)
 	if err != nil {
 		return err
 	}
@@ -591,35 +601,6 @@ func (c *Coordinator) relayEvent(ctx context.Context, j *serve.Job, w *Worker, r
 		}
 	default:
 		j.AppendEvent(ev.Type, ev.Data)
-	}
-}
-
-// relayStatusEvents drains the remote job's full event log once more
-// over plain status polling — the tail a broken SSE stream missed.
-func (c *Coordinator) relayStatusEvents(ctx context.Context, j *serve.Job, w *Worker, rid string, maxSeen *int, ckpt **mcts.Snapshot) {
-	rctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, w.URL()+"/v1/jobs/"+rid+"/events", nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev serve.Event
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
-			return
-		}
-		c.relayEvent(ctx, j, w, rid, ev, maxSeen, ckpt)
 	}
 }
 

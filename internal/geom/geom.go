@@ -23,11 +23,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p minus q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
-}
-
 // Manhattan returns the L1 distance between p and q.
 func (p Point) Manhattan(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
@@ -124,16 +119,6 @@ func (r Rect) OverlapArea(s Rect) float64 {
 		return 0
 	}
 	return is.Area()
-}
-
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Lx: math.Min(r.Lx, s.Lx),
-		Ly: math.Min(r.Ly, s.Ly),
-		Ux: math.Max(r.Ux, s.Ux),
-		Uy: math.Max(r.Uy, s.Uy),
-	}
 }
 
 // Inflate returns r grown by dx on the left and right and by dy on

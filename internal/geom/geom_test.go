@@ -15,9 +15,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Sub(q); got != (Point{2, 2}) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := p.Dist(Point{0, 0}); got != 5 {
-		t.Errorf("Dist = %v, want 5", got)
-	}
 	if got := p.Manhattan(q); got != 4 {
 		t.Errorf("Manhattan = %v, want 4", got)
 	}
@@ -131,18 +128,6 @@ func TestBBoxHPWL(t *testing.T) {
 // canonical builds a valid rect from four arbitrary floats.
 func canonical(a, b, c, d float64) Rect {
 	return Rect{math.Min(a, c), math.Min(b, d), math.Max(a, c), math.Max(b, d)}
-}
-
-func TestUnionContainsBothProperty(t *testing.T) {
-	f := func(a, b, c, d, e, f2, g, h float64) bool {
-		r1 := canonical(a, b, c, d)
-		r2 := canonical(e, f2, g, h)
-		u := r1.Union(r2)
-		return u.ContainsRect(r1) && u.ContainsRect(r2)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestIntersectWithinBothProperty(t *testing.T) {

@@ -66,24 +66,20 @@ func (g *Grid) CellRect(gx, gy int) geom.Rect {
 	}
 }
 
-// CellOf returns the grid coordinates containing point p, clamped to
-// the partition.
-func (g *Grid) CellOf(p geom.Point) (gx, gy int) {
-	gx = int((p.X - g.Region.Lx) / g.CellW)
-	gy = int((p.Y - g.Region.Ly) / g.CellH)
-	if gx < 0 {
-		gx = 0
+// AddShape adds the footprint of s anchored at grid index anchor onto
+// the utilization map sp, capping each grid at 1: how s_p grows when a
+// group is placed (Env.Step, and ECO's view of the other groups).
+func (g *Grid) AddShape(sp []float64, s *Shape, anchor int) {
+	gx, gy := g.Coords(anchor)
+	for r := 0; r < s.GH; r++ {
+		row := (gy+r)*g.Zeta + gx
+		for c := 0; c < s.GW; c++ {
+			sp[row+c] += s.Util[r*s.GW+c]
+			if sp[row+c] > 1 {
+				sp[row+c] = 1
+			}
+		}
 	}
-	if gx >= g.Zeta {
-		gx = g.Zeta - 1
-	}
-	if gy < 0 {
-		gy = 0
-	}
-	if gy >= g.Zeta {
-		gy = g.Zeta - 1
-	}
-	return gx, gy
 }
 
 // Shape is a macro group's discretised footprint: GW × GH grids with a
@@ -327,21 +323,11 @@ func (e *Env) NumSteps() int { return len(e.Shapes) }
 // Done reports whether all groups are placed.
 func (e *Env) Done() bool { return e.t >= len(e.Shapes) }
 
-// Anchor returns the anchor grid index chosen at step i, or -1.
-func (e *Env) Anchor(i int) int { return e.anchors[i] }
-
 // Anchors returns a copy of all chosen anchors.
 func (e *Env) Anchors() []int { return append([]int(nil), e.anchors...) }
 
-// AnchorsInto appends all chosen anchors into dst[:0] and returns the
-// result: the reuse form of Anchors for hot paths.
-func (e *Env) AnchorsInto(dst []int) []int { return append(dst[:0], e.anchors...) }
-
-// SP returns a copy of the current utilization map s_p.
-func (e *Env) SP() []float64 { return append([]float64(nil), e.sp...) }
-
 // SPInto appends the current utilization map s_p into dst[:0] and
-// returns the result: the reuse form of SP for hot paths.
+// returns the result.
 func (e *Env) SPInto(dst []float64) []float64 { return append(dst[:0], e.sp...) }
 
 // InBounds reports whether anchoring the current group at grid action
@@ -386,18 +372,11 @@ func (e *Env) insideFence(s *Shape, gx, gy int) bool {
 		cell.Lx+s.W <= e.fence.Ux+eps && cell.Ly+s.H <= e.fence.Uy+eps
 }
 
-// Avail computes the availability map s_a for the current group via
-// Eq. (4): for every anchor grid g, the geometric mean over the n
+// AvailInto writes the availability map s_a for the current group via
+// Eq. (4) into dst (grown as needed, resliced to ζ² and wholly
+// rewritten): for every anchor grid g, the geometric mean over the n
 // covered grids of (1 - s_m(gi)) · (1 - s_p(gi)); out-of-bounds
-// anchors score 0.
-func (e *Env) Avail() []float64 {
-	return e.AvailInto(make([]float64, e.G.NumCells()))
-}
-
-// AvailInto is Avail writing into a caller-supplied buffer (grown as
-// needed, resliced to ζ²): the reuse form for hot paths. The whole
-// buffer is rewritten, including the zero entries Avail leaves
-// untouched in its freshly allocated output.
+// anchors, and every anchor once the episode is done, score 0.
 func (e *Env) AvailInto(dst []float64) []float64 {
 	if e.Done() {
 		return cleared(dst, e.G.NumCells())
@@ -463,17 +442,7 @@ func (e *Env) Step(action int) error {
 	if !e.InBounds(action) {
 		return fmt.Errorf("grid: action %d out of bounds for group %d (%dx%d grids)", action, e.t, e.Shapes[e.t].GW, e.Shapes[e.t].GH)
 	}
-	s := &e.Shapes[e.t]
-	gx, gy := e.G.Coords(action)
-	for r := 0; r < s.GH; r++ {
-		for c := 0; c < s.GW; c++ {
-			idx := e.G.Index(gx+c, gy+r)
-			e.sp[idx] += s.Util[r*s.GW+c]
-			if e.sp[idx] > 1 {
-				e.sp[idx] = 1
-			}
-		}
-	}
+	e.G.AddShape(e.sp, &e.Shapes[e.t], action)
 	e.anchors[e.t] = action
 	e.t++
 	return nil

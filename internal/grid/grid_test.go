@@ -40,18 +40,6 @@ func TestCellRectTilesRegion(t *testing.T) {
 	}
 }
 
-func TestCellOfClamps(t *testing.T) {
-	g := unitGrid(4)
-	gx, gy := g.CellOf(geom.Point{X: -5, Y: 100})
-	if gx != 0 || gy != 3 {
-		t.Errorf("CellOf out-of-range = (%d,%d), want (0,3)", gx, gy)
-	}
-	gx, gy = g.CellOf(geom.Point{X: 2.5, Y: 1.5})
-	if gx != 2 || gy != 1 {
-		t.Errorf("CellOf = (%d,%d), want (2,1)", gx, gy)
-	}
-}
-
 func TestShapeOfSmallGroup(t *testing.T) {
 	g := unitGrid(8) // cells 1×1
 	grp := &cluster.Group{Area: 0.25, MaxW: 0.5, MaxH: 0.5}
@@ -95,7 +83,7 @@ func TestAvailEquation4PaperExample(t *testing.T) {
 	g := unitGrid(2)
 	shape := Shape{GW: 2, GH: 1, Util: []float64{0.6, 0.3}, W: 2, H: 1, Area: 0.9}
 	env := NewEnv(g, []Shape{shape}, []float64{0, 0, 0.5, 0.25})
-	sa := env.Avail()
+	sa := env.AvailInto(nil)
 	// Anchor (0,1) covers grids with s_p 0.5 and 0.25:
 	// V = sqrt((1-0.6)(1-0.5) × (1-0.3)(1-0.25)) = sqrt(0.105) ≈ 0.324.
 	want := math.Sqrt((1 - 0.6) * (1 - 0.5) * (1 - 0.3) * (1 - 0.25))
@@ -117,7 +105,7 @@ func TestAvailZeroOnFullGrid(t *testing.T) {
 	g := unitGrid(2)
 	shape := Shape{GW: 1, GH: 1, Util: []float64{0.5}, W: 1, H: 1, Area: 0.5}
 	env := NewEnv(g, []Shape{shape}, []float64{1, 0, 0, 0})
-	sa := env.Avail()
+	sa := env.AvailInto(nil)
 	if sa[0] != 0 {
 		t.Errorf("full grid availability = %v, want 0", sa[0])
 	}
@@ -139,7 +127,7 @@ func TestStepUpdatesUtilizationAndAdvances(t *testing.T) {
 	if env.T() != 1 {
 		t.Error("T did not advance")
 	}
-	sp := env.SP()
+	sp := env.SPInto(nil)
 	for _, gc := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}} {
 		if sp[g.Index(gc[0], gc[1])] != 0.9 {
 			t.Errorf("sp(%d,%d) = %v, want 0.9", gc[0], gc[1], sp[g.Index(gc[0], gc[1])])
@@ -152,7 +140,7 @@ func TestStepUpdatesUtilizationAndAdvances(t *testing.T) {
 	if err := env.Step(g.Index(1, 1)); err != nil {
 		t.Fatalf("Step2: %v", err)
 	}
-	sp = env.SP()
+	sp = env.SPInto(nil)
 	if sp[g.Index(1, 1)] != 1 {
 		t.Errorf("overfilled grid = %v, want capped at 1", sp[g.Index(1, 1)])
 	}
@@ -180,7 +168,7 @@ func TestInBoundsMatchesAvailSupport(t *testing.T) {
 	g := unitGrid(5)
 	shape := Shape{GW: 2, GH: 3, Util: make([]float64, 6), W: 2, H: 3, Area: 3}
 	env := NewEnv(g, []Shape{shape}, nil)
-	sa := env.Avail()
+	sa := env.AvailInto(nil)
 	for a := 0; a < g.NumCells(); a++ {
 		if (sa[a] > 0) != env.InBounds(a) {
 			t.Fatalf("action %d: avail=%v but InBounds=%v", a, sa[a], env.InBounds(a))
@@ -202,10 +190,10 @@ func TestCloneIsIndependent(t *testing.T) {
 	if env.T() != 1 {
 		t.Error("stepping the clone advanced the original")
 	}
-	if env.SP()[5] != 0 {
+	if env.SPInto(nil)[5] != 0 {
 		t.Error("clone shares utilization with original")
 	}
-	if cp.Anchor(1) != 5 || env.Anchor(1) != -1 {
+	if cp.Anchors()[1] != 5 || env.Anchors()[1] != -1 {
 		t.Error("anchor bookkeeping leaked between clone and original")
 	}
 }
@@ -216,10 +204,10 @@ func TestResetClearsState(t *testing.T) {
 	env := NewEnv(g, []Shape{shape}, nil)
 	env.Step(3)
 	env.Reset()
-	if env.T() != 0 || env.Anchor(0) != -1 {
+	if env.T() != 0 || env.Anchors()[0] != -1 {
 		t.Error("Reset did not clear step state")
 	}
-	for _, u := range env.SP() {
+	for _, u := range env.SPInto(nil) {
 		if u != 0 {
 			t.Error("Reset did not clear utilization")
 		}
@@ -276,7 +264,7 @@ func TestAvailBoundsProperty(t *testing.T) {
 		}
 		s := Shape{GW: w, GH: h, Util: util, W: float64(w), H: float64(h), Area: float64(w * h)}
 		env := NewEnv(g, []Shape{s}, base)
-		for a, v := range env.Avail() {
+		for a, v := range env.AvailInto(nil) {
 			if v < 0 || v > 1 {
 				return false
 			}
@@ -317,7 +305,7 @@ func TestAvailMatchesBruteForceProperty(t *testing.T) {
 		}
 		s := Shape{GW: w, GH: h, Util: util, W: float64(w), H: float64(h), Area: 1}
 		env := NewEnv(g, []Shape{s}, base)
-		got := env.Avail()
+		got := env.AvailInto(nil)
 
 		// Literal Eq. (4): V(g) = (∏ (1−s_m)(1−s_p))^(1/n), 0 when
 		// out of bounds, clamped at 0.
@@ -329,7 +317,7 @@ func TestAvailMatchesBruteForceProperty(t *testing.T) {
 					prod := 1.0
 					for r2 := 0; r2 < h; r2++ {
 						for c2 := 0; c2 < w; c2++ {
-							sp := env.SP()[(gy+r2)*5+(gx+c2)]
+							sp := env.SPInto(nil)[(gy+r2)*5+(gx+c2)]
 							prod *= (1 - util[r2*w+c2]) * (1 - sp)
 						}
 					}

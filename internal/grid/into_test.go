@@ -19,14 +19,14 @@ func TestIntoAccessorsMatchCopyingForms(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sa := env.Avail()
+	sa := env.AvailInto(nil)
 	saInto := env.AvailInto(make([]float64, 3)) // too small: must grow
 	if len(saInto) != len(sa) {
 		t.Fatalf("AvailInto len %d, want %d", len(saInto), len(sa))
 	}
 	for i := range sa {
 		if sa[i] != saInto[i] {
-			t.Fatalf("AvailInto[%d] = %v, Avail = %v", i, saInto[i], sa[i])
+			t.Fatalf("AvailInto[%d] = %v, fresh AvailInto = %v", i, saInto[i], sa[i])
 		}
 	}
 	// Reuse with stale garbage: zero entries must be rewritten too.
@@ -37,26 +37,7 @@ func TestIntoAccessorsMatchCopyingForms(t *testing.T) {
 	saInto2 := env.AvailInto(stale)
 	for i := range sa {
 		if sa[i] != saInto2[i] {
-			t.Fatalf("stale AvailInto[%d] = %v, Avail = %v", i, saInto2[i], sa[i])
-		}
-	}
-
-	sp := env.SP()
-	spInto := env.SPInto(nil)
-	for i := range sp {
-		if sp[i] != spInto[i] {
-			t.Fatalf("SPInto[%d] = %v, SP = %v", i, spInto[i], sp[i])
-		}
-	}
-
-	an := env.Anchors()
-	anInto := env.AnchorsInto([]int{7, 7, 7, 7, 7})
-	if len(anInto) != len(an) {
-		t.Fatalf("AnchorsInto len %d, want %d", len(anInto), len(an))
-	}
-	for i := range an {
-		if an[i] != anInto[i] {
-			t.Fatalf("AnchorsInto[%d] = %v, Anchors = %v", i, anInto[i], an[i])
+			t.Fatalf("stale AvailInto[%d] = %v, fresh AvailInto = %v", i, saInto2[i], sa[i])
 		}
 	}
 }
@@ -71,10 +52,6 @@ func TestIntoAccessorsReuseCapacity(t *testing.T) {
 	if got := env.SPInto(buf); &got[0] != &buf[0] {
 		t.Error("SPInto reallocated despite sufficient capacity")
 	}
-	ints := make([]int, 0, env.NumSteps())
-	if got := env.AnchorsInto(ints); &got[0] != &ints[:1][0] {
-		t.Error("AnchorsInto reallocated despite sufficient capacity")
-	}
 }
 
 func TestCloneIntoMatchesCloneAndIsIndependent(t *testing.T) {
@@ -88,19 +65,19 @@ func TestCloneIntoMatchesCloneAndIsIndependent(t *testing.T) {
 	requireEnvEqual(t, "CloneInto", &dst, env)
 
 	// Stepping the copy must not leak into the original.
-	spBefore := env.SP()
+	spBefore := env.SPInto(nil)
 	if err := dst.Step(5); err != nil {
 		t.Fatal(err)
 	}
 	if dst.T() != env.T()+1 {
 		t.Fatal("copy did not advance")
 	}
-	for i, v := range env.SP() {
+	for i, v := range env.SPInto(nil) {
 		if v != spBefore[i] {
 			t.Fatal("CloneInto copy aliases original sp")
 		}
 	}
-	if env.Anchor(1) != -1 {
+	if env.Anchors()[1] != -1 {
 		t.Fatal("CloneInto copy aliases original anchors")
 	}
 
@@ -115,7 +92,7 @@ func requireEnvEqual(t *testing.T, what string, got, want *Env) {
 	if got.T() != want.T() {
 		t.Fatalf("%s: t = %d, want %d", what, got.T(), want.T())
 	}
-	gs, ws := got.SP(), want.SP()
+	gs, ws := got.SPInto(nil), want.SPInto(nil)
 	for i := range ws {
 		if gs[i] != ws[i] {
 			t.Fatalf("%s: sp[%d] = %v, want %v", what, i, gs[i], ws[i])
@@ -150,7 +127,7 @@ func TestPoolRecyclesWithoutAliasing(t *testing.T) {
 	if err := c2.Step(2); err != nil {
 		t.Fatal(err)
 	}
-	if env.T() != 0 || env.Anchor(0) != -1 {
+	if env.T() != 0 || env.Anchors()[0] != -1 {
 		t.Fatal("pooled clone aliases the source env")
 	}
 }

@@ -179,7 +179,8 @@ func Macros(in Input) (Result, error) {
 }
 
 // TotalMacroOverlap returns the summed pairwise overlap area between
-// all macros (movable and fixed) — the legality metric used in tests.
+// all macros (movable and fixed) — the overlap every placer's result
+// and metrics.Measure's quality report state.
 func TotalMacroOverlap(d *netlist.Design) float64 {
 	macros := d.MacroIndices()
 	var total float64

@@ -1,9 +1,8 @@
 // Package metrics computes placement-quality measures beyond raw
 // HPWL: RUDY routing-demand estimation (the congestion proxy used by
 // the routability-driven placers the paper cites, e.g. [7], [15],
-// [23]), macro displacement between two placements, density maps, and
-// a consolidated quality report that the CLI prints for every placed
-// design.
+// [23]) and a consolidated quality report that the CLI prints for
+// every placed design.
 package metrics
 
 import (
@@ -11,6 +10,7 @@ import (
 	"math"
 
 	"macroplace/internal/geom"
+	"macroplace/internal/legalize"
 	"macroplace/internal/netlist"
 )
 
@@ -120,21 +120,6 @@ func (cm *CongestionMap) Mean() float64 {
 	return s / float64(len(cm.Demand))
 }
 
-// OverflowRatio returns the fraction of bins whose demand exceeds
-// limit.
-func (cm *CongestionMap) OverflowRatio(limit float64) float64 {
-	if len(cm.Demand) == 0 {
-		return 0
-	}
-	over := 0
-	for _, v := range cm.Demand {
-		if v > limit {
-			over++
-		}
-	}
-	return float64(over) / float64(len(cm.Demand))
-}
-
 func clampI(x, lo, hi int) int {
 	if x < lo {
 		return lo
@@ -162,12 +147,7 @@ func Measure(d *netlist.Design) Report {
 	rep := Report{
 		HPWL:         d.HPWL(),
 		WeightedHPWL: d.WeightedHPWL(),
-	}
-	macros := d.MacroIndices()
-	for i := 0; i < len(macros); i++ {
-		for j := i + 1; j < len(macros); j++ {
-			rep.MacroOverlap += d.Nodes[macros[i]].Rect().OverlapArea(d.Nodes[macros[j]].Rect())
-		}
+		MacroOverlap: legalize.TotalMacroOverlap(d),
 	}
 	cm := RUDY(d, 32)
 	rep.PeakCongestion = cm.Max()

@@ -50,16 +50,6 @@ func TestRUDYWeightsAndDegenerateNets(t *testing.T) {
 	}
 }
 
-func TestCongestionOverflowRatio(t *testing.T) {
-	cm := &CongestionMap{Bins: 2, Demand: []float64{0, 1, 2, 3}}
-	if got := cm.OverflowRatio(1.5); got != 0.5 {
-		t.Errorf("OverflowRatio = %v, want 0.5", got)
-	}
-	if got := cm.OverflowRatio(10); got != 0 {
-		t.Errorf("OverflowRatio(10) = %v", got)
-	}
-}
-
 func TestMeasureReport(t *testing.T) {
 	d, err := gen.IBM("ibm01", 0.02, 3)
 	if err != nil {
@@ -180,7 +170,7 @@ func TestRUDYDegenerateMaps(t *testing.T) {
 	}
 	// Empty map accessors must not divide by zero.
 	empty := &CongestionMap{}
-	if empty.Mean() != 0 || empty.OverflowRatio(1) != 0 {
+	if empty.Mean() != 0 {
 		t.Error("empty map accessors must return 0")
 	}
 }

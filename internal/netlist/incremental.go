@@ -5,8 +5,9 @@ import "macroplace/internal/geom"
 // IncrementalHPWL maintains the total half-perimeter wirelength of a
 // design under single-node moves in O(pins-on-node · log nets) per
 // update instead of re-evaluating every net. It is the evaluation
-// engine behind the ECO local-move search and the detailed placer's
-// swaps, whose inner loops probe thousands of candidate positions.
+// engine behind the ECO local-move search (eco.Run) and the detailed
+// placer's swaps (rowlegal.OptimizeDetailed), whose inner loops probe
+// thousands of candidate positions.
 //
 // The evaluator caches each net's bounding box (moving a node
 // recomputes the boxes of its incident nets exactly — no
@@ -79,16 +80,6 @@ func (ev *IncrementalHPWL) setLeaf(ni int, v float64) {
 // happened in between.
 func (ev *IncrementalHPWL) Total() float64 { return ev.sum[1] }
 
-// NodeCost returns the summed weighted HPWL of the nets incident to
-// node n — the per-node cost used by selection heuristics.
-func (ev *IncrementalHPWL) NodeCost(n int) float64 {
-	var c float64
-	for _, ni := range ev.nodeNets[n] {
-		c += ev.sum[ev.leaf0+ni]
-	}
-	return c
-}
-
 // recomputeNet rebuilds net ni's bounding box from scratch.
 func (ev *IncrementalHPWL) recomputeNet(ni int) {
 	ev.boxes[ni].Reset()
@@ -119,26 +110,4 @@ func (ev *IncrementalHPWL) MoveNode(n int, x, y float64) (delta float64) {
 func (ev *IncrementalHPWL) MoveCenter(n int, cx, cy float64) float64 {
 	node := &ev.d.Nodes[n]
 	return ev.MoveNode(n, cx-node.W/2, cy-node.H/2)
-}
-
-// ProbeCenter returns the total-HPWL delta of moving node n's center
-// to (cx, cy) without committing the move.
-func (ev *IncrementalHPWL) ProbeCenter(n int, cx, cy float64) float64 {
-	node := &ev.d.Nodes[n]
-	ox, oy := node.X, node.Y
-	delta := ev.MoveCenter(n, cx, cy)
-	ev.MoveNode(n, ox, oy)
-	return delta
-}
-
-// Resync rebuilds all caches after external position changes (e.g.
-// a global placement pass ran on the same design).
-func (ev *IncrementalHPWL) Resync() {
-	for ni := range ev.d.Nets {
-		ev.recomputeNet(ni)
-		ev.sum[ev.leaf0+ni] = ev.weights[ni] * ev.boxes[ni].HPWL()
-	}
-	for j := ev.leaf0 - 1; j >= 1; j-- {
-		ev.sum[j] = ev.sum[2*j] + ev.sum[2*j+1]
-	}
 }

@@ -30,7 +30,7 @@ func TestIncrementalBitEqualAfterMoves(t *testing.T) {
 	}
 }
 
-// FuzzIncrementalHPWL drives random move/swap/probe sequences and
+// FuzzIncrementalHPWL drives random move/swap/revert sequences and
 // asserts, at every step, (a) bit-equality between the incremental
 // accumulator and a full recompute (a freshly built evaluator over the
 // same positions — same summation shape, so any history dependence in
@@ -58,9 +58,11 @@ func FuzzIncrementalHPWL(f *testing.F) {
 			case 1:
 				ev.MoveCenter(n, x, y)
 			case 2:
-				// Probe must not commit; it exercises the move+revert
-				// path twice per call.
-				ev.ProbeCenter(n, x, y)
+				// Move and revert, the detailed placer's rejected-swap
+				// idiom: the revert must restore the total's bits.
+				ox, oy := d.Nodes[n].X, d.Nodes[n].Y
+				ev.MoveCenter(n, x, y)
+				ev.MoveNode(n, ox, oy)
 			case 3:
 				// Swap two node positions, the ECO/SA move idiom.
 				m := int(ops[i+1]) % nodes

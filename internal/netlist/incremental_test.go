@@ -68,60 +68,10 @@ func TestIncrementalDeltaConsistency(t *testing.T) {
 	}
 }
 
-func TestProbeDoesNotCommit(t *testing.T) {
-	d := randomDesign(5, 10, 20)
-	ev := NewIncrementalHPWL(d)
-	posBefore := d.Positions()
-	totalBefore := ev.Total()
-	delta := ev.ProbeCenter(3, 50, 50)
-	if ev.Total() != totalBefore {
-		t.Error("probe changed the total")
-	}
-	for i, p := range d.Positions() {
-		if p != posBefore[i] {
-			t.Fatal("probe moved a node")
-		}
-	}
-	// Probe delta must equal the committed delta.
-	committed := ev.MoveCenter(3, 50, 50)
-	if math.Abs(delta-committed) > 1e-9*(1+math.Abs(committed)) {
-		t.Errorf("probe delta %v != committed delta %v", delta, committed)
-	}
-}
-
 func TestMoveNodeNoop(t *testing.T) {
 	d := randomDesign(6, 5, 8)
 	ev := NewIncrementalHPWL(d)
 	if delta := ev.MoveNode(2, d.Nodes[2].X, d.Nodes[2].Y); delta != 0 {
 		t.Errorf("no-op move returned delta %v", delta)
-	}
-}
-
-func TestNodeCost(t *testing.T) {
-	d := &Design{Region: geom.NewRect(0, 0, 100, 100)}
-	a := d.AddNode(Node{Name: "a", Kind: Cell, W: 2, H: 2, X: 0, Y: 0})
-	b := d.AddNode(Node{Name: "b", Kind: Cell, W: 2, H: 2, X: 10, Y: 0})
-	c := d.AddNode(Node{Name: "c", Kind: Cell, W: 2, H: 2, X: 0, Y: 20})
-	d.AddNet(Net{Name: "ab", Pins: []Pin{{Node: a}, {Node: b}}}) // HPWL 10
-	d.AddNet(Net{Name: "ac", Pins: []Pin{{Node: a}, {Node: c}}}) // HPWL 20
-	d.AddNet(Net{Name: "bc", Pins: []Pin{{Node: b}, {Node: c}}}) // HPWL 30
-	ev := NewIncrementalHPWL(d)
-	if got := ev.NodeCost(a); got != 30 {
-		t.Errorf("NodeCost(a) = %v, want 30", got)
-	}
-	if got := ev.NodeCost(b); got != 40 {
-		t.Errorf("NodeCost(b) = %v, want 40", got)
-	}
-}
-
-func TestResync(t *testing.T) {
-	d := randomDesign(7, 15, 30)
-	ev := NewIncrementalHPWL(d)
-	// External mutation the evaluator cannot see.
-	d.Nodes[0].X += 17
-	d.Nodes[4].Y += 5
-	ev.Resync()
-	if math.Abs(ev.Total()-d.WeightedHPWL()) > 1e-9 {
-		t.Errorf("resync total %v != full %v", ev.Total(), d.WeightedHPWL())
 	}
 }

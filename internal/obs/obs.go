@@ -373,25 +373,6 @@ func escapeHelp(s string) string {
 	return string(out)
 }
 
-// EscapeLabel escapes a label value per the exposition format:
-// backslash, newline, and double quote.
-func EscapeLabel(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			out = append(out, '\\', '\\')
-		case '\n':
-			out = append(out, '\\', 'n')
-		case '"':
-			out = append(out, '\\', '"')
-		default:
-			out = append(out, s[i])
-		}
-	}
-	return string(out)
-}
-
 // formatFloat renders a float64 the way Prometheus expects (shortest
 // round-trip representation; +Inf/-Inf/NaN spelled out).
 func formatFloat(v float64) string {

@@ -128,14 +128,6 @@ test_d_phase_invocations_total 1
 	}
 }
 
-func TestEscapeLabel(t *testing.T) {
-	got := EscapeLabel("a\"b\\c\nd")
-	want := `a\"b\\c\nd`
-	if got != want {
-		t.Fatalf("EscapeLabel = %q, want %q", got, want)
-	}
-}
-
 // TestConcurrentIncAndObserve hammers one counter, gauge, and
 // histogram from many goroutines (run with -race) and checks the
 // totals are exact — no torn or lost increments.

@@ -8,6 +8,7 @@ import (
 	"macroplace/internal/agent"
 	"macroplace/internal/baseline"
 	"macroplace/internal/core"
+	"macroplace/internal/grid"
 	"macroplace/internal/legalize"
 	"macroplace/internal/netlist"
 )
@@ -197,36 +198,48 @@ func finishBaseline(ctx context.Context, d *netlist.Design, run func(*netlist.De
 	}, nil
 }
 
+// Flow derives the paper's flow job (internal/core) from the options.
+// It is the one derivation of a flow job: the mcts backend, daemon and
+// CLI jobs (serve.Spec.Options), the experiment drivers and the
+// facade's DefaultOptions all call it. Zero fields select seed 1,
+// ζ = 16, 120 episodes and γ = 24 (both scaled by Effort), one search
+// worker, and a 16-channel, 2-block tower seeded at Seed+100. RL.Seed
+// and MCTS.Seed stay zero, so core derives them from Seed.
+func (o Options) Flow() core.Options {
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	if o.Zeta <= 0 {
+		o.Zeta = grid.DefaultZeta
+	}
+	if o.Episodes <= 0 {
+		o.Episodes = scaleBudget(120, o.effort(), 2)
+	}
+	if o.Gamma <= 0 {
+		o.Gamma = scaleBudget(24, o.effort(), 2)
+	}
+	if o.Workers <= 0 {
+		o.Workers = 1
+	}
+	if o.Channels <= 0 {
+		o.Channels = 16
+	}
+	if o.ResBlocks <= 0 {
+		o.ResBlocks = 2
+	}
+	opts := core.Options{Zeta: o.Zeta, Seed: o.Seed}
+	opts.RL.Episodes = o.Episodes
+	opts.MCTS.Gamma = o.Gamma
+	opts.MCTS.Workers = o.Workers
+	opts.Agent = agent.Config{Zeta: o.Zeta, Channels: o.Channels, ResBlocks: o.ResBlocks, Seed: o.Seed + 100}
+	return opts
+}
+
 // runMCTSBackend adapts the paper's full flow (internal/core) to the
-// portfolio contract.
+// portfolio contract: the flow job Options.Flow derives, plus the
+// backend's hooks.
 func runMCTSBackend(ctx context.Context, d *netlist.Design, opts Options, emit emitFunc) (Result, error) {
-	e := opts.effort()
-	copts := core.Options{Zeta: opts.Zeta, Seed: opts.Seed}
-	copts.RL.Episodes = opts.Episodes
-	if copts.RL.Episodes <= 0 {
-		copts.RL.Episodes = scaleBudget(120, e, 2)
-	}
-	copts.MCTS.Gamma = opts.Gamma
-	if copts.MCTS.Gamma <= 0 {
-		copts.MCTS.Gamma = scaleBudget(24, e, 2)
-	}
-	copts.MCTS.Workers = opts.Workers
-	if copts.MCTS.Workers <= 0 {
-		copts.MCTS.Workers = 1
-	}
-	zeta := opts.Zeta
-	if zeta <= 0 {
-		zeta = 16
-	}
-	channels := opts.Channels
-	if channels <= 0 {
-		channels = 16
-	}
-	resblocks := opts.ResBlocks
-	if resblocks <= 0 {
-		resblocks = 2
-	}
-	copts.Agent = agent.Config{Zeta: zeta, Channels: channels, ResBlocks: resblocks, Seed: opts.Seed + 100}
+	copts := opts.Flow()
 	copts.WrapEvaluator = opts.WrapEvaluator
 	copts.OnIncumbent = func(hpwl float64) { emit(hpwl, false) }
 	if opts.OnStage != nil {

@@ -199,7 +199,7 @@ func sequentialTrain(tr *Trainer, rnd *rng.RNG) (gauges [4]float64) {
 		env.Reset()
 		var steps []seqStep
 		for !env.Done() {
-			st := seqStep{sp: env.SP(), sa: env.Avail(), t: env.T()}
+			st := seqStep{sp: env.SPInto(nil), sa: env.AvailInto(nil), t: env.T()}
 			in[0] = agent.BatchInput{SP: st.sp, SA: st.sa, T: st.t}
 			tr.Agent.EvaluateBatchInto(in[:], out[:])
 			st.action = sampler.sample(out[0].Probs, rnd)
@@ -573,7 +573,7 @@ func recordedBatch(seed int64, episodes int) (*agent.Agent, *grid.Env, []seqEpis
 		env.Reset()
 		var steps []seqStep
 		for !env.Done() {
-			sp, sa, t := env.SP(), env.Avail(), env.T()
+			sp, sa, t := env.SPInto(nil), env.AvailInto(nil), env.T()
 			a := r.Choice(sa)
 			if a < 0 {
 				a = randomInBounds(env, r)

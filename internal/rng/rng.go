@@ -98,6 +98,3 @@ func (r *RNG) Choice(weights []float64) int {
 	}
 	return -1
 }
-
-// Bernoulli returns true with probability p.
-func (r *RNG) Bernoulli(p float64) bool { return r.src.Float64() < p }

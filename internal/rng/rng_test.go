@@ -134,18 +134,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestBernoulliExtremes(t *testing.T) {
-	r := New(9)
-	for i := 0; i < 100; i++ {
-		if r.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) returned true")
-		}
-		if !r.Bernoulli(1.1) {
-			t.Fatal("Bernoulli(>1) returned false")
-		}
-	}
-}
-
 func TestShuffleKeepsElements(t *testing.T) {
 	r := New(10)
 	s := []int{1, 2, 3, 4, 5}

@@ -414,7 +414,7 @@ func TestDaemonBitIdenticalToDirectRun(t *testing.T) {
 	}
 	got := j.Result()
 
-	design, err := sp.LoadDesign(t.TempDir())
+	design, _, _, err := sp.LoadDesignDoc(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

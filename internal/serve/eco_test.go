@@ -170,11 +170,15 @@ func TestDaemonECOBitIdenticalToDirectRun(t *testing.T) {
 		t.Fatal("eco job probed no moves")
 	}
 
-	prior, err := eco.ReadPlacement(filepath.Join(full.Dir, "placement.json"))
+	wire, err := eco.ReadPlacementWire(filepath.Join(full.Dir, "placement.json"))
 	if err != nil {
 		t.Fatalf("full job persisted no usable placement: %v", err)
 	}
-	design, err := sp.LoadDesign(t.TempDir())
+	prior, err := eco.PriorFromWire(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, _, _, err := sp.LoadDesignDoc(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

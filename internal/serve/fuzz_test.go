@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"macroplace/internal/agent"
+	"macroplace/internal/core"
 )
 
 // TestValidateBoundsNetworkParams: each network field within its own
@@ -44,6 +45,34 @@ func TestValidateBoundsNetworkParams(t *testing.T) {
 		want := fmt.Sprintf("%s has %d parameters, above %d", shape, tc.params, 1<<26)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v, want one containing %q", tc.spec, err, want)
+		}
+	}
+}
+
+// TestEffortRefusedOutsideARace: Effort scales only raced backends, so
+// a flow or ECO job that sets it is refused at admission instead of
+// running silently at full budget. A race keeps it, and an ECO job
+// scales its moves with eco.effort.
+func TestEffortRefusedOutsideARace(t *testing.T) {
+	for _, tc := range []struct {
+		spec     string
+		admitted bool
+	}{
+		{`{"bench":"ibm01","effort":0.1}`, false},
+		{`{"bench":"ibm01","effort":0.1,"eco":{"prior":{"m0":[1,2]}}}`, false},
+		{`{"bench":"ibm01","effort":0.1,"race":["mincut","mcts"]}`, true},
+		{`{"bench":"ibm01","eco":{"prior":{"m0":[1,2]},"effort":0.5}}`, true},
+	} {
+		var sp Spec
+		if err := json.Unmarshal([]byte(tc.spec), &sp); err != nil {
+			t.Fatal(err)
+		}
+		err := sp.Validate()
+		switch {
+		case tc.admitted && err != nil:
+			t.Errorf("%s refused: %v", tc.spec, err)
+		case !tc.admitted && (err == nil || !strings.Contains(err.Error(), "effort")):
+			t.Errorf("%s: error %v, want one naming effort", tc.spec, err)
 		}
 	}
 }
@@ -88,8 +117,7 @@ func FuzzSpecJSON(f *testing.F) {
 		// advertises.
 		n := sp.normalize()
 		for name, v := range map[string]int{
-			"zeta": n.Zeta, "episodes": n.Episodes, "gamma": n.Gamma,
-			"workers": n.Workers, "channels": n.Channels, "resblocks": n.ResBlocks,
+			"zeta": n.Zeta, "channels": n.Channels, "resblocks": n.ResBlocks,
 		} {
 			if v <= 0 {
 				t.Fatalf("normalized %s = %d, want positive", name, v)
@@ -102,17 +130,19 @@ func FuzzSpecJSON(f *testing.F) {
 			t.Fatalf("admitted network is over the parameter bound: %v", err)
 		}
 
-		opts := sp.Options()
-		if opts.RL.Episodes <= 0 || opts.MCTS.Gamma <= 0 || opts.MCTS.Workers <= 0 {
-			t.Fatalf("core options carry non-positive budgets: %+v", opts)
-		}
-
 		popts := sp.PortfolioOptions()
 		if math.IsNaN(popts.Effort) || math.IsInf(popts.Effort, 0) || popts.Effort < 0 {
 			t.Fatalf("portfolio effort = %v", popts.Effort)
 		}
-		if popts.Zeta <= 0 || popts.Workers <= 0 || popts.Channels <= 0 || popts.ResBlocks <= 0 {
+		if popts.Zeta <= 0 || popts.Channels <= 0 || popts.ResBlocks <= 0 {
 			t.Fatalf("portfolio options carry non-positive sizes: %+v", popts)
+		}
+		// The flow job and the race's mcts backend both run the
+		// derived flow options.
+		for name, opts := range map[string]core.Options{"flow": sp.Options(), "race mcts": popts.Flow()} {
+			if opts.RL.Episodes <= 0 || opts.MCTS.Gamma <= 0 || opts.MCTS.Workers <= 0 {
+				t.Fatalf("%s options carry non-positive budgets: %+v", name, opts)
+			}
 		}
 		if len(sp.Race) > 16 {
 			t.Fatalf("validated spec races %d backends", len(sp.Race))

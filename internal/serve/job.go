@@ -27,9 +27,9 @@ import (
 // LEF/DEF pair inline) plus the core/MCTS options. It is the one job
 // model: daemon clients submit it as JSON and cmd/mctsplace fills it
 // from its flags, and both run it through RunDesign. Zero fields
-// select the defaults normalize documents; Workers defaults to 1 (one
-// search worker, deterministic), so a shared daemon never lets one job
-// grab the machine by default.
+// select the flow job's defaults (portfolio.Options.Flow); Workers
+// defaults to 1 (one search worker, deterministic), so a shared daemon
+// never lets one job grab the machine by default.
 type Spec struct {
 	// Bench names a synthetic benchmark (ibm01..ibm18, cir1..cir6).
 	// Mutually exclusive with Bookshelf.
@@ -77,7 +77,8 @@ type Spec struct {
 	Race []string `json:"race,omitempty"`
 	// Effort scales every raced backend's budget (0 = full budget,
 	// matching portfolio.Options semantics). Episodes/Gamma, when set,
-	// still override the mcts backend's scaled defaults.
+	// still override the mcts backend's scaled defaults. Validate
+	// refuses it on a flow or ECO job, whose budgets it would not scale.
 	Effort float64 `json:"effort,omitempty"`
 	// RaceDeadlineMS bounds the whole race in milliseconds (0: none);
 	// backends still running at the deadline commit their anytime
@@ -151,33 +152,16 @@ func (e *EcoSpec) MovesBudget() int {
 	return moves
 }
 
-// normalize fills the defaults for zero fields (cmd/mctsplace's flag
-// defaults are the same values).
+// normalize fills the defaults of the fields loading, admission and
+// the raced baselines read: the scale, and the flow job's seed, ζ and
+// tower (portfolio.Options.Flow). cmd/mctsplace's flag defaults are
+// the same values.
 func (sp Spec) normalize() Spec {
 	if sp.Scale <= 0 {
 		sp.Scale = 0.05
 	}
-	if sp.Seed == 0 {
-		sp.Seed = 1
-	}
-	if sp.Zeta <= 0 {
-		sp.Zeta = 16
-	}
-	if sp.Episodes <= 0 {
-		sp.Episodes = 120
-	}
-	if sp.Gamma <= 0 {
-		sp.Gamma = 24
-	}
-	if sp.Workers <= 0 {
-		sp.Workers = 1
-	}
-	if sp.Channels <= 0 {
-		sp.Channels = 16
-	}
-	if sp.ResBlocks <= 0 {
-		sp.ResBlocks = 2
-	}
+	f := portfolio.Options{Seed: sp.Seed, Zeta: sp.Zeta, Channels: sp.Channels, ResBlocks: sp.ResBlocks}.Flow()
+	sp.Seed, sp.Zeta, sp.Channels, sp.ResBlocks = f.Seed, f.Zeta, f.Agent.Channels, f.Agent.ResBlocks
 	return sp
 }
 
@@ -226,6 +210,9 @@ func (sp Spec) Validate() error {
 	}
 	if math.IsNaN(sp.Effort) || math.IsInf(sp.Effort, 0) || sp.Effort < 0 || sp.Effort > 1000 {
 		return fmt.Errorf("serve: effort %v out of range [0, 1000]", sp.Effort)
+	}
+	if sp.Effort != 0 && len(sp.Race) == 0 {
+		return fmt.Errorf("serve: effort scales only a race job's backends (a flow job takes episodes and gamma, an ECO job eco.effort)")
 	}
 	for _, f := range []struct {
 		name string
@@ -352,49 +339,38 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// Options derives the core flow options — the one derivation every
-// entry point that runs a Spec shares.
+// Options derives the core options of a flow or ECO job: the flow job
+// portfolio.Options.Flow derives from the spec's knobs, with the spec's
+// FreshRoot.
 func (sp Spec) Options() core.Options {
-	sp = sp.normalize()
-	opts := core.Options{Zeta: sp.Zeta, Seed: sp.Seed}
-	opts.RL.Episodes = sp.Episodes
-	opts.MCTS.Gamma = sp.Gamma
-	opts.MCTS.Workers = sp.Workers
+	opts := sp.PortfolioOptions().Flow()
 	opts.MCTS.FreshRoot = sp.FreshRoot
-	opts.Agent = agent.Config{Zeta: sp.Zeta, Channels: sp.Channels, ResBlocks: sp.ResBlocks, Seed: sp.Seed + 100}
 	return opts
 }
 
-// PortfolioOptions derives the backend options for a race job.
-// Episodes and Gamma stay raw: when the client leaves them zero, each
-// backend applies its own Effort-scaled default instead of inheriting
-// the single-flow defaults (which only fit the mcts backend).
+// PortfolioOptions derives the backend options of a job. Episodes,
+// Gamma and Workers stay raw: each backend applies its own Effort-scaled
+// defaults (the mcts backend's are the flow job's).
 func (sp Spec) PortfolioOptions() portfolio.Options {
-	raw := sp
 	sp = sp.normalize()
 	return portfolio.Options{
 		Seed:      sp.Seed,
 		Zeta:      sp.Zeta,
-		Effort:    raw.Effort,
+		Effort:    sp.Effort,
 		Workers:   sp.Workers,
 		Channels:  sp.Channels,
 		ResBlocks: sp.ResBlocks,
-		Episodes:  raw.Episodes,
-		Gamma:     raw.Gamma,
+		Episodes:  sp.Episodes,
+		Gamma:     sp.Gamma,
 	}
 }
 
-// LoadDesign materialises the spec's design, staging an uploaded
-// Bookshelf netlist under dir first. Constraint knobs (Phys, Snap)
-// are applied and validated against the materialised region.
-func (sp Spec) LoadDesign(dir string) (*netlist.Design, error) {
-	d, _, _, err := sp.LoadDesignDoc(dir)
-	return d, err
-}
-
-// LoadDesignDoc is LoadDesign keeping the DEF document and LEF library
-// of an inline LEF/DEF design (nil for the other sources) — what the
-// runners use to emit the placed design back as DEF.
+// LoadDesignDoc materialises the spec's design, staging an uploaded
+// Bookshelf netlist or LEF/DEF pair under dir first. Constraint knobs
+// (Phys, Snap) are applied and validated against the materialised
+// region. It keeps the DEF document and LEF library of an inline
+// LEF/DEF design (nil for the other sources), which the runners use to
+// emit the placed design back as DEF.
 func (sp Spec) LoadDesignDoc(dir string) (*netlist.Design, *lefdef.Document, *lefdef.LEF, error) {
 	sp = sp.normalize()
 	var (

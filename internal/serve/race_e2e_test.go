@@ -200,7 +200,7 @@ func TestDaemonRaceE2E(t *testing.T) {
 	// Bit-identity seam: the winner's metrics through the daemon equal
 	// running the winning backend directly with the same derived
 	// options on the same design.
-	design, err := sp.LoadDesign(t.TempDir())
+	design, _, _, err := sp.LoadDesignDoc(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,8 +108,15 @@ func runFlow(ctx context.Context, spec Spec, d *netlist.Design, sinks Sinks) (*R
 	if err != nil {
 		return nil, nil, err
 	}
+	return FlowResult(ctx, d.Name, res, start), p.Work, nil
+}
+
+// FlowResult is the wire Result of a single flow on design that
+// started at start under ctx: what a daemon job persists and what a
+// cmd/mctsplace agent-file run reports.
+func FlowResult(ctx context.Context, design string, res *core.Result, start time.Time) *Result {
 	return &Result{
-		Design:       d.Name,
+		Design:       design,
 		HPWL:         res.Final.HPWL,
 		RLHPWL:       res.RLFinal.HPWL,
 		MacroOverlap: res.Final.MacroOverlap,
@@ -119,7 +126,7 @@ func runFlow(ctx context.Context, spec Spec, d *netlist.Design, sinks Sinks) (*R
 		WallSeconds:  time.Since(start).Seconds(),
 		CacheHits:    res.Search.CacheHits,
 		CacheMisses:  res.Search.CacheMisses,
-	}, p.Work, nil
+	}
 }
 
 // runRace is the race job class: every backend named in Spec.Race

@@ -290,7 +290,7 @@ func twinMatrices(t *testing.T, r *rng.RNG, m *SparseSym, ref *refSparseSym, ops
 			// A pair already added, in either order.
 			p := pairs[r.Intn(len(pairs))]
 			i, j = p[0], p[1]
-			if r.Bernoulli(0.5) {
+			if r.Float64() < 0.5 {
 				i, j = j, i
 			}
 		case k == 3:

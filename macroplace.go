@@ -120,18 +120,15 @@ func SearchWithAgentContext(ctx context.Context, p *Placer, ag *Agent, cfg MCTSC
 	return mcts.New(cfg, ag, p.EvalAnchors, p.RewardScaler()).RunContext(ctx, p.Env)
 }
 
-// DefaultOptions returns a CPU-friendly configuration: ζ=16, a reduced
-// agent tower, 120 training episodes, 24 explorations per macro group
-// on one search worker, so a run is bit-reproducible. For the
+// DefaultOptions returns the flow job every entry point runs by
+// default (portfolio.Options.Flow): seed 1, ζ=16, a reduced 16-channel,
+// 2-block agent tower, 120 training episodes and 24 explorations per
+// macro group on one search worker, so a run is bit-reproducible and
+// matches `mctsplace` and a daemon job of the same knobs. For the
 // paper-exact network shape set Agent to PaperAgent; for parallel
 // search raise MCTS.Workers.
 func DefaultOptions() Options {
-	return Options{
-		Zeta: 16,
-		RL:   RLConfig{Episodes: 120},
-		MCTS: MCTSConfig{Gamma: 24, Workers: 1},
-		Seed: 1,
-	}
+	return portfolio.Options{}.Flow()
 }
 
 // PaperAgent returns the exact Table I network configuration (128

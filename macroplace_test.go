@@ -1,10 +1,14 @@
 package macroplace
 
 import (
+	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"macroplace/internal/serve"
 )
 
 func quickOpts() Options {
@@ -133,6 +137,32 @@ func TestDefaultOptions(t *testing.T) {
 	pa := PaperAgent(40, 1)
 	if pa.Channels != 128 || pa.ResBlocks != 10 {
 		t.Errorf("PaperAgent = %+v", pa)
+	}
+}
+
+// TestDefaultOptionsPlaceTheDaemonJob: the facade's default job places
+// what a daemon or CLI job of the same knobs places (serve.RunDesign),
+// bit for bit.
+func TestDefaultOptionsPlaceTheDaemonJob(t *testing.T) {
+	sp := serve.Spec{Bench: "ibm01", Scale: 0.02, Seed: 1, Episodes: 20, Gamma: 8}
+	d, _, _, err := sp.LoadDesignDoc(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := serve.RunDesign(context.Background(), sp, d, serve.Sinks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.RL.Episodes, opts.MCTS.Gamma = 20, 8
+	got, err := Place(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Final.HPWL) != math.Float64bits(want.HPWL) ||
+		math.Float64bits(got.RLFinal.HPWL) != math.Float64bits(want.RLHPWL) {
+		t.Errorf("facade HPWL %v, RL-only %v; daemon job %v, %v",
+			got.Final.HPWL, got.RLFinal.HPWL, want.HPWL, want.RLHPWL)
 	}
 }
 

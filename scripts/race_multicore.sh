@@ -9,7 +9,9 @@
 # weights), the analytical placer's two axis goroutines (and two
 # placers at once, and the check that the reward oracle's system needs
 # one solve), the whole flow's golden (whose rollouts and split
-# solves run concurrently), and the daemon's worker pool. The cache,
+# solves run concurrently), the daemon's worker pool, and the fleet
+# coordinator's event relay (which reads a worker job's event log next
+# to the goroutine that watches for the worker's death). The cache,
 # agent, trainer and placer tests run ten times each, since one
 # interleaving proves little about shared state; the rest run once.
 #
@@ -61,3 +63,5 @@ run -count=10 ./internal/gplace/ TestPlacementGolden TestCoincidentPinsGolden Te
 run . TestFlowGolden
 run ./internal/serve/ TestDaemonE2E TestDaemonBitIdenticalToDirectRun \
 	TestTerminalJobContextReleased
+run ./internal/fleet/ TestFleetMigrationE2E TestFleetMigrationCorruptCheckpoint \
+	TestFleetRetriesTransient5xx
